@@ -1,14 +1,17 @@
 """Agent roles: the five short-component writers, the planner, the
-description writer and the examiner.
+description writer and the examiner, plus the dataset builder's inventor and
+quality reviewer.
 
-Each role binds a prompt template, an output-parse contract and a retry
-policy to a backend. On a parse failure the agent re-asks the model with the
-bad response and a format reminder appended, up to parse_retry_max extra
-calls, before surfacing the error.
+Each role binds a backend, sampling settings and a parse-retry budget. Every
+model call renders a prompt template and parses the reply through
+AgentRuntime.ask; on a parse failure it re-asks the model with the bad
+response and a format reminder appended, up to parse_retry_max extra calls,
+before surfacing the error.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -43,17 +46,14 @@ class MalformedVerdictError(AgentError):
         super().__init__(f"examiner verdict unparseable after retries: {detail}")
 
 
-class IncompleteReferenceError(AgentError):
-    def __init__(self, missing: list[str]):
-        self.missing = missing
-        super().__init__(f"reference bundle is incomplete, missing: {missing}")
-
-
 class ParseRetryError(Exception):
     """Parse failure that warrants re-asking the model."""
 
 
 COMPONENT_ROLES = ("title", "abstract", "background", "summary", "claims")
+# Every role a run config may bind: the pipeline's agents, then the dataset
+# builder's inventor and quality reviewer.
+AGENT_ROLES = COMPONENT_ROLES + ("planner", "description", "examiner", "inventor", "quality")
 COMPONENT_TAGS = {
     "title": "Title",
     "abstract": "Abstract",
@@ -70,18 +70,9 @@ TAG_WRITE = "description_write"
 TAG_REFINE = "description_refine"
 TAG_REVIEW = "examiner_review"
 
-# Component writers, planner and examiner emit short texts; description
-# subsections get twice the room.
-DEFAULT_MAX_TOKENS = {
-    "title": 4096,
-    "abstract": 4096,
-    "background": 4096,
-    "summary": 4096,
-    "claims": 4096,
-    "planner": 4096,
-    "examiner": 4096,
-    "description": 8192,
-}
+# Every role emits short texts, 4096 tokens at most; description subsections
+# get twice the room.
+DEFAULT_MAX_TOKENS = {"description": 8192}
 
 _FILLER_RE = re.compile(
     r"^(sure|certainly|of course|okay|ok|here is|here's|here are)\b", re.IGNORECASE
@@ -102,7 +93,6 @@ def strip_leading_filler(text: str) -> str:
 @dataclass(frozen=True)
 class AgentBinding:
     role: str
-    template_id: str
     backend: str = "default"
     model_id: str | None = None
     temperature: float | None = None
@@ -112,14 +102,9 @@ class AgentBinding:
 
 
 def default_bindings() -> dict[str, AgentBinding]:
-    bindings = {
-        role: AgentBinding(role=role, template_id=f"{role}_writer")
-        for role in COMPONENT_ROLES
-    }
-    bindings["planner"] = AgentBinding(role="planner", template_id="planner")
-    bindings["description"] = AgentBinding(role="description", template_id="description_write")
-    bindings["examiner"] = AgentBinding(role="examiner", template_id="examiner_review")
-    return bindings
+    """The binding of every agent role; a run config may override fields of
+    these and of nothing else."""
+    return {role: AgentBinding(role=role) for role in AGENT_ROLES}
 
 
 @dataclass
@@ -139,52 +124,42 @@ class AgentRuntime:
                 f"role {binding.role!r} names unknown backend {binding.backend!r}"
             ) from None
 
-    def _request(self, binding: AgentBinding, messages: list[ChatMessage], tag: str) -> ChatRequest:
-        gateway = self.gateway_for(binding)
-        return ChatRequest(
-            model_id=binding.model_id or gateway.config.model_id,
-            messages=tuple(messages),
-            temperature=0.5 if binding.temperature is None else binding.temperature,
-            top_p=0.9 if binding.top_p is None else binding.top_p,
-            max_tokens=binding.max_tokens or DEFAULT_MAX_TOKENS.get(binding.role, 4096),
-            request_tag=tag,
-        )
+    def ask(self, role: str, template_id: str, slots: dict, tag: str, parse, reminder: str = ""):
+        """Render the prompt, call the model as `role` and return parse(reply).
 
-    def complete_parsed(self, binding, prompt: str, tag: str, parse_fn, reminder: str):
-        """Call the model and parse, re-asking with a format reminder on
-        parse failures until parse_retry_max is exhausted."""
+        Every agent call goes through here. A reply whose parse raises
+        TagError or ParseRetryError is re-asked with the bad reply and the
+        format reminder appended, up to the binding's parse_retry_max extra
+        calls; then the last parse error propagates. Any other exception from
+        parse propagates at once.
+        """
+        binding = self.bindings[role]
+        prompt = self.registry.render(template_id, **slots)
         gateway = self.gateway_for(binding)
         messages = [ChatMessage("user", prompt)]
-        last_exc: Exception | None = None
-        for _ in range(binding.parse_retry_max + 1):
-            resp = gateway.complete(self._request(binding, messages, tag), recorder=self.recorder)
+        for attempt in itertools.count():
+            request = ChatRequest(
+                model_id=binding.model_id or gateway.config.model_id,
+                messages=tuple(messages),
+                temperature=0.5 if binding.temperature is None else binding.temperature,
+                top_p=0.9 if binding.top_p is None else binding.top_p,
+                max_tokens=binding.max_tokens or DEFAULT_MAX_TOKENS.get(binding.role, 4096),
+                request_tag=tag,
+            )
+            resp = gateway.complete(request, recorder=self.recorder)
             try:
-                return parse_fn(resp.content)
-            except (TagError, ParseRetryError) as exc:
-                last_exc = exc
-                messages = messages + [
-                    ChatMessage("assistant", resp.content),
-                    ChatMessage("user", reminder),
-                ]
-        assert last_exc is not None
-        raise last_exc
-
-    def complete_raw(self, binding: AgentBinding, prompt: str, tag: str) -> str:
-        """One untagged call; the whole response body is the payload."""
-        gateway = self.gateway_for(binding)
-        resp = gateway.complete(
-            self._request(binding, [ChatMessage("user", prompt)], tag), recorder=self.recorder
-        )
-        return resp.content.strip()
+                return parse(resp.content)
+            except (TagError, ParseRetryError):
+                if attempt >= binding.parse_retry_max:
+                    raise
+                messages += [ChatMessage("assistant", resp.content), ChatMessage("user", reminder)]
 
     # --- short components ---------------------------------------------
 
     def write_component(self, role: str, draft: Draft) -> str:
         if role not in COMPONENT_ROLES:
             raise AgentError(f"{role!r} is not a short-component role")
-        binding = self.bindings[role]
         tag = COMPONENT_TAGS[role]
-        prompt = self.registry.render(binding.template_id, draft=render_draft(draft))
 
         def parse(content: str) -> str:
             text = extract_tag(content, TagSpec(tag))
@@ -196,50 +171,42 @@ class AgentRuntime:
             "Your previous response did not follow the required format. "
             f"Respond again and wrap the {role} exactly as: <{tag}>...</{tag}>"
         )
-        return self.complete_parsed(binding, prompt, role, parse, reminder)
+        return self.ask(
+            role, f"{role}_writer", {"draft": render_draft(draft)}, role, parse, reminder
+        )
 
     # --- planning --------------------------------------------------------
 
     def plan_first_level(self, draft: Draft) -> list[tuple[int, str]]:
-        binding = self.bindings["planner"]
-        prompt = self.registry.render("planner", draft=render_draft(draft))
         reminder = (
             "Your previous response did not follow the required format. Respond again "
             "using <Section-1> ... </Section-1>, <Section-2> ... </Section-2> blocks "
             "numbered consecutively from 1."
         )
-        return self.complete_parsed(
-            binding, prompt, TAG_PLAN, lambda c: extract_sections(c), reminder
+        return self.ask(
+            "planner", "planner", {"draft": render_draft(draft)}, TAG_PLAN,
+            lambda c: extract_sections(c), reminder,
         )
 
     def expand_section(self, draft: Draft, section_overview: str) -> list[tuple[int, str]]:
-        binding = self.bindings["planner"]
-        prompt = self.registry.render(
-            "section_expand", draft=render_draft(draft), section_overview=section_overview
-        )
         reminder = (
             "Your previous response did not follow the required format. Respond again "
             "using <Subsection-1> ... </Subsection-1> blocks numbered consecutively from 1."
         )
-        return self.complete_parsed(
-            binding, prompt, TAG_EXPAND, lambda c: extract_sections(c, "Subsection"), reminder
+        return self.ask(
+            "planner", "section_expand",
+            {"draft": render_draft(draft), "section_overview": section_overview},
+            TAG_EXPAND, lambda c: extract_sections(c, "Subsection"), reminder,
         )
 
     # --- description writing ------------------------------------------
 
     def retrieve(self, node: GuidelineNode, ref: Reference) -> RetrievedContext:
-        if not ref.complete:
-            raise IncompleteReferenceError(ref.missing_parts())
-        binding = self.bindings["description"]
-        prompt = self.registry.render(
-            "retrieval", reference=render_reference(ref), guideline=node.guideline_text
+        content = self.ask(
+            "description", "retrieval",
+            {"reference": render_reference(ref), "guideline": node.guideline_text},
+            TAG_RETRIEVE, str.strip,
         )
-        gateway = self.gateway_for(binding)
-        resp = gateway.complete(
-            self._request(binding, [ChatMessage("user", prompt)], TAG_RETRIEVE),
-            recorder=self.recorder,
-        )
-        content = resp.content.strip()
         return RetrievedContext(
             node=node.node_id, content=content, empty_retrieval=not content
         )
@@ -247,58 +214,34 @@ class AgentRuntime:
     def write_subsection(
         self, node: GuidelineNode, retrieved: RetrievedContext, tree: PGTree, draft: Draft
     ) -> str:
-        if not tree.contains(node):
-            raise AgentError(f"guideline node {node.node_id} does not belong to the tree")
-        binding = self.bindings["description"]
-        prompt = self.registry.render(
-            "description_write",
-            retrieved=retrieved.content,
-            tree_overview=render_pgtree(tree),
-            guideline=node.guideline_text,
-        )
-        gateway = self.gateway_for(binding)
-        resp = gateway.complete(
-            self._request(binding, [ChatMessage("user", prompt)], TAG_WRITE),
-            recorder=self.recorder,
-        )
-        text = strip_leading_filler(resp.content)
-        if not text:
-            raise EmptyGenerationError("description")
-        return text
+        slots = {
+            "retrieved": retrieved.content,
+            "tree_overview": render_pgtree(tree),
+            "guideline": node.guideline_text,
+        }
+        return self.ask("description", "description_write", slots, TAG_WRITE, _description_text)
 
     def refine(self, node: GuidelineNode, subsection: str, feedback: str, tree: PGTree) -> str:
         if not feedback.strip():
             raise AgentError("refine requires non-empty feedback")
-        binding = self.bindings["description"]
-        prompt = self.registry.render(
-            "description_refine",
-            tree_overview=render_pgtree(tree),
-            guideline=node.guideline_text,
-            subsection=subsection,
-            feedback=feedback,
-        )
-        gateway = self.gateway_for(binding)
-        resp = gateway.complete(
-            self._request(binding, [ChatMessage("user", prompt)], TAG_REFINE),
-            recorder=self.recorder,
-        )
-        text = strip_leading_filler(resp.content)
-        if not text:
-            raise EmptyGenerationError("description")
-        return text
+        slots = {
+            "tree_overview": render_pgtree(tree),
+            "guideline": node.guideline_text,
+            "subsection": subsection,
+            "feedback": feedback,
+        }
+        return self.ask("description", "description_refine", slots, TAG_REFINE, _description_text)
 
     # --- review ----------------------------------------------------------
 
     def review(self, node: GuidelineNode, subsection: str, draft: Draft) -> ReviewVerdict:
         if not subsection.strip():
             raise AgentError("review requires a non-empty subsection")
-        binding = self.bindings["examiner"]
-        prompt = self.registry.render(
-            "examiner_review",
-            draft=render_draft(draft),
-            guideline=node.guideline_text,
-            subsection=subsection,
-        )
+        slots = {
+            "draft": render_draft(draft),
+            "guideline": node.guideline_text,
+            "subsection": subsection,
+        }
 
         def parse(content: str) -> ReviewVerdict:
             result = extract_tag(content, TagSpec("Result"))
@@ -315,6 +258,15 @@ class AgentRuntime:
             "<Advice>...</Advice>."
         )
         try:
-            return self.complete_parsed(binding, prompt, TAG_REVIEW, parse, reminder)
+            return self.ask("examiner", "examiner_review", slots, TAG_REVIEW, parse, reminder)
         except (TagError, ParseRetryError) as exc:
             raise MalformedVerdictError(str(exc)) from exc
+
+
+def _description_text(content: str) -> str:
+    """A written or refined subsection: the reply minus any conversational
+    lead-in, which must leave some text."""
+    text = strip_leading_filler(content)
+    if not text:
+        raise EmptyGenerationError("description")
+    return text

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from .agents import AgentBinding, default_bindings
+from .agents import default_bindings
 from .bench import (
     AlignmentError,
     BenchReport,
@@ -61,8 +61,6 @@ from .pipeline import (
     PipelineError,
     run_zero_shot,
 )
-
-SCHEMA_VERSION_RUN_CONFIG = "run-config-v1"
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -111,11 +109,12 @@ def _build_parts(config: dict, backend: str | None, seed: int | None):
 
     bindings = default_bindings()
     for role, overrides in config.get("agents", {}).items():
-        base = bindings.get(role, AgentBinding(role=role, template_id="inventor_q1"))
+        if role not in bindings:
+            raise ConfigError(f"unknown agent role {role!r}; expected one of {list(bindings)}")
         unknown = set(overrides) - set(_BINDING_KEYS)
         if unknown:
             raise ConfigError(f"agent {role!r}: unknown keys {sorted(unknown)}")
-        bindings[role] = dataclasses.replace(base, **overrides)
+        bindings[role] = dataclasses.replace(bindings[role], **overrides)
 
     try:
         pipeline_cfg = PipelineConfig.from_record(config.get("pipeline", {}))
@@ -131,6 +130,13 @@ def _load_draft(draft_file: str):
         return draft_from_record(load_json(Path(draft_file)))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read draft {draft_file}: {exc}") from exc
+
+
+def _manifest_file(entry: dict, key: str) -> Path:
+    try:
+        return Path(entry[key])
+    except KeyError:
+        raise ConfigError(f"manifest entry {entry['doc_id']!r} has no {key!r}") from None
 
 
 def _parse_thresholds(raw: str) -> tuple[float, ...]:
@@ -364,7 +370,7 @@ def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resum
             if load_json(status_path).get("status") == "complete":
                 return
         try:
-            draft = _load_draft(entry["draft_file"])
+            draft = _load_draft(_manifest_file(entry, "draft_file"))
             pipeline = PatentPipeline(gateways, bindings=bindings, run_dir=run_dir)
             doc = pipeline.run(draft, pipeline_cfg)
         except (ConfigError, CoreError, PipelineAborted) as exc:
@@ -383,14 +389,18 @@ def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resum
     for entry in docs:
         doc_id = entry["doc_id"]
         generated_path = generated_dir / f"{doc_id}.txt"
-        if doc_id in failures or not generated_path.exists():
-            report.rows.append(
-                {"doc_id": doc_id, "failed": True, "error": failures.get(doc_id, "not generated")}
-            )
-            continue
-        reference = Path(entry["reference_file"]).read_text("utf-8")
+        if doc_id not in failures and generated_path.exists():
+            try:
+                reference = _manifest_file(entry, "reference_file").read_text("utf-8")
+            except (ConfigError, OSError, ValueError) as exc:
+                failures[doc_id] = f"cannot read reference: {exc}"
+            else:
+                report.rows.append(
+                    score_document(doc_id, generated_path.read_text("utf-8"), reference, metric_cfg)
+                )
+                continue
         report.rows.append(
-            score_document(doc_id, generated_path.read_text("utf-8"), reference, metric_cfg)
+            {"doc_id": doc_id, "failed": True, "error": failures.get(doc_id, "not generated")}
         )
     report.save(out)
     click.echo(report.to_table())

@@ -53,6 +53,13 @@ class EmptySectionError(CoreError):
         super().__init__(f"section {section!r} is empty")
 
 
+def _reject_empty(obj, names) -> None:
+    """Raise EmptySectionError for the first of the named text fields that is blank."""
+    for name in names:
+        if not getattr(obj, name).strip():
+            raise EmptySectionError(name)
+
+
 def _normalize_ws(text: str) -> str:
     return re.sub(r"\s+", " ", text).strip()
 
@@ -228,9 +235,6 @@ class PGTree:
     def nodes(self) -> list[GuidelineNode]:
         return [node for plan in self.sections for node in plan.subsections]
 
-    def contains(self, node: GuidelineNode) -> bool:
-        return any(node is n or node == n for n in self.nodes())
-
 
 def render_pgtree(tree: PGTree) -> str:
     """Deterministic text form of the tree, used as the overview prompt slot."""
@@ -247,8 +251,7 @@ def render_pgtree(tree: PGTree) -> str:
 @dataclass(frozen=True)
 class Reference:
     """Bundle of the five short components plus the draft, consulted during
-    description writing. Completeness is checked where the bundle is used,
-    not at construction, so partially assembled bundles can be inspected."""
+    description writing. Every component must be non-empty."""
 
     title: str
     abstract: str
@@ -257,19 +260,8 @@ class Reference:
     claims: str
     draft: Draft
 
-    @property
-    def complete(self) -> bool:
-        return all(
-            getattr(self, name).strip()
-            for name in ("title", "abstract", "background", "summary", "claims")
-        )
-
-    def missing_parts(self) -> list[str]:
-        return [
-            name
-            for name in ("title", "abstract", "background", "summary", "claims")
-            if not getattr(self, name).strip()
-        ]
+    def __post_init__(self):
+        _reject_empty(self, ("title", "abstract", "background", "summary", "claims"))
 
 
 def render_reference(ref: Reference) -> str:
@@ -289,7 +281,6 @@ class RetrievedContext:
 
     node: tuple[int, int]
     content: str
-    source_hint: str = ""
     empty_retrieval: bool = False
 
     def __post_init__(self):
@@ -420,9 +411,7 @@ class PatentDoc:
             raise CoreError(
                 f"section_order must be a permutation of {SECTION_NAMES}, got {self.section_order}"
             )
-        for name in SECTION_NAMES:
-            if not getattr(self, name).strip():
-                raise EmptySectionError(name)
+        _reject_empty(self, SECTION_NAMES)
 
     def section(self, name: str) -> str:
         return getattr(self, name)
@@ -441,20 +430,14 @@ def assemble_patent(
     order: tuple[str, ...] = DEFAULT_SECTION_ORDER,
     generation_meta: RunRecord | None = None,
 ) -> PatentDoc:
-    """Assemble the six sections into a PatentDoc, checking none is empty."""
-    parts = {
-        "title": title,
-        "abstract": abstract,
-        "background": background,
-        "summary": summary,
-        "claims": claims,
-        "description": description,
-    }
-    for name in SECTION_NAMES:
-        if not parts[name].strip():
-            raise EmptySectionError(name)
+    """Assemble the six sections into a PatentDoc, which rejects an empty one."""
     return PatentDoc(
-        **parts,
+        title=title,
+        abstract=abstract,
+        background=background,
+        summary=summary,
+        claims=claims,
+        description=description,
         section_order=tuple(order),
         generation_meta=generation_meta,
     )

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agents import AgentBinding, AgentRuntime, ParseRetryError
+from .agents import AgentRuntime, ParseRetryError
 from .core import (
     DEFAULT_SECTION_ORDER,
     Draft,
@@ -27,7 +27,6 @@ from .core import (
 from .gateway import GatewayError
 from .tags import TagError, TagSpec, extract_sections, extract_tag, render_sections
 
-SCHEMA_VERSION_RECORD = "patent-record-v1"
 SCHEMA_VERSION_SFT = "sft-pairs-v1"
 
 RECORD_FIELDS = ("title", "abstract", "background", "summary", "claims", "description")
@@ -184,33 +183,19 @@ def reviewer_template_for(question_id: int, corrected_mapping: bool = False) -> 
 
 
 class DatasetBuilder:
-    def __init__(
-        self,
-        runtime: AgentRuntime,
-        corrected_reviewer_mapping: bool = False,
-        parse_retry_max: int = 2,
-    ):
+    def __init__(self, runtime: AgentRuntime, corrected_reviewer_mapping: bool = False):
         self.runtime = runtime
         self.corrected_reviewer_mapping = corrected_reviewer_mapping
-        self.inventor = runtime.bindings.get(
-            "inventor",
-            AgentBinding(role="inventor", template_id="inventor_q1",
-                         parse_retry_max=parse_retry_max),
-        )
-        self.quality = runtime.bindings.get(
-            "quality",
-            AgentBinding(role="quality", template_id="draft_quality_q1",
-                         parse_retry_max=parse_retry_max),
-        )
 
     def synthesize_draft(self, rec: PatentRecord) -> Draft:
         """Five inventor-simulation calls, one per canonical question."""
         record_text = render_record(rec)
         answers: dict[int, str] = {}
         for qid in range(1, 6):
-            prompt = self.runtime.registry.render(f"inventor_q{qid}", record=record_text)
             try:
-                answer = self.runtime.complete_raw(self.inventor, prompt, tag="inventor")
+                answer = self.runtime.ask(
+                    "inventor", f"inventor_q{qid}", {"record": record_text}, "inventor", str.strip
+                )
             except GatewayError as exc:
                 raise RecordSkipped(rec.record_id, "draft", f"q{qid}: {exc}") from exc
             if not answer:
@@ -222,7 +207,6 @@ class DatasetBuilder:
         items = []
         for qa in draft.qa:
             template = reviewer_template_for(qa.question_id, self.corrected_reviewer_mapping)
-            prompt = self.runtime.registry.render(template, answer=qa.answer_text)
 
             def parse(content: str) -> QualityItem:
                 result = extract_tag(content, TagSpec("Result"))
@@ -241,8 +225,9 @@ class DatasetBuilder:
                 "<Reason> ... </Reason> when the result is Fail."
             )
             try:
-                item = self.runtime.complete_parsed(
-                    self.quality, prompt, "draft_quality", parse, reminder
+                item = self.runtime.ask(
+                    "quality", template, {"answer": qa.answer_text}, "draft_quality", parse,
+                    reminder,
                 )
             except (TagError, ParseRetryError):
                 item = QualityItem(qa.question_id, "Fail", "unparseable verdict")
@@ -252,13 +237,13 @@ class DatasetBuilder:
     def collect_pgtree(self, description: str) -> list[tuple[int, str]]:
         if not description.strip():
             raise DatakitError("collect_pgtree requires a non-empty description")
-        prompt = self.runtime.registry.render("pgtree_collect", description=description)
         reminder = (
             "Your previous response did not follow the required format. Respond again "
             "using <Section-1> ... </Section-1> blocks numbered consecutively from 1."
         )
-        return self.runtime.complete_parsed(
-            self.quality, prompt, "pgtree_collect", lambda c: extract_sections(c), reminder
+        return self.runtime.ask(
+            "quality", "pgtree_collect", {"description": description}, "pgtree_collect",
+            lambda c: extract_sections(c), reminder,
         )
 
 

@@ -22,7 +22,6 @@ import requests
 from .core import CallEntry, RunRecord, content_hash
 
 SCHEMA_VERSION_PLAYBOOK = "mock-playbook-v1"
-SCHEMA_VERSION_BACKEND = "backend-config-v1"
 
 FINISH_STOP = "stop"
 FINISH_LENGTH = "length"
@@ -360,10 +359,20 @@ class ResponseCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
-        path = self._path(key)
-        if not path.exists():
+        """The stored entry, or None on a miss. An entry that cannot be read or
+        lacks a string content and finish_reason is a miss too, so the fresh
+        response overwrites it."""
+        try:
+            entry = json.loads(self._path(key).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("content"), str)
+            and isinstance(entry.get("finish_reason"), str)
+        ):
+            return None
+        return entry
 
     def put(self, key: str, value: dict) -> None:
         with self._lock:

@@ -97,18 +97,8 @@ class PipelineConfig:
 
 
 def build_reference(components: dict[str, str], draft: Draft) -> Reference:
-    """Assemble the reference bundle, rejecting any empty component."""
-    for role in COMPONENT_ROLES:
-        if not components.get(role, "").strip():
-            raise EmptySectionError(role)
-    return Reference(
-        title=components["title"],
-        abstract=components["abstract"],
-        background=components["background"],
-        summary=components["summary"],
-        claims=components["claims"],
-        draft=draft,
-    )
+    """Assemble the reference bundle; Reference rejects any empty component."""
+    return Reference(**{role: components[role] for role in COMPONENT_ROLES}, draft=draft)
 
 
 def expand_pgtree(

@@ -64,40 +64,44 @@ class TagSpec:
             raise ValueError(f"unknown multiplicity {self.multiplicity!r}")
 
 
-def _paired_contents(output: str, tag_name: str) -> list[str]:
-    """Return inner contents of every well-formed <tag>...</tag> pair.
+def _scan_blocks(output: str, base: str, numbered: bool) -> list[tuple[int | None, str]]:
+    """Return (index, inner text) of every well-formed block, in order.
 
-    Raises TagUnclosedError on any stray, nested or out-of-order marker.
+    Blocks are <base>...</base> with index None or, when numbered,
+    <base-k>...</base-k> with index k. Raises TagUnclosedError on any stray,
+    nested, mismatched or out-of-order marker.
     """
-    open_marker = f"<{tag_name}>"
-    close_marker = f"</{tag_name}>"
-    events: list[tuple[int, str]] = []
-    for match in re.finditer(re.escape(open_marker), output):
-        events.append((match.start(), "open"))
-    for match in re.finditer(re.escape(close_marker), output):
-        events.append((match.start(), "close"))
-    events.sort()
+    marker = re.compile(rf"<(/?){re.escape(base)}" + (r"-(\d+)>" if numbered else ">"))
 
-    contents: list[str] = []
-    open_at: int | None = None
-    for pos, kind in events:
-        if kind == "open":
-            if open_at is not None:
-                raise TagUnclosedError(tag_name, "nested same-name tag")
-            open_at = pos + len(open_marker)
+    def name(index: int | None) -> str:
+        return f"{base}-{index}" if numbered else base
+
+    blocks: list[tuple[int | None, str]] = []
+    open_index: int | None = None
+    open_end: int | None = None
+    for match in marker.finditer(output):
+        index = int(match.group(2)) if numbered else None
+        if not match.group(1):
+            if open_end is not None:
+                raise TagUnclosedError(
+                    name(open_index), "nested block" if numbered else "nested same-name tag"
+                )
+            open_index, open_end = index, match.end()
         else:
-            if open_at is None:
-                raise TagUnclosedError(tag_name, "closing marker without opener")
-            contents.append(output[open_at:pos])
-            open_at = None
-    if open_at is not None:
-        raise TagUnclosedError(tag_name, "opening marker never closed")
-    return contents
+            if open_end is None:
+                raise TagUnclosedError(name(index), "closing marker without opener")
+            if index != open_index:
+                raise TagUnclosedError(name(open_index), f"closed by mismatched index {index}")
+            blocks.append((index, output[open_end : match.start()]))
+            open_end = None
+    if open_end is not None:
+        raise TagUnclosedError(name(open_index), "opening marker never closed")
+    return blocks
 
 
 def extract_tag(output: str, spec: TagSpec) -> str | list[str]:
     """Extract trimmed tag contents per the spec's multiplicity."""
-    contents = [c.strip() for c in _paired_contents(output, spec.tag_name)]
+    contents = [text.strip() for _, text in _scan_blocks(output, spec.tag_name, numbered=False)]
     if not contents:
         raise TagMissingError(spec.tag_name)
     if spec.multiplicity == EXACTLY_ONE:
@@ -113,35 +117,7 @@ def wrap_tag(content: str, tag_name: str) -> str:
 
 def extract_sections(output: str, tag_base: str = "Section") -> list[tuple[int, str]]:
     """Parse all <Base-k>...</Base-k> blocks, requiring indices 1..m in order."""
-    open_re = re.compile(rf"<{re.escape(tag_base)}-(\d+)>")
-    close_re = re.compile(rf"</{re.escape(tag_base)}-(\d+)>")
-    events: list[tuple[int, str, int, int]] = []
-    for match in open_re.finditer(output):
-        events.append((match.start(), "open", int(match.group(1)), match.end()))
-    for match in close_re.finditer(output):
-        events.append((match.start(), "close", int(match.group(1)), match.end()))
-    events.sort()
-
-    blocks: list[tuple[int, str]] = []
-    open_index: int | None = None
-    open_end = 0
-    for pos, kind, index, end in events:
-        if kind == "open":
-            if open_index is not None:
-                raise TagUnclosedError(f"{tag_base}-{open_index}", "nested block")
-            open_index, open_end = index, end
-        else:
-            if open_index is None:
-                raise TagUnclosedError(f"{tag_base}-{index}", "closing marker without opener")
-            if index != open_index:
-                raise TagUnclosedError(
-                    f"{tag_base}-{open_index}", f"closed by mismatched index {index}"
-                )
-            blocks.append((index, output[open_end:pos].strip()))
-            open_index = None
-    if open_index is not None:
-        raise TagUnclosedError(f"{tag_base}-{open_index}", "opening marker never closed")
-
+    blocks = [(k, text.strip()) for k, text in _scan_blocks(output, tag_base, numbered=True)]
     if not blocks:
         raise NoSectionsError(tag_base)
     found = [k for k, _ in blocks]

@@ -5,14 +5,22 @@ import pytest
 from patentgen.agents import (
     AgentError,
     EmptyGenerationError,
-    IncompleteReferenceError,
     MalformedVerdictError,
     strip_leading_filler,
 )
-from patentgen.core import GuidelineNode, PGTree, Reference, RetrievedContext, SectionPlan
+from patentgen.core import (
+    EmptySectionError,
+    GuidelineNode,
+    PGTree,
+    Reference,
+    RetrievedContext,
+    SectionPlan,
+    new_run_record,
+)
 from patentgen.gateway import MockPlaybook
 from patentgen.tags import NonContiguousIndicesError, TagMissingError
 from helpers import (
+    COMPONENT_MATCHERS,
     COMPONENT_RESPONSES,
     FAIL_REVIEW,
     MATCH_RETRIEVE,
@@ -77,12 +85,18 @@ def test_claims_multiline_preserved_verbatim(draft):
     assert out == "1. A method for adaptive control.\n2. The method of claim 1, with sensors."
 
 
-def test_component_roles_map_to_distinct_templates():
-    from patentgen.agents import default_bindings, COMPONENT_ROLES
+def test_component_roles_map_to_distinct_templates(draft):
+    from patentgen.agents import COMPONENT_ROLES
 
-    bindings = default_bindings()
-    templates = {bindings[r].template_id for r in COMPONENT_ROLES}
-    assert len(templates) == 5
+    # Each rule answers only its own role's prompt, with that role's tag, so a
+    # writer that rendered another role's template would fail to parse.
+    rules = [rule(COMPONENT_MATCHERS[r], COMPONENT_RESPONSES[r]) for r in COMPONENT_ROLES]
+    record = new_run_record()
+    runtime = runtime_for(MockPlaybook(rules), recorder=record)
+    for role in COMPONENT_ROLES:
+        runtime.write_component(role, draft)
+    assert [e.agent_role for e in record.entries] == list(COMPONENT_ROLES)
+    assert len({e.prompt_hash for e in record.entries}) == 5
 
 
 def test_plan_first_level(draft):
@@ -124,12 +138,10 @@ def test_retrieve_flags_empty(draft):
     assert out.content == ""
 
 
-def test_retrieve_rejects_incomplete_reference(draft):
-    ref = Reference(title="T", abstract="A", background="B", summary="", claims="C", draft=draft)
-    runtime = runtime_for(MockPlaybook([]))
-    with pytest.raises(IncompleteReferenceError) as err:
-        runtime.retrieve(GuidelineNode(1, 1, "g"), ref)
-    assert err.value.missing == ["summary"]
+def test_reference_rejects_empty_component(draft):
+    with pytest.raises(EmptySectionError) as err:
+        Reference(title="T", abstract="A", background="B", summary="", claims="C", draft=draft)
+    assert err.value.section == "summary"
 
 
 def test_write_subsection_passthrough(draft):
@@ -153,14 +165,6 @@ def test_write_subsection_empty_is_an_error(draft):
     runtime = runtime_for(MockPlaybook([rule(MATCH_WRITE, "")]))
     with pytest.raises(EmptyGenerationError):
         runtime.write_subsection(node, RetrievedContext(node.node_id, "facts"), tree, draft)
-
-
-def test_write_subsection_rejects_foreign_node(draft):
-    tree, _ = _tree_one_node()
-    foreign = GuidelineNode(9, 9, "not in tree")
-    runtime = runtime_for(MockPlaybook([]))
-    with pytest.raises(AgentError, match="does not belong"):
-        runtime.write_subsection(foreign, RetrievedContext((9, 9), "x"), tree, draft)
 
 
 def test_review_parses_verdict_and_advice(draft):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from patentgen.cli import main
@@ -100,6 +101,20 @@ def test_generate_threads_seed_into_run_config(tmp_path):
     )
     assert result.exit_code == 0
     assert load_json(out / "config.json")["seed"] == 77
+
+
+def test_generate_rejects_unknown_agent_role(tmp_path):
+    draft_file, config_file = _setup_generate(tmp_path, pipeline_playbook())
+    config = load_json(config_file)
+    config["agents"] = {"examinr": {"temperature": 0.1}}
+    config_file.write_text(json.dumps(config), "utf-8")
+    out = tmp_path / "run"
+    result = RUNNER.invoke(
+        main, ["generate", str(draft_file), "--config", str(config_file), "--out", str(out)]
+    )
+    assert result.exit_code == 1
+    assert "unknown agent role 'examinr'" in result.output
+    assert not out.exists()
 
 
 _FULL_BASELINE = (
@@ -269,6 +284,34 @@ def test_bench_parallel_jobs(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert load_json(out / "report.json")["counts"] == {"scored": 3, "failed": 0}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, jobs):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook(), n_docs=5)
+    manifest = load_json(manifest_file)
+    docs = manifest["docs"]
+    del docs[1]["draft_file"]
+    del docs[2]["reference_file"]
+    docs[3]["reference_file"] = str(tmp_path / "no_such_ref.txt")
+    (tmp_path / "ref5.txt").write_bytes(b"\xff\xfe not utf-8")
+    manifest_file.write_text(json.dumps(manifest), "utf-8")
+    out = tmp_path / "bench"
+    result = RUNNER.invoke(
+        main,
+        ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out),
+         "--jobs", jobs],
+    )
+    assert result.exit_code == 2, result.output
+    record = load_json(out / "report.json")
+    assert record["counts"] == {"scored": 1, "failed": 4}
+    rows = {r["doc_id"]: r for r in record["rows"]}
+    assert rows["doc1"]["failed"] is False
+    assert "has no 'draft_file'" in rows["doc2"]["error"]
+    assert "has no 'reference_file'" in rows["doc3"]["error"]
+    assert "cannot read reference" in rows["doc4"]["error"]
+    assert "cannot read reference" in rows["doc5"]["error"]
+    assert result.output.count("FAILED") == 4
 
 
 def test_report_command_renders_table(tmp_path):

@@ -83,6 +83,23 @@ def test_cache_round_trip(tmp_path):
     assert backend.calls == 1
 
 
+@pytest.mark.parametrize(
+    "stored",
+    [b'{"content": "trunc', b'{"content": "x"}', b'{"finish_reason": "stop"}', b"[1, 2]",
+     b"\xff\xfe"],
+    ids=["truncated", "no_finish_reason", "no_content", "not_an_object", "not_utf8"],
+)
+def test_unreadable_cache_entry_is_a_miss_then_overwritten(tmp_path, stored):
+    gateway, backend = mock_gateway(MockPlaybook([rule("title", "fresh answer")]))
+    gateway.cache = ResponseCache(tmp_path / "cache")
+    (tmp_path / "cache" / f"{cache_key(_req())}.json").write_bytes(stored)
+    first = gateway.complete(_req())
+    assert first.content == "fresh answer" and first.cached is False
+    second = gateway.complete(_req())
+    assert second.content == "fresh answer" and second.cached is True
+    assert backend.calls == 1
+
+
 def test_cache_key_ignores_request_tag():
     a = _req(request_tag="title")
     b = _req(request_tag="claims")

@@ -150,7 +150,7 @@ def test_expand_pgtree_falls_back_on_malformed_expansion():
 def test_build_reference_requires_all_components(draft):
     components = {r: f"{r} text" for r in ("title", "abstract", "background", "summary", "claims")}
     ref = build_reference(components, draft)
-    assert ref.complete
+    assert (ref.title, ref.claims, ref.draft) == ("title text", "claims text", draft)
     with pytest.raises(EmptySectionError) as err:
         build_reference(dict(components, background="  "), draft)
     assert err.value.section == "background"
