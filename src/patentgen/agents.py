@@ -27,7 +27,7 @@ from .core import (
     render_pgtree,
     render_reference,
 )
-from .gateway import ChatMessage, ChatRequest, LlmGateway
+from .gateway import ChatMessage, ChatRequest, LlmGateway, check_sampling
 from .prompts import PromptRegistry, default_registry
 from .tags import TagSpec, TagError, extract_sections, extract_tag
 
@@ -70,10 +70,6 @@ TAG_WRITE = "description_write"
 TAG_REFINE = "description_refine"
 TAG_REVIEW = "examiner_review"
 
-# Every role emits short texts, 4096 tokens at most; description subsections
-# get twice the room.
-DEFAULT_MAX_TOKENS = {"description": 8192}
-
 _FILLER_RE = re.compile(
     r"^(sure|certainly|of course|okay|ok|here is|here's|here are)\b", re.IGNORECASE
 )
@@ -95,16 +91,23 @@ class AgentBinding:
     role: str
     backend: str = "default"
     model_id: str | None = None
-    temperature: float | None = None
-    top_p: float | None = None
-    max_tokens: int | None = None
+    temperature: float = 0.5
+    top_p: float = 0.9
+    max_tokens: int = 4096
     parse_retry_max: int = 2
+
+    def __post_init__(self):
+        check_sampling(self.temperature, self.top_p, self.max_tokens)
+        if self.parse_retry_max < 0:
+            raise AgentError(f"parse_retry_max must be >= 0, got {self.parse_retry_max}")
 
 
 def default_bindings() -> dict[str, AgentBinding]:
     """The binding of every agent role; a run config may override fields of
-    these and of nothing else."""
-    return {role: AgentBinding(role=role) for role in AGENT_ROLES}
+    these and of nothing else. Every role emits short texts except the
+    description writer, whose subsections get twice the room."""
+    return {role: AgentBinding(role, max_tokens=8192 if role == "description" else 4096)
+            for role in AGENT_ROLES}
 
 
 @dataclass
@@ -141,9 +144,9 @@ class AgentRuntime:
             request = ChatRequest(
                 model_id=binding.model_id or gateway.config.model_id,
                 messages=tuple(messages),
-                temperature=0.5 if binding.temperature is None else binding.temperature,
-                top_p=0.9 if binding.top_p is None else binding.top_p,
-                max_tokens=binding.max_tokens or DEFAULT_MAX_TOKENS.get(binding.role, 4096),
+                temperature=binding.temperature,
+                top_p=binding.top_p,
+                max_tokens=binding.max_tokens,
                 request_tag=tag,
             )
             resp = gateway.complete(request, recorder=self.recorder)

@@ -9,9 +9,12 @@ recomputed), and keeps going past per-document failures.
 from __future__ import annotations
 
 import json
+import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .core import ConfigError, CoreError, load_draft, load_json, patent_to_text
 from .metrics import (
     BLEU_SPEC,
     IrrConfig,
@@ -24,6 +27,7 @@ from .metrics import (
     length_stats,
     rouge_f1,
 )
+from .pipeline import PatentPipeline, PipelineAborted, PipelineConfig
 
 SCHEMA_VERSION_REPORT = "bench-report-v1"
 
@@ -199,3 +203,88 @@ def score_directories(
     return score_pairs(
         {doc_id: (generated[doc_id], references[doc_id]) for doc_id in generated}, cfg
     )
+
+
+def _check_manifest(manifest: dict) -> list[dict]:
+    """The manifest's entries. ConfigError unless each is an object whose doc_id,
+    which names its run dir and generated file, is a file name used once."""
+    docs = manifest.get("docs") if isinstance(manifest, dict) else None
+    if not docs or not isinstance(docs, list):
+        raise ConfigError("manifest lists no documents")
+    seen: set[str] = set()
+    for i, entry in enumerate(docs):
+        doc_id = entry.get("doc_id") if isinstance(entry, dict) else None
+        file_name = isinstance(doc_id, str) and re.fullmatch(r"[^/\\\0]+", doc_id)
+        if not file_name or doc_id in (".", ".."):
+            raise ConfigError(f"manifest entry {i} needs a doc_id that is a file name: {entry!r}")
+        if doc_id in seen:
+            raise ConfigError(f"manifest entry {i}: duplicate doc_id {doc_id!r}")
+        seen.add(doc_id)
+    return docs
+
+
+def _manifest_file(entry: dict, key: str) -> Path:
+    try:
+        return Path(entry[key])
+    except KeyError:
+        raise ConfigError(f"manifest entry {entry['doc_id']!r} has no {key!r}") from None
+
+
+def _reusable(run_dir: Path, config_record: dict) -> bool:
+    """Whether run_dir holds a complete document made under config_record."""
+    try:
+        complete = load_json(run_dir / "status.json").get("status") == "complete"
+        return complete and load_json(run_dir / "config.json") == config_record
+    except (OSError, ValueError):
+        return False
+
+
+def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: PipelineConfig,
+              metric_cfg: MetricConfig, out: Path, resume: bool = True,
+              jobs: int = 1) -> BenchReport:
+    """Generate each manifest document under out/runs on `jobs` threads, score
+    it and save the report in out. With resume, a complete run dir made under
+    pipeline_cfg is reused. A document that fails is a failed row."""
+    docs = _check_manifest(manifest)
+    generated_dir = out / "generated"
+    generated_dir.mkdir(parents=True, exist_ok=True)
+    config_record = pipeline_cfg.to_record()
+    failures: dict[str, str] = {}
+
+    def run_one(entry: dict) -> None:
+        doc_id = entry["doc_id"]
+        run_dir = out / "runs" / doc_id
+        generated_path = generated_dir / f"{doc_id}.txt"
+        if resume and generated_path.exists() and _reusable(run_dir, config_record):
+            return
+        try:
+            draft = load_draft(_manifest_file(entry, "draft_file"))
+            pipeline = PatentPipeline(gateways, bindings=bindings, run_dir=run_dir)
+            doc = pipeline.run(draft, pipeline_cfg)
+        except (ConfigError, CoreError, PipelineAborted) as exc:
+            failures[doc_id] = str(exc)
+            return
+        generated_path.write_text(patent_to_text(doc, headers=False), "utf-8")
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(run_one, docs))
+
+    report = BenchReport(header=metric_cfg.header())
+    for entry in docs:
+        doc_id = entry["doc_id"]
+        generated_path = generated_dir / f"{doc_id}.txt"
+        if doc_id not in failures and generated_path.exists():
+            try:
+                reference = _manifest_file(entry, "reference_file").read_text("utf-8")
+            except (ConfigError, OSError, ValueError) as exc:
+                failures[doc_id] = f"cannot read reference: {exc}"
+            else:
+                report.rows.append(
+                    score_document(doc_id, generated_path.read_text("utf-8"), reference, metric_cfg)
+                )
+                continue
+        report.rows.append(
+            {"doc_id": doc_id, "failed": True, "error": failures.get(doc_id, "not generated")}
+        )
+    report.save(out)
+    return report

@@ -47,6 +47,10 @@ class DraftValidationError(CoreError):
     pass
 
 
+class ConfigError(Exception):
+    """A config, manifest or draft file given as input cannot be used."""
+
+
 class EmptySectionError(CoreError):
     def __init__(self, section: str):
         self.section = section
@@ -393,6 +397,11 @@ def new_run_record(model_id: str = "unset", seed: int = 0, **sampling) -> RunRec
     return RunRecord(model_id=model_id, sampling=defaults, seed=seed)
 
 
+def check_section_order(order: tuple[str, ...]) -> None:
+    if sorted(order) != sorted(SECTION_NAMES):
+        raise CoreError(f"section_order must be a permutation of {SECTION_NAMES}, got {order}")
+
+
 @dataclass(frozen=True)
 class PatentDoc:
     """The assembled six-section patent."""
@@ -407,10 +416,7 @@ class PatentDoc:
     generation_meta: RunRecord | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if sorted(self.section_order) != sorted(SECTION_NAMES):
-            raise CoreError(
-                f"section_order must be a permutation of {SECTION_NAMES}, got {self.section_order}"
-            )
+        check_section_order(self.section_order)
         _reject_empty(self, SECTION_NAMES)
 
     def section(self, name: str) -> str:
@@ -494,3 +500,9 @@ def dump_json(payload: dict, path) -> None:
 def load_json(path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
+
+def load_draft(path) -> Draft:
+    try:
+        return draft_from_record(load_json(path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read draft {path}: {exc}") from exc

@@ -64,6 +64,16 @@ class ChatMessage:
             raise RequestError(f"bad message role {self.role!r}")
 
 
+def check_sampling(temperature: float, top_p: float, max_tokens: int) -> None:
+    """Raise RequestError unless the sampling settings are in range."""
+    if not 0.0 <= temperature <= 2.0:
+        raise RequestError(f"temperature {temperature} outside [0, 2]")
+    if not 0.0 < top_p <= 1.0:
+        raise RequestError(f"top_p {top_p} outside (0, 1]")
+    if max_tokens <= 0:
+        raise RequestError(f"max_tokens must be positive, got {max_tokens}")
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     model_id: str
@@ -76,12 +86,7 @@ class ChatRequest:
     def __post_init__(self):
         if not any(m.role == "user" for m in self.messages):
             raise RequestError("request must contain at least one user message")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise RequestError(f"temperature {self.temperature} outside [0, 2]")
-        if not 0.0 < self.top_p <= 1.0:
-            raise RequestError(f"top_p {self.top_p} outside (0, 1]")
-        if self.max_tokens <= 0:
-            raise RequestError(f"max_tokens must be positive, got {self.max_tokens}")
+        check_sampling(self.temperature, self.top_p, self.max_tokens)
 
     def rendered_prompt(self) -> str:
         return "\n".join(m.content for m in self.messages)
@@ -145,16 +150,11 @@ class BackendConfig:
     max_tokens_limit: int = 32768
     playbook_path: str = ""
 
-    @staticmethod
-    def from_record(name: str, record: dict) -> "BackendConfig":
-        known = {
-            "kind", "endpoint", "api_key_env", "model_id", "rpm", "retry_max",
-            "timeout_s", "backoff_s", "max_tokens_limit", "playbook_path",
-        }
-        extra = set(record) - known
-        if extra:
-            raise RequestError(f"backend {name!r}: unknown config keys {sorted(extra)}")
-        return BackendConfig(name=name, **record)
+    def __post_init__(self):
+        if min(self.retry_max, self.backoff_s) < 0:
+            raise RequestError("retry_max and backoff_s must be >= 0")
+        if min(self.timeout_s, self.max_tokens_limit) <= 0:
+            raise RequestError("timeout_s and max_tokens_limit must be positive")
 
 
 # --- mock backend ----------------------------------------------------------

@@ -10,8 +10,9 @@ so far into the run directory.
 from __future__ import annotations
 
 import json
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .agents import (
@@ -24,6 +25,8 @@ from .agents import (
 )
 from .core import (
     DEFAULT_SECTION_ORDER,
+    ConfigError,
+    CoreError,
     Draft,
     EmptySectionError,
     GuidelineNode,
@@ -36,14 +39,17 @@ from .core import (
     SectionPlan,
     SubsectionDraft,
     assemble_patent,
+    check_section_order,
     draft_to_record,
     dump_json,
+    load_json,
     new_run_record,
     patent_to_record,
     patent_to_text,
     render_draft,
 )
-from .gateway import GatewayError, LlmGateway, user_request
+from .gateway import (BackendConfig, GatewayError, LlmGateway, RequestError, ResponseCache,
+                      build_gateway, user_request)
 from .prompts import PromptRegistry, default_registry
 from .tags import TagError, TagSpec, extract_tag
 
@@ -81,6 +87,7 @@ class PipelineConfig:
             raise PipelineError(f"unknown pgtree_expansion {self.pgtree_expansion!r}")
         if self.parallel_subsections < 1:
             raise PipelineError("parallel_subsections must be >= 1")
+        check_section_order(self.section_order)
 
     def to_record(self) -> dict:
         record = asdict(self)
@@ -90,10 +97,93 @@ class PipelineConfig:
 
     @staticmethod
     def from_record(record: dict) -> "PipelineConfig":
-        record = {k: v for k, v in record.items() if k != "schema_version"}
-        if "section_order" in record:
-            record["section_order"] = tuple(record["section_order"])
-        return PipelineConfig(**record)
+        """A run config's pipeline block, or a run dir's config.json."""
+        if isinstance(record, dict):
+            record = {k: v for k, v in record.items() if k != "schema_version"}
+        return config_record(PipelineConfig(), record, "pipeline")
+
+
+def config_record(base, record: dict, where: str, fixed: tuple[str, ...] = ()):
+    """base, a config dataclass, with the fields the JSON object record names
+    set to its values. Each value must have its field's type (an int passes
+    for a float, a list for a tuple, a bool for nothing), and the dataclass
+    checks the ranges. Every fault is a ConfigError naming `where` and the key."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {record!r}")
+    annotations = {f.name: f.type for f in fields(base) if f.name not in fixed}
+    if set(record) - set(annotations):
+        raise ConfigError(f"{where}: unknown keys {sorted(set(record) - set(annotations))}")
+    hints = typing.get_type_hints(type(base))
+    values = {}
+    for key, value in record.items():
+        is_tuple = typing.get_origin(hints[key]) is tuple
+        if is_tuple:
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        else:
+            allowed = typing.get_args(hints[key]) or (hints[key],)
+            ok = isinstance(value, allowed + ((int,) if float in allowed else ()))
+        if not ok or isinstance(value, bool):
+            raise ConfigError(f"{where}.{key}: expected {annotations[key]}, got {value!r}")
+        values[key] = tuple(value) if is_tuple else value
+    try:
+        return replace(base, **values)
+    except (AgentError, CoreError, GatewayError, PipelineError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def load_run_config(config_file: str | None, mock_playbook: str | None = None,
+                    backend: str | None = None, seed: int | None = None):
+    """A run config file as (gateways, agent bindings, PipelineConfig); a bad
+    value is a ConfigError naming its key. mock_playbook replaces the backends
+    with one scripted mock, backend names the one used as "default", and seed
+    replaces the pipeline seed."""
+    config: dict = {}
+    if config_file:
+        try:
+            config = load_json(Path(config_file))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {config_file}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {config_file} must be a JSON object")
+    backends, agents = config.get("backends"), config.get("agents", {})
+    if mock_playbook:
+        backends = {"default": {"kind": "mock", "playbook_path": str(mock_playbook)}}
+    if not backends:
+        raise ConfigError("no backends configured; pass --config or --mock-playbook")
+    if not isinstance(backends, dict) or not isinstance(agents, dict):
+        raise ConfigError("backends and agents must be JSON objects")
+    cache_dir = config.get("cache_dir")
+    if cache_dir is not None and not isinstance(cache_dir, str):
+        raise ConfigError(f"cache_dir: expected str or null, got {cache_dir!r}")
+
+    gateways = {}
+    for name, record in backends.items():
+        backend_cfg = config_record(BackendConfig(name=name), record, f"backends.{name}", ("name",))
+        try:
+            gateway = build_gateway(backend_cfg)
+        except (RequestError, OSError, ValueError) as exc:
+            raise ConfigError(f"backends.{name}: {exc}") from exc
+        if cache_dir:
+            gateway.cache = ResponseCache(Path(cache_dir) / name)
+        gateways[name] = gateway
+    chosen = backend or ("default" if "default" in gateways else next(iter(gateways)))
+    if chosen not in gateways:
+        raise ConfigError(f"backend {chosen!r} not present in config")
+    gateways["default"] = gateways[chosen]
+
+    bindings = default_bindings()
+    for role, record in agents.items():
+        if role not in bindings:
+            raise ConfigError(f"unknown agent role {role!r}; expected one of {list(bindings)}")
+        binding = config_record(bindings[role], record, f"agents.{role}", ("role",))
+        if binding.backend not in gateways:
+            raise ConfigError(f"agents.{role}.backend: no backend named {binding.backend!r}")
+        bindings[role] = binding
+
+    pipeline_cfg = PipelineConfig.from_record(config.get("pipeline", {}))
+    if seed is not None:
+        pipeline_cfg = replace(pipeline_cfg, seed=seed)
+    return gateways, bindings, pipeline_cfg
 
 
 def build_reference(components: dict[str, str], draft: Draft) -> Reference:

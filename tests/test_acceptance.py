@@ -252,10 +252,9 @@ _LIVE_CONFIG = os.environ.get("PATENTGEN_LIVE_CONFIG")
 
 @pytest.mark.skipif(not _LIVE_CONFIG, reason="PATENTGEN_LIVE_CONFIG not set; live smoke skipped")
 def test_criterion_9_live_smoke(draft, tmp_path):
-    from patentgen.cli import _build_parts, _load_run_config
+    from patentgen.pipeline import load_run_config
 
-    config = _load_run_config(_LIVE_CONFIG, None)
-    gateways, bindings, cfg = _build_parts(config, None, None)
+    gateways, bindings, cfg = load_run_config(_LIVE_CONFIG)
     pipeline = PatentPipeline(gateways, bindings=bindings, run_dir=tmp_path / "live")
     doc = pipeline.run(draft, cfg)
     for name in ("title", "abstract", "background", "summary", "claims", "description"):

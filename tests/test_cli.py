@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from patentgen.cli import main
 from patentgen.core import draft_to_record, load_json, make_draft
-from patentgen.gateway import MockPlaybook
+from patentgen.gateway import MockBackend, MockPlaybook
 from helpers import pipeline_playbook, rule
 
 RUNNER = CliRunner()
@@ -115,6 +115,98 @@ def test_generate_rejects_unknown_agent_role(tmp_path):
     assert result.exit_code == 1
     assert "unknown agent role 'examinr'" in result.output
     assert not out.exists()
+
+
+def _backend_calls(monkeypatch) -> list:
+    """Record every request that reaches a mock backend."""
+    calls: list = []
+    send = MockBackend.send
+    monkeypatch.setattr(MockBackend, "send", lambda self, req: calls.append(req) or send(self, req))
+    return calls
+
+
+def _set_key(config: dict, path: str, value) -> None:
+    *parents, key = path.split(".")
+    for name in parents:
+        config = config.setdefault(name, {})
+    config[key] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        ("agents.title.temperature", "hot", "agents.title.temperature"),
+        ("agents.title.max_tokens", 0, "agents.title: max_tokens"),
+        ("agents.planner.parse_retry_max", "2", "agents.planner.parse_retry_max"),
+        ("agents.examiner.backend", "nope", "agents.examiner.backend"),
+        ("backends.default.retry_max", "2", "backends.default.retry_max"),
+        ("backends.default.backoff_s", -1, "backends.default: retry_max and backoff_s"),
+        ("pipeline.parallel_subsections", 2.5, "pipeline.parallel_subsections"),
+        ("pipeline.max_refine_rounds", True, "pipeline.max_refine_rounds"),
+        ("pipeline.section_order", ["title", "abstract"], "pipeline: section_order"),
+        ("cache_dir", 5, "cache_dir"),
+    ],
+)
+def test_bad_run_config_value_fails_before_any_model_call(tmp_path, monkeypatch, path, value,
+                                                          named):
+    draft_file, config_file = _setup_generate(tmp_path, pipeline_playbook())
+    config = load_json(config_file)
+    _set_key(config, path, value)
+    config_file.write_text(json.dumps(config), "utf-8")
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "run"
+    result = RUNNER.invoke(
+        main, ["generate", str(draft_file), "--config", str(config_file), "--out", str(out)]
+    )
+    assert result.exit_code == 1, result.output
+    assert f"error: {named}" in result.output
+    assert not out.exists()
+    assert calls == []
+
+
+def test_backend_option_replaces_a_configured_default(tmp_path):
+    draft_file, config_file = _setup_generate(tmp_path, pipeline_playbook())
+    config = load_json(config_file)
+    empty_playbook = tmp_path / "empty.json"
+    MockPlaybook([]).save(empty_playbook)
+    config["backends"]["scripted"] = config["backends"]["default"]
+    config["backends"]["default"] = {"kind": "mock", "playbook_path": str(empty_playbook)}
+    config_file.write_text(json.dumps(config), "utf-8")
+    out = tmp_path / "run"
+    result = RUNNER.invoke(
+        main,
+        ["generate", str(draft_file), "--config", str(config_file), "--out", str(out),
+         "--backend", "scripted"],
+    )
+    assert result.exit_code == 0, result.output
+    assert load_json(out / "status.json")["status"] == "complete"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}", "--seed", "abc"],
+        ["generate", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}", "--bogus"],
+        ["baseline", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}",
+         "--max-tokens", "0"],
+        ["bench", "{manifest}", "--mock-playbook", "{playbook}", "--out", "{out}", "--jobs", "zz"],
+        ["bench", "{manifest}", "--mock-playbook", "{playbook}", "--out", "{out}", "--jobs", "0"],
+        ["--bogus", "generate", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}"],
+        ["generat", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}"],
+    ],
+)
+def test_usage_errors_exit_1(tmp_path, monkeypatch, args):
+    manifest_file, _, playbook_path = _bench_fixture(tmp_path, pipeline_playbook(), n_docs=1)
+    out = tmp_path / "out"
+    paths = {"draft": tmp_path / "draft1.json", "manifest": manifest_file,
+             "playbook": playbook_path, "out": out}
+    calls = _backend_calls(monkeypatch)
+    result = RUNNER.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 1, result.output
+    assert not out.exists()
+    assert calls == []
+    for help_args in (["--help"], ["bench", "--help"]):
+        assert RUNNER.invoke(main, help_args).exit_code == 0
 
 
 _FULL_BASELINE = (
@@ -312,6 +404,51 @@ def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, jobs):
     assert "cannot read reference" in rows["doc4"]["error"]
     assert "cannot read reference" in rows["doc5"]["error"]
     assert result.output.count("FAILED") == 4
+
+
+def test_bench_resume_regenerates_docs_made_under_another_pipeline_config(tmp_path):
+    manifest_file, config_file, playbook_path = _bench_fixture(tmp_path, pipeline_playbook())
+    out = tmp_path / "bench"
+    args = ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
+    assert RUNNER.invoke(main, args).exit_code == 0
+    config = load_json(config_file)
+    config["pipeline"] = {"max_refine_rounds": 1}
+    config_file.write_text(json.dumps(config), "utf-8")
+    MockPlaybook([]).save(playbook_path)
+    second = RUNNER.invoke(main, args)
+    assert second.exit_code == 2, second.output
+    assert load_json(out / "report.json")["counts"] == {"scored": 0, "failed": 3}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "spoil, named",
+    [
+        (lambda e: {k: v for k, v in e.items() if k != "doc_id"}, "manifest entry 1"),
+        (lambda e: "doc2", "manifest entry 1"),
+        (lambda e: {**e, "doc_id": "doc1"}, "duplicate doc_id 'doc1'"),
+        (lambda e: {**e, "doc_id": "../../escaped"}, "manifest entry 1"),
+        (lambda e: {**e, "doc_id": ".."}, "manifest entry 1"),
+    ],
+    ids=["no_doc_id", "not_an_object", "duplicate", "escapes_out", "dot_dot"],
+)
+def test_bench_rejects_bad_doc_ids_before_any_model_call(tmp_path, monkeypatch, jobs, spoil,
+                                                          named):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+    manifest = load_json(manifest_file)
+    manifest["docs"][1] = spoil(manifest["docs"][1])
+    manifest_file.write_text(json.dumps(manifest), "utf-8")
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "a" / "b" / "bench"
+    result = RUNNER.invoke(
+        main,
+        ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out),
+         "--jobs", jobs],
+    )
+    assert result.exit_code == 1, result.output
+    assert named in result.output
+    assert calls == []
+    assert not (tmp_path / "a").exists()
 
 
 def test_report_command_renders_table(tmp_path):

@@ -201,8 +201,11 @@ def test_token_bucket_spaces_requests():
 
 
 def test_backend_config_rejects_unknown_keys():
-    with pytest.raises(RequestError, match="unknown config keys"):
-        BackendConfig.from_record("default", {"kind": "mock", "reties": 3})
+    from patentgen.core import ConfigError
+    from patentgen.pipeline import config_record
+
+    with pytest.raises(ConfigError, match=r"backends.default: unknown keys \['reties'\]"):
+        config_record(BackendConfig(), {"kind": "mock", "reties": 3}, "backends.default")
 
 
 def test_rpm_config_installs_a_limiter(tmp_path):
@@ -210,9 +213,7 @@ def test_rpm_config_installs_a_limiter(tmp_path):
 
     playbook_path = tmp_path / "pb.json"
     _PB([rule("x", "y")]).save(playbook_path)
-    config = BackendConfig.from_record(
-        "default", {"kind": "mock", "playbook_path": str(playbook_path), "rpm": 120}
-    )
+    config = BackendConfig(kind="mock", playbook_path=str(playbook_path), rpm=120)
     gateway = build_gateway(config)
     assert gateway.limiter is not None
     assert gateway.limiter.rate == pytest.approx(2.0)
