@@ -19,6 +19,7 @@ from .metrics import (
     BLEU_SPEC,
     IrrConfig,
     IrrUndefinedError,
+    MetricsError,
     ROUGE_SPEC,
     STOPWORD_LIST_ID,
     bleu,
@@ -54,22 +55,31 @@ class MetricConfig:
     epsilon: float = 1e-6
     cap: float | None = None
     counter_config: dict | None = None
+    counter: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Check every setting and build the token counter once, so a bad one
+        is a ConfigError before any document is generated or scored."""
+        try:
+            for t in self.thresholds:
+                IrrConfig(t=t, epsilon=self.epsilon)
+            object.__setattr__(self, "counter", counter_from_config(self.counter_config))
+        except MetricsError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def header(self) -> dict:
-        counter = counter_from_config(self.counter_config)
         return {
             "thresholds": list(self.thresholds),
             "epsilon": self.epsilon,
             "cap": self.cap,
             "stopword_list_id": STOPWORD_LIST_ID,
-            "token_counter": counter.counter_id,
+            "token_counter": self.counter.counter_id,
             "bleu": BLEU_SPEC,
             "rouge": ROUGE_SPEC,
         }
 
 
 def score_document(doc_id: str, candidate: str, reference: str, cfg: MetricConfig) -> dict:
-    counter = counter_from_config(cfg.counter_config)
     row: dict = {
         "doc_id": doc_id,
         "failed": False,
@@ -77,7 +87,7 @@ def score_document(doc_id: str, candidate: str, reference: str, cfg: MetricConfi
         "rouge1": rouge_f1(candidate, reference, "r1"),
         "rouge2": rouge_f1(candidate, reference, "r2"),
         "rougel": rouge_f1(candidate, reference, "rl"),
-        "tokens": length_stats(candidate, counter).tokens,
+        "tokens": length_stats(candidate, cfg.counter).tokens,
     }
     for t in cfg.thresholds:
         irr_cfg = IrrConfig(t=t, epsilon=cfg.epsilon, cap=cfg.cap)

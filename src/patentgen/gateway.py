@@ -9,17 +9,18 @@ the HTTP path is the same code minus the playbook.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import requests
-
-from .core import CallEntry, RunRecord, content_hash
+from .core import CallEntry, ConfigError, RunRecord, content_hash
 
 SCHEMA_VERSION_PLAYBOOK = "mock-playbook-v1"
 
@@ -186,15 +187,26 @@ class MockPlaybook:
 
     @staticmethod
     def from_record(record: dict) -> "MockPlaybook":
-        rules = [
-            PlaybookRule(
-                match=r["match"],
-                responses=list(r["responses"]),
-                regex=bool(r.get("regex", False)),
-            )
-            for r in record.get("rules", [])
-        ]
-        return MockPlaybook(rules, record.get("default_response"))
+        """A playbook from its JSON object; ConfigError names the first bad rule."""
+        rules = record.get("rules", []) if isinstance(record, dict) else None
+        if not isinstance(rules, list):
+            raise ConfigError("a playbook must be a JSON object with a list of rules")
+        for i, r in enumerate(rules):
+            if not (isinstance(r, dict) and isinstance(r.get("match"), str)
+                    and isinstance(r.get("responses"), list) and r["responses"]):
+                raise ConfigError(f"playbook rule {i} needs a string 'match' and a "
+                                  f"non-empty 'responses' list, got {r!r}")
+            if r.get("regex"):
+                try:
+                    re.compile(r["match"])
+                except re.error as exc:
+                    raise ConfigError(
+                        f"playbook rule {i}: bad regex {r['match']!r}: {exc}") from exc
+        return MockPlaybook(
+            [PlaybookRule(r["match"], list(r["responses"]), bool(r.get("regex", False)))
+             for r in rules],
+            record.get("default_response"),
+        )
 
     @staticmethod
     def load(path: Path | str) -> "MockPlaybook":
@@ -286,6 +298,10 @@ class HttpBackend:
         return headers
 
     def send(self, req: ChatRequest) -> tuple[str, str, dict]:
+        """One POST on a fresh connection. urllib asks the server to close it
+        after the reply, so no keep-alive connection is reused: servers that
+        send headers and body in two writes stall a reused connection for
+        tens of milliseconds (Nagle's algorithm against delayed ACKs)."""
         payload = {
             "model": req.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in req.messages],
@@ -293,25 +309,32 @@ class HttpBackend:
             "top_p": req.top_p,
             "max_tokens": req.max_tokens,
         }
-        url = self.config.endpoint.rstrip("/") + "/chat/completions"
+        request = urllib.request.Request(
+            self.config.endpoint.rstrip("/") + "/chat/completions",
+            data=json.dumps(payload).encode("utf-8"),
+            headers=self._headers(),
+            method="POST",
+        )
         try:
-            resp = requests.post(
-                url, json=payload, headers=self._headers(), timeout=self.config.timeout_s
-            )
-        except requests.RequestException as exc:
+            try:
+                with urllib.request.urlopen(request, timeout=self.config.timeout_s) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                status, body = exc.code, exc.read()
+        except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
             raise _TransientFailure(str(exc)) from exc
-        if resp.status_code >= 500:
-            raise _TransientFailure(f"status {resp.status_code}")
-        if resp.status_code >= 400:
-            raise BadStatusError(resp.status_code, resp.text[:200])
+        if status >= 500:
+            raise _TransientFailure(f"status {status}")
+        if status >= 400:
+            raise BadStatusError(status, body.decode("utf-8", "replace")[:200])
         try:
-            data = resp.json()
+            data = json.loads(body)
             choice = data["choices"][0]
             content = choice["message"]["content"] or ""
             finish = choice.get("finish_reason") or FINISH_STOP
             usage = data.get("usage", {})
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BadStatusError(resp.status_code, f"unparseable response body: {exc}") from exc
+            raise BadStatusError(status, f"unparseable response body: {exc}") from exc
         if finish not in (FINISH_STOP, FINISH_LENGTH):
             finish = FINISH_STOP
         return content, finish, usage

@@ -159,22 +159,38 @@ class IrrResult:
 
 
 def _pair_sum(token_sets: tuple[frozenset[str], ...], t: float) -> int:
-    """Count repeated pairs. Pairs whose size ratio already rules out
-    reaching t are skipped; the bound is monotone under correctly rounded
-    division, so skipping never changes a decision."""
+    """Count repeated pairs exactly as `jaccard(a, b) >= t` would.
+
+    Each distinct token gets one bit, so a sentence's token set is an int and
+    |a n b| is a popcount; the decision is the same int division jaccard
+    makes. With the sets sorted by size, a pair whose size ratio lo/hi falls
+    below t cannot reach t, and neither can any larger partner: the bound is
+    monotone under correctly rounded division, so stopping there never
+    changes a decision.
+    """
     n = len(token_sets)
     if t <= 0.0:
         return n * (n - 1) // 2
+    bit_of: dict[str, int] = {}
+    sized = []
+    for s in token_sets:
+        b = 0
+        for token in s:
+            b |= 1 << bit_of.setdefault(token, len(bit_of))
+        sized.append((len(s), b))
+    sized.sort(key=lambda item: item[0])
     total = 0
-    sizes = [len(s) for s in token_sets]
     for i in range(n - 1):
-        si, li = token_sets[i], sizes[i]
+        li, bi = sized[i]
         for j in range(i + 1, n):
-            lj = sizes[j]
-            lo, hi = (li, lj) if li <= lj else (lj, li)
-            if hi > 0 and lo / hi < t:
+            lj, bj = sized[j]
+            if lj == 0:
+                total += 1  # two empty sets are identical
                 continue
-            if jaccard(si, token_sets[j]) >= t:
+            if li / lj < t:
+                break
+            inter = (bi & bj).bit_count()
+            if inter / (li + lj - inter) >= t:
                 total += 1
     return total
 
@@ -207,26 +223,34 @@ def _tokens(text: str) -> list[str]:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
-    # Two-row DP; quadratic, fine for desk-scale texts.
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        append = cur.append
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                append(prev[j - 1] + 1)
-            else:
-                pj = prev[j]
-                cj = cur[j - 1]
-                append(pj if pj >= cj else cj)
-        prev = cur
-    return prev[-1]
+    """Exact LCS length by the bit-parallel recurrence of Allison & Dix (1986)
+    in Hyyro's (2004) form, about len(a)*len(b)/w operations on the w-bit
+    digits of a Python int.
+
+    v holds one DP column over the shorter side: bit i is 0 where the column
+    steps up by one at row i, so the LCS is the count of zero bits. Each
+    token of the longer side advances the column with one add and a few
+    bitwise ops on the match mask of that token; masks exist only for tokens
+    found on both sides. LCS is symmetric, so swapping the sides is safe.
+    """
+    short, long_ = (a, b) if len(a) <= len(b) else (b, a)
+    shared = set(short).intersection(long_)
+    masks: dict[str, int] = {}
+    for i, token in enumerate(short):
+        if token in shared:
+            masks[token] = masks.get(token, 0) | (1 << i)
+    full = (1 << len(short)) - 1
+    v = full
+    for token in long_:
+        m = masks.get(token)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(short) - v.bit_count()
 
 
 def rouge_f1(candidate: str, reference: str, variant: str) -> float:

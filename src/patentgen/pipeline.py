@@ -161,7 +161,7 @@ def load_run_config(config_file: str | None, mock_playbook: str | None = None,
         backend_cfg = config_record(BackendConfig(name=name), record, f"backends.{name}", ("name",))
         try:
             gateway = build_gateway(backend_cfg)
-        except (RequestError, OSError, ValueError) as exc:
+        except (ConfigError, RequestError, OSError, ValueError) as exc:
             raise ConfigError(f"backends.{name}: {exc}") from exc
         if cache_dir:
             gateway.cache = ResponseCache(Path(cache_dir) / name)
@@ -175,10 +175,15 @@ def load_run_config(config_file: str | None, mock_playbook: str | None = None,
     for role, record in agents.items():
         if role not in bindings:
             raise ConfigError(f"unknown agent role {role!r}; expected one of {list(bindings)}")
-        binding = config_record(bindings[role], record, f"agents.{role}", ("role",))
-        if binding.backend not in gateways:
+        bindings[role] = config_record(bindings[role], record, f"agents.{role}", ("role",))
+    for role, binding in bindings.items():
+        gateway = gateways.get(binding.backend)
+        if gateway is None:
             raise ConfigError(f"agents.{role}.backend: no backend named {binding.backend!r}")
-        bindings[role] = binding
+        limit = gateway.config.max_tokens_limit
+        if binding.max_tokens > limit:
+            raise ConfigError(f"agents.{role}.max_tokens: {binding.max_tokens} exceeds the "
+                              f"max_tokens_limit {limit} of backend {binding.backend!r}")
 
     pipeline_cfg = PipelineConfig.from_record(config.get("pipeline", {}))
     if seed is not None:

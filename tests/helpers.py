@@ -157,3 +157,29 @@ def oracle_bleu_single(candidate: str, reference: str) -> float:
         product *= (matches + 1) / (total + 1) if matches > 0 else 0.01 / total
     brevity = 1.0 if len(cand) >= len(ref) else math.exp(1.0 - len(ref) / len(cand))
     return 100.0 * brevity * product ** 0.25
+
+
+def oracle_lcs_len(a: list[str], b: list[str]) -> int:
+    """Two-row dynamic-programming LCS length, O(len(a) * len(b))."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def oracle_pair_sum(token_sets, t: float) -> int:
+    """Pairs (i < j) whose Jaccard similarity reaches t, by a plain double
+    loop over set operations; two empty sets count as identical."""
+    count = 0
+    for i in range(len(token_sets)):
+        for j in range(i + 1, len(token_sets)):
+            a, b = token_sets[i], token_sets[j]
+            union = len(a | b)
+            if (len(a & b) / union if union else 1.0) >= t:
+                count += 1
+    return count

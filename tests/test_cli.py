@@ -145,6 +145,8 @@ def _set_key(config: dict, path: str, value) -> None:
         ("pipeline.max_refine_rounds", True, "pipeline.max_refine_rounds"),
         ("pipeline.section_order", ["title", "abstract"], "pipeline: section_order"),
         ("cache_dir", 5, "cache_dir"),
+        ("agents.examiner.max_tokens", 40000, "agents.examiner.max_tokens: 40000 exceeds"),
+        ("backends.default.max_tokens_limit", 4096, "agents.description.max_tokens: 8192"),
     ],
 )
 def test_bad_run_config_value_fails_before_any_model_call(tmp_path, monkeypatch, path, value,
@@ -271,6 +273,45 @@ def test_score_identity(tmp_path):
         assert row["bleu"] == 100.0
         assert row["rouge1"] == 1.0 and row["rougel"] == 1.0
     assert record["header"]["stopword_list_id"] == "en-v1"
+
+
+_BAD_METRIC_OPTIONS = pytest.mark.parametrize(
+    "options, named",
+    [
+        (["--vocab", "nope.txt"], "vocabulary file not found: nope.txt"),
+        (["--t", "0.2,1.5"], "threshold t must lie in [0, 1], got 1.5"),
+        (["--epsilon", "0"], "epsilon must be positive"),
+    ],
+    ids=["missing_vocab", "threshold_above_1", "zero_epsilon"],
+)
+
+
+@_BAD_METRIC_OPTIONS
+def test_score_rejects_bad_metric_options(tmp_path, options, named):
+    for side in ("gen", "ref"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "d1.txt").write_text("One sentence. Another one.", "utf-8")
+    result = RUNNER.invoke(
+        main, ["score", str(tmp_path / "gen"), str(tmp_path / "ref"), *options]
+    )
+    assert result.exit_code == 1, result.output
+    assert f"error: {named}" in result.output
+
+
+@_BAD_METRIC_OPTIONS
+def test_bench_rejects_bad_metric_options_before_any_model_call(tmp_path, monkeypatch,
+                                                                 options, named):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "bench"
+    result = RUNNER.invoke(
+        main,
+        ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out), *options],
+    )
+    assert result.exit_code == 1, result.output
+    assert f"error: {named}" in result.output
+    assert calls == []
+    assert not out.exists()
 
 
 def test_score_alignment_error_names_id(tmp_path):
@@ -464,6 +505,36 @@ def test_report_command_renders_table(tmp_path):
     assert result.exit_code == 0
     assert "doc_id" in result.output and "d1" in result.output
     assert "mean" in result.output
+
+
+@pytest.mark.parametrize(
+    "record, named",
+    [
+        ({"rules": [{"responses": ["x"]}]}, "playbook rule 0 needs"),
+        ({"rules": [{"match": "a", "responses": ["x"]}, {"match": "b", "responses": "x"}]},
+         "playbook rule 1 needs"),
+        ({"rules": [{"match": "a", "responses": []}]}, "playbook rule 0 needs"),
+        ({"rules": ["a"]}, "playbook rule 0 needs"),
+        ({"rules": [{"match": "(", "regex": True, "responses": ["x"]}]},
+         "playbook rule 0: bad regex '('"),
+        ({"rules": {"match": "a"}}, "a playbook must be a JSON object with a list of rules"),
+        ([], "a playbook must be a JSON object with a list of rules"),
+    ],
+    ids=["no_match", "responses_not_a_list", "no_responses", "rule_not_an_object",
+         "bad_regex", "rules_not_a_list", "not_an_object"],
+)
+def test_bad_playbook_rule_is_invalid_input(tmp_path, record, named):
+    draft_file = _write_draft(tmp_path / "draft.json")
+    playbook_path = tmp_path / "playbook.json"
+    playbook_path.write_text(json.dumps(record), "utf-8")
+    out = tmp_path / "run"
+    result = RUNNER.invoke(
+        main, ["generate", str(draft_file), "--mock-playbook", str(playbook_path),
+               "--out", str(out)]
+    )
+    assert result.exit_code == 1, result.output
+    assert f"error: backends.default: {named}" in result.output
+    assert not out.exists()
 
 
 def test_missing_config_is_invalid_input(tmp_path):

@@ -1,6 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -219,44 +226,133 @@ def test_rpm_config_installs_a_limiter(tmp_path):
     assert gateway.limiter.rate == pytest.approx(2.0)
 
 
-class _FakeHttpResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next (status, body[, delay_s]) of
+    server.script; the last entry repeats. Records every request in
+    server.seen."""
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no body")
-        return self._payload
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append({"path": self.path, "headers": self.headers, "body": body})
+        script = self.server.script
+        status, reply, *delay_s = script.pop(0) if len(script) > 1 else script[0]
+        time.sleep(sum(delay_s))
+        data = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
 
 
-def test_http_backend_parses_wire_shape(monkeypatch):
-    payload = {
-        "choices": [{"message": {"content": "hello"}, "finish_reason": "length"}],
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.script, server.seen = [], []
+    # A reply to a client that timed out and hung up fails; that is expected.
+    server.handle_error = lambda request, client_address: None
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _http_gateway(endpoint: str, **config_kwargs) -> LlmGateway:
+    config = BackendConfig(name="live", kind="http", endpoint=endpoint, model_id="m",
+                           backoff_s=0.0, **config_kwargs)
+    return LlmGateway(HttpBackend(config), config=config, sleep_fn=lambda s: None)
+
+
+def _reply(content: str, finish: str = "stop") -> dict:
+    return {
+        "choices": [{"message": {"content": content}, "finish_reason": finish}],
         "usage": {"prompt_tokens": 3, "completion_tokens": 5},
     }
-    captured = {}
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        captured.update(url=url, json=json, headers=headers, timeout=timeout)
-        return _FakeHttpResponse(200, payload)
 
-    monkeypatch.setattr("patentgen.gateway.requests.post", fake_post)
+def _url(server) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}/v1"
+
+
+def test_http_backend_parses_wire_shape(loopback, monkeypatch):
     monkeypatch.setenv("TEST_API_KEY", "sekrit")
-    config = BackendConfig(
-        name="live", kind="http", endpoint="http://host/v1", api_key_env="TEST_API_KEY",
-        model_id="m", timeout_s=7.0,
-    )
-    backend = HttpBackend(config)
-    resp = LlmGateway(backend, config=config).complete(_req())
+    loopback.script.append((200, _reply("hello", finish="length")))
+    gateway = _http_gateway(_url(loopback), api_key_env="TEST_API_KEY")
+    resp = gateway.complete(_req(max_tokens=99))
     assert resp.content == "hello"
     # overlong finishes surface to the caller instead of erroring
     assert resp.finish_reason == "length"
-    assert captured["url"] == "http://host/v1/chat/completions"
-    assert captured["headers"]["Authorization"] == "Bearer sekrit"
-    assert captured["json"]["messages"][0]["role"] == "user"
-    assert captured["timeout"] == 7.0
+    assert resp.usage == {"prompt_tokens": 3, "completion_tokens": 5}
+    (seen,) = loopback.seen
+    assert seen["path"] == "/v1/chat/completions"
+    assert seen["headers"]["Authorization"] == "Bearer sekrit"
+    assert seen["headers"]["Content-Type"] == "application/json"
+    assert json.loads(seen["body"]) == {
+        "model": "mock-model",
+        "messages": [{"role": "user", "content": "write the patent title"}],
+        "temperature": 0.5,
+        "top_p": 0.9,
+        "max_tokens": 99,
+    }
+
+
+def test_http_server_error_is_retried(loopback):
+    loopback.script += [(500, {"error": "busy"}), (200, _reply("second try"))]
+    record = RunRecord(model_id="m", sampling={})
+    resp = _http_gateway(_url(loopback)).complete(_req(), recorder=record)
+    assert resp.content == "second try"
+    assert len(loopback.seen) == 2
+    assert [e.retries for e in record.entries] == [1]
+
+
+def test_http_client_error_is_not_retried(loopback):
+    body = "no such model " * 40
+    loopback.script.append((404, body.encode("utf-8")))
+    with pytest.raises(BadStatusError) as info:
+        _http_gateway(_url(loopback)).complete(_req())
+    assert info.value.code == 404
+    assert str(info.value) == f"backend returned status 404: {body[:200]}"
+    assert len(loopback.seen) == 1
+
+
+def test_http_timeout_is_retried(loopback):
+    loopback.script += [(200, _reply("late"), 0.3), (200, _reply("on time"))]
+    resp = _http_gateway(_url(loopback), timeout_s=0.05).complete(_req())
+    assert resp.content == "on time"
+    assert len(loopback.seen) == 2
+
+
+def test_http_unparseable_body_is_bad_status(loopback):
+    loopback.script.append((200, b"<html>not json</html>"))
+    with pytest.raises(BadStatusError, match="unparseable response body"):
+        _http_gateway(_url(loopback)).complete(_req())
+    assert len(loopback.seen) == 1
+
+
+def test_http_refused_connection_fails_after_every_retry():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    gateway = _http_gateway(f"http://127.0.0.1:{port}", retry_max=2)
+    attempts, send = [], gateway.backend.send
+    gateway.backend.send = lambda req: attempts.append(req) or send(req)
+    with pytest.raises(TransportError, match="failed after 3 attempts"):
+        gateway.complete(_req())
+    assert len(attempts) == 3
+
+
+def test_library_import_does_not_load_requests():
+    code = ("import sys, patentgen.bench, patentgen.datakit, patentgen.pipeline; "
+            "print('requests' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_http_backend_requires_api_key_env(monkeypatch):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from patentgen.metrics import (
+    _lcs_len,
+    _pair_sum,
     CounterConfigError,
     IrrConfig,
     IrrUndefinedError,
@@ -29,7 +31,7 @@ from patentgen.metrics import (
     stopwords,
     tokenize_for_similarity,
 )
-from helpers import oracle_bleu_single, oracle_irr
+from helpers import oracle_bleu_single, oracle_irr, oracle_lcs_len, oracle_pair_sum
 
 # --- sentence segmentation -----------------------------------------------------
 
@@ -303,6 +305,95 @@ def test_rouge_bounds_and_identity(candidate, reference):
         value = rouge_f1(candidate, reference, variant)
         assert 0.0 <= value <= 1.0
         assert rouge_f1(candidate, candidate, variant) == 1.0
+
+
+# --- exact kernels against their straight-line oracles ----------------------------
+
+
+_short_tokens = st.lists(st.sampled_from("abcd"), max_size=40)
+
+
+@given(a=_short_tokens, b=_short_tokens)
+@settings(max_examples=300)
+def test_lcs_len_matches_dp_oracle(a, b):
+    expected = oracle_lcs_len(a, b)
+    assert _lcs_len(a, b) == expected
+    assert _lcs_len(b, a) == expected
+
+
+def test_lcs_len_matches_dp_oracle_across_word_boundaries():
+    # Sides longer than one 64-bit word, with alphabets from binary to sparse.
+    rng = random.Random(7)
+    for _ in range(60):
+        alphabet = [f"w{k}" for k in range(rng.choice((2, 3, 8, 40)))]
+        a = rng.choices(alphabet, k=rng.randint(0, 300))
+        b = rng.choices(alphabet, k=rng.randint(0, 300))
+        assert _lcs_len(a, b) == oracle_lcs_len(a, b)
+
+
+def test_lcs_len_edge_cases():
+    assert _lcs_len([], []) == 0
+    assert _lcs_len([], ["a"]) == 0
+    assert _lcs_len(["a", "a", "a"], ["a"]) == 1
+    assert _lcs_len(["x", "y"], ["p", "q", "r"]) == 0
+    assert _lcs_len(list("abcbdab"), list("bdcaba")) == 4
+
+
+_THRESHOLDS = (0.0, 0.2, 0.25, 1 / 3, 0.4, 0.5, 1.0)
+
+
+@given(
+    sets=st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=6), max_size=14),
+    t=st.sampled_from(_THRESHOLDS),
+)
+@settings(max_examples=300)
+def test_pair_sum_matches_oracle(sets, t):
+    assert _pair_sum(tuple(sets), t) == oracle_pair_sum(sets, t)
+
+
+@pytest.mark.parametrize("t", _THRESHOLDS)
+def test_pair_sum_counts_exact_ties_and_empty_sets(t):
+    # One pair at each similarity 1/4, 1/3, 2/5, 1/2 and 1; two empty sets.
+    sets = (
+        frozenset("ab"), frozenset("bcd"),  # 1/4
+        frozenset("pq"), frozenset("qr"),  # 1/3
+        frozenset("uvw"), frozenset("vwx"),  # 2/4 = 1/2
+        frozenset("ghijk"), frozenset("hilm"),  # 2/7
+        frozenset("stu1"), frozenset("st2"),  # 2/5
+        frozenset(), frozenset(),
+    )
+    assert _pair_sum(sets, t) == oracle_pair_sum(sets, t)
+    if t > 0.0:
+        ties = sum(1 for j in (0.25, 1 / 3, 0.5, 2 / 7, 0.4) if j >= t)
+        assert _pair_sum(sets, t) == ties + 1
+
+
+_PINNED_CANDIDATE = """The adaptive controller adjusts loop gain from sensor feedback. \
+The sensor reports the loop error to the controller.
+
+In one embodiment, the controller stores a gain schedule. The gain schedule maps the \
+loop error to a gain value! Does the controller adapt the schedule? It does, in real time.
+
+1. A method for adaptive control, comprising measuring a loop error.
+2. The method of claim 1, wherein the gain schedule is updated online."""
+
+_PINNED_REFERENCE = """A controller adjusts the gain of a control loop using sensor \
+feedback. The sensor measures loop error.
+
+The gain schedule maps the loop error to a gain value. In some embodiments the \
+controller updates the gain schedule in real time.
+
+1. A method of adaptive control comprising measuring a loop error and adjusting a gain.
+2. The method of claim 1, wherein the schedule is updated online."""
+
+
+def test_pinned_rouge_l_and_irr_on_a_multi_paragraph_text():
+    # Values from the quadratic DP and the per-pair set loop.
+    assert rouge_f1(_PINNED_CANDIDATE, _PINNED_REFERENCE, "rl") == 0.6285714285714286
+    expected = {0.2: (4, 6.999998250000437), 0.25: (2, 13.9999930000035), 0.4: (0, 28000000.0)}
+    for t, (pair_sum, value) in expected.items():
+        result = irr_of_text(_PINNED_CANDIDATE, IrrConfig(t=t))
+        assert (result.pair_sum, result.total_pairs, result.value) == (pair_sum, 28, value)
 
 
 # --- BLEU -----------------------------------------------------------------------
