@@ -25,7 +25,7 @@ from .metrics import (
     bleu,
     counter_from_config,
     irr_of_text,
-    length_stats,
+    length_stats,  # not called here; perfbench/tracing.py wraps bench.length_stats by name
     rouge_f1,
 )
 from .pipeline import PatentPipeline, PipelineAborted, PipelineConfig
@@ -87,7 +87,7 @@ def score_document(doc_id: str, candidate: str, reference: str, cfg: MetricConfi
         "rouge1": rouge_f1(candidate, reference, "r1"),
         "rouge2": rouge_f1(candidate, reference, "r2"),
         "rougel": rouge_f1(candidate, reference, "rl"),
-        "tokens": length_stats(candidate, cfg.counter).tokens,
+        "tokens": cfg.counter.count(candidate),
     }
     for t in cfg.thresholds:
         irr_cfg = IrrConfig(t=t, epsilon=cfg.epsilon, cap=cfg.cap)

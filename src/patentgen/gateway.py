@@ -1,23 +1,27 @@
 """Uniform access to chat-completion endpoints.
 
 One gateway fronts either a real HTTP backend (the de-facto chat-completions
-wire shape) or a fully scripted mock backend, adding retries with exponential
-backoff, an on-disk response cache, a token-bucket rate limit, and per-call
-logging into a RunRecord. Tests and benchmarks run entirely against the mock;
-the HTTP path is the same code minus the playbook.
+wire shape) or a fully scripted mock backend, adding retries with jittered
+exponential backoff, an on-disk response cache, a token-bucket rate limit, a
+bound on requests in flight, and per-call logging into a RunRecord. Tests run
+against the mock and a loopback HTTP server; the HTTP path is the same code
+minus the playbook.
 """
 
 from __future__ import annotations
 
+import email.utils
 import http.client
 import json
 import os
+import random
 import re
 import threading
 import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
 
 from .core import CallEntry, ConfigError, RunRecord, content_hash
@@ -52,7 +56,12 @@ class PlaybookMissError(GatewayError):
 
 
 class _TransientFailure(Exception):
-    """Internal marker for a retryable send failure."""
+    """Internal marker for a retryable send failure. retry_after is the wait
+    in seconds the server asked for, if it named one."""
+
+    def __init__(self, detail: str, retry_after: float | None = None):
+        super().__init__(detail)
+        self.retry_after = retry_after
 
 
 @dataclass(frozen=True)
@@ -137,6 +146,8 @@ class BackendConfig:
 
     kind is "http" or "mock". For http backends the API key is read from the
     environment variable named by api_key_env and is never stored in config.
+    max_inflight bounds the requests sent to the backend at once; None means
+    the kind's default in DEFAULT_MAX_INFLIGHT.
     """
 
     name: str = "default"
@@ -149,6 +160,7 @@ class BackendConfig:
     timeout_s: float = 60.0
     backoff_s: float = 0.5
     max_tokens_limit: int = 32768
+    max_inflight: int | None = None
     playbook_path: str = ""
 
     def __post_init__(self):
@@ -156,6 +168,14 @@ class BackendConfig:
             raise RequestError("retry_max and backoff_s must be >= 0")
         if min(self.timeout_s, self.max_tokens_limit) <= 0:
             raise RequestError("timeout_s and max_tokens_limit must be positive")
+        if self.max_inflight is not None and self.max_inflight < 1:
+            raise RequestError(f"max_inflight must be >= 1, got {self.max_inflight}")
+
+
+# A mock playbook hands out each rule's responses in arrival order, so only one
+# request at a time keeps a scripted run reproducible. Two keeps a live backend
+# busy without holding more than a few replies in memory at once.
+DEFAULT_MAX_INFLIGHT = {"mock": 1, "http": 2}
 
 
 # --- mock backend ----------------------------------------------------------
@@ -263,7 +283,7 @@ class MockBackend:
                 raise _TransientFailure("scripted transport failure")
             if kind == "status":
                 code = int(item.get("code", 500))
-                if code >= 500:
+                if code == 429 or code >= 500:
                     raise _TransientFailure(f"scripted status {code}")
                 raise BadStatusError(code, "scripted")
             raise RequestError(f"bad playbook directive {item!r}")
@@ -321,10 +341,12 @@ class HttpBackend:
                     status, body = resp.status, resp.read()
             except urllib.error.HTTPError as exc:
                 status, body = exc.code, exc.read()
+                if status == 429 or status >= 500:
+                    raise _TransientFailure(
+                        f"status {status}", retry_after_s(exc.headers.get("Retry-After"))
+                    ) from None
         except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
             raise _TransientFailure(str(exc)) from exc
-        if status >= 500:
-            raise _TransientFailure(f"status {status}")
         if status >= 400:
             raise BadStatusError(status, body.decode("utf-8", "replace")[:200])
         try:
@@ -338,6 +360,23 @@ class HttpBackend:
         if finish not in (FINISH_STOP, FINISH_LENGTH):
             finish = FINISH_STOP
         return content, finish, usage
+
+
+def retry_after_s(value: str | None) -> float | None:
+    """The wait a Retry-After header asks for, given in seconds or as an HTTP
+    date; None when the header is absent or unreadable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isdigit():
+        return float(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # "-0000" dates parse as naive UTC
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
 # --- rate limiting and caching ---------------------------------------------
@@ -422,7 +461,11 @@ class LlmGateway:
         self.limiter = limiter
         if self.limiter is None and self.config.rpm:
             self.limiter = TokenBucket(self.config.rpm)
+        self.max_inflight = (self.config.max_inflight
+                             or DEFAULT_MAX_INFLIGHT.get(self.config.kind, 1))
+        self._inflight = threading.BoundedSemaphore(self.max_inflight)
         self._sleep = sleep_fn
+        self._jitter = random.Random()
 
     def complete(self, req: ChatRequest, recorder: RunRecord | None = None) -> ChatResponse:
         if req.max_tokens > self.config.max_tokens_limit:
@@ -451,14 +494,20 @@ class LlmGateway:
             if self.limiter is not None:
                 self.limiter.acquire()
             try:
-                content, finish, usage = self.backend.send(req)
+                # Only the send holds a slot: cache reads and writes and
+                # backoff sleeps do not count against max_inflight.
+                with self._inflight:
+                    content, finish, usage = self.backend.send(req)
                 break
             except _TransientFailure as exc:
                 if retries >= self.config.retry_max:
                     raise TransportError(
                         f"backend {self.config.name!r} failed after {retries + 1} attempts: {exc}"
                     ) from exc
-                self._sleep(self.config.backoff_s * (2 ** retries))
+                delay = exc.retry_after
+                if delay is None:
+                    delay = self.config.backoff_s * 2 ** retries * self._jitter.uniform(0.5, 1.0)
+                self._sleep(delay)
                 retries += 1
         latency_ms = int((time.monotonic() - start) * 1000)
 

@@ -5,14 +5,24 @@ The examiner loop is bounded by max_refine_rounds; a subsection that keeps
 failing (or whose verdicts stay unparseable) is accepted with a warning so a
 long run never dies on one stubborn node. Aborts persist everything finished
 so far into the run directory.
+
+The calls of a run form a three-stage graph: the five component writers and
+the planner read only the draft; each section expansion reads the draft and
+its section's overview; each node's retrieve/write/review/refine chain reads
+its own node, the tree overview, the draft and the reference, never a
+sibling's text. So the stages fan out on one thread pool as wide as the
+largest max_inflight among the gateways, and the output is the same at any
+width.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .agents import (
@@ -76,7 +86,6 @@ class PipelineAborted(PipelineError):
 class PipelineConfig:
     max_refine_rounds: int = 3
     pgtree_expansion: str = EXPANSION_PER_SECTION
-    parallel_subsections: int = 1
     section_order: tuple[str, ...] = DEFAULT_SECTION_ORDER
     seed: int = 0
 
@@ -85,8 +94,6 @@ class PipelineConfig:
             raise PipelineError("max_refine_rounds must be >= 0")
         if self.pgtree_expansion not in (EXPANSION_OFF, EXPANSION_PER_SECTION):
             raise PipelineError(f"unknown pgtree_expansion {self.pgtree_expansion!r}")
-        if self.parallel_subsections < 1:
-            raise PipelineError("parallel_subsections must be >= 1")
         check_section_order(self.section_order)
 
     def to_record(self) -> dict:
@@ -196,56 +203,105 @@ def build_reference(components: dict[str, str], draft: Draft) -> Reference:
     return Reference(**{role: components[role] for role in COMPONENT_ROLES}, draft=draft)
 
 
+def plan_section(
+    index: int,
+    overview: str,
+    cfg: PipelineConfig,
+    expander=None,
+    warnings: list[str] | None = None,
+) -> SectionPlan:
+    """Grow one first-level section into its guideline nodes.
+
+    With expansion off the section becomes a single guideline node. With
+    per-section expansion, expander(overview) gives numbered subsection
+    guidelines; a section whose expansion fails to parse falls back to a
+    single node, with a warning.
+    """
+    if cfg.pgtree_expansion == EXPANSION_PER_SECTION and expander is not None:
+        try:
+            nodes = tuple(
+                GuidelineNode(section_index=index, subsection_index=j, guideline_text=text)
+                for j, text in expander(overview)
+            )
+            return SectionPlan(section_index=index, section_overview=overview, subsections=nodes)
+        except TagError as exc:
+            if warnings is not None:
+                warnings.append(
+                    f"section {index}: expansion failed ({exc}); falling back to one node"
+                )
+    node = GuidelineNode(section_index=index, subsection_index=1, guideline_text=overview)
+    return SectionPlan(section_index=index, section_overview=overview, subsections=(node,))
+
+
 def expand_pgtree(
     first_level: list[tuple[int, str]],
     cfg: PipelineConfig,
     expander=None,
     warnings: list[str] | None = None,
 ) -> PGTree:
-    """Grow the second tree layer.
-
-    With expansion off each first-level section becomes a single guideline
-    node. With per-section expansion, the planner is asked once per section
-    for numbered subsection guidelines; a section whose expansion fails to
-    parse falls back to a single node, with a warning.
-    """
+    """Grow the second tree layer, one section after another (plan_section)."""
     if not first_level:
         raise PipelineError("first_level must be non-empty")
-    sections: list[SectionPlan] = []
-    for index, overview in first_level:
-        nodes: list[GuidelineNode] | None = None
-        if cfg.pgtree_expansion == EXPANSION_PER_SECTION and expander is not None:
+    return PGTree(sections=tuple(
+        plan_section(index, overview, cfg, expander, warnings) for index, overview in first_level
+    ))
+
+
+class _Skipped(Exception):
+    """A task that had not started when another task failed."""
+
+
+class _TaskGraph:
+    """The tasks of one run on one thread pool.
+
+    Each task logs its model calls and warnings on its own; settle() merges
+    them in submission order, which is the order a sequential run makes them
+    in, so the run dir does not depend on how calls interleave. Once a task
+    fails, tasks that have not started are skipped. A one-worker pool runs
+    tasks in submission order, so at width 1 a failed run stops where a
+    sequential run stops.
+    """
+
+    def __init__(self, pool: ThreadPoolExecutor, runtime: AgentRuntime):
+        self.pool = pool
+        self.runtime = runtime
+        self.tasks: list[tuple[Future, RunRecord, list[str]]] = []
+        self.failed = threading.Event()
+
+    def submit(self, fn) -> Future:
+        """Run fn(runtime, warnings) with a runtime that logs into this task's record."""
+        record, warnings = new_run_record(), []
+        runtime = replace(self.runtime, recorder=record)
+
+        def task():
+            if self.failed.is_set():
+                raise _Skipped()
             try:
-                expanded = expander(overview)
-                nodes = [
-                    GuidelineNode(section_index=index, subsection_index=j, guideline_text=text)
-                    for j, text in expanded
-                ]
-            except TagError as exc:
-                if warnings is not None:
-                    warnings.append(
-                        f"section {index}: expansion failed ({exc}); falling back to one node"
-                    )
-                nodes = None
-        if nodes is None:
-            nodes = [GuidelineNode(section_index=index, subsection_index=1, guideline_text=overview)]
-        sections.append(
-            SectionPlan(section_index=index, section_overview=overview, subsections=tuple(nodes))
-        )
-    return PGTree(sections=tuple(sections))
+                return fn(runtime, warnings)
+            except BaseException:
+                self.failed.set()
+                raise
+
+        future = self.pool.submit(task)
+        self.tasks.append((future, record, warnings))
+        return future
+
+    def settle(self, record: RunRecord, warnings: list[str]) -> BaseException | None:
+        """Wait for every task, merge its calls and warnings into record and
+        warnings in task order, and return the first error in task order."""
+        error = None
+        for future, task_record, task_warnings in self.tasks:
+            exc = future.exception()
+            for entry in task_record.entries:
+                record.log_call(entry)
+            warnings.extend(task_warnings)
+            if error is None and exc is not None and not isinstance(exc, _Skipped):
+                error = exc
+        return error
 
 
-def plan_pgtree(
-    runtime: AgentRuntime,
-    draft: Draft,
-    cfg: PipelineConfig,
-    warnings: list[str] | None = None,
-) -> PGTree:
-    first_level = runtime.plan_first_level(draft)
-    expander = None
-    if cfg.pgtree_expansion == EXPANSION_PER_SECTION:
-        expander = lambda overview: runtime.expand_section(draft, overview)
-    return expand_pgtree(first_level, cfg, expander=expander, warnings=warnings)
+def _succeeded(future: Future) -> bool:
+    return future.exception() is None
 
 
 class PatentPipeline:
@@ -264,22 +320,39 @@ class PatentPipeline:
     def run(self, draft: Draft, cfg: PipelineConfig) -> PatentDoc:
         primary = self.gateways["default"].config
         record = new_run_record(model_id=primary.model_id, seed=cfg.seed)
-        runtime = AgentRuntime(
-            gateways=self.gateways,
-            bindings=self.bindings,
-            registry=self.registry,
-            recorder=record,
-        )
+        runtime = AgentRuntime(gateways=self.gateways, bindings=self.bindings,
+                               registry=self.registry)
         warnings: list[str] = []
-        components: dict[str, str] = {}
         tree: PGTree | None = None
-        subs: list[SubsectionDraft] = []
+        error: BaseException | None = None
+        width = max(gateway.max_inflight for gateway in self.gateways.values())
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            graph = _TaskGraph(pool, runtime)
+            written = {role: graph.submit(partial(_write_component, role, draft))
+                       for role in COMPONENT_ROLES}
+            planned = graph.submit(lambda rt, _: rt.plan_first_level(draft))
+            nodes: list[Future] = []
+            try:
+                sections = [graph.submit(partial(_expand_section, index, overview, draft, cfg))
+                            for index, overview in planned.result()]
+                tree = PGTree(sections=tuple(f.result() for f in sections))
+                reference = build_reference({r: f.result() for r, f in written.items()}, draft)
+                nodes = [graph.submit(partial(self._one_subsection, node, reference, tree, draft,
+                                              cfg))
+                         for node in tree.nodes()]
+            except BaseException as exc:
+                graph.failed.set()  # tasks not yet started are skipped
+                if not isinstance(exc, Exception):
+                    raise  # an interrupt ends the run at once
+                error = exc
+            # The first task error in task order is the run's error: the main
+            # thread may have met a later one, or a skipped task.
+            error = graph.settle(record, warnings) or error
+        components = {role: f.result() for role, f in written.items() if _succeeded(f)}
+        subs = [f.result() for f in nodes if _succeeded(f)]
         try:
-            for role in COMPONENT_ROLES:
-                components[role] = runtime.write_component(role, draft)
-            reference = build_reference(components, draft)
-            tree = plan_pgtree(runtime, draft, cfg, warnings)
-            self._generate_subsections(runtime, tree, reference, draft, cfg, warnings, subs)
+            if error is not None:
+                raise error
             description = "\n\n".join(s.text for s in subs)
             doc = assemble_patent(
                 title=components["title"],
@@ -297,29 +370,7 @@ class PatentPipeline:
         self._persist(draft, cfg, record, components, tree, subs, warnings, doc=doc)
         return doc
 
-    def _generate_subsections(self, runtime, tree, reference, draft, cfg, warnings, subs):
-        """Fill subs in node order; on a hard error everything finished so
-        far stays in the list for partial-run persistence."""
-        nodes = tree.nodes()
-        if cfg.parallel_subsections == 1:
-            for node in nodes:
-                subs.append(
-                    self._one_subsection(runtime, node, reference, tree, draft, cfg, warnings)
-                )
-            return
-        # Parallel mode keeps output order by node; scripted playbooks consume
-        # responses in completion order, so only use this against live backends.
-        with ThreadPoolExecutor(max_workers=cfg.parallel_subsections) as pool:
-            futures = [
-                pool.submit(
-                    self._one_subsection, runtime, node, reference, tree, draft, cfg, warnings
-                )
-                for node in nodes
-            ]
-            for future in futures:
-                subs.append(future.result())
-
-    def _one_subsection(self, runtime, node, reference, tree, draft, cfg, warnings):
+    def _one_subsection(self, node, reference, tree, draft, cfg, runtime, warnings):
         retrieved = runtime.retrieve(node, reference)
         if retrieved.empty_retrieval:
             warnings.append(f"node {node.node_id}: empty retrieval")
@@ -392,6 +443,15 @@ class PatentPipeline:
              "error": None if error is None else str(error)},
             run_dir / "status.json",
         )
+
+
+def _write_component(role, draft, runtime, warnings):
+    return runtime.write_component(role, draft)
+
+
+def _expand_section(index, overview, draft, cfg, runtime, warnings):
+    return plan_section(index, overview, cfg,
+                        lambda text: runtime.expand_section(draft, text), warnings)
 
 
 def pgtree_to_record(tree: PGTree) -> dict:

@@ -8,12 +8,18 @@ against a second route, not against themselves.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import re
+import threading
+import time
 from importlib import resources
+from pathlib import Path
 
 from patentgen.agents import AgentRuntime
-from patentgen.gateway import BackendConfig, LlmGateway, MockBackend, MockPlaybook, PlaybookRule
+from patentgen.gateway import (BackendConfig, BadStatusError, LlmGateway, MockBackend,
+                               MockPlaybook, PlaybookRule)
 
 
 def mock_gateway(playbook: MockPlaybook, retry_max: int = 2, **config_kwargs):
@@ -101,6 +107,81 @@ def pipeline_playbook(
     rules.append(rule(MATCH_REFINE, "The system comprises an adaptive control unit with sensor feedback."))
     rules.append(rule(MATCH_REVIEW, *(review_script or [PASS_REVIEW])))
     return MockPlaybook(rules=rules)
+
+
+class PromptFunctionBackend:
+    """A backend whose reply is a pure function of the prompt, so any order
+    of arrival gets the same answers. It covers every pipeline role: the
+    prompt's hash picks the section and subsection counts, the examiner's
+    verdict, some malformed first answers that force a re-ask, and some
+    empty retrievals. A prompt for which fail_when gives a text is answered
+    with status 400 and that text. It counts the sends in flight and keeps
+    the peak."""
+
+    def __init__(self, delay_s: float = 0.0, fail_when=None):
+        self.delay_s = delay_s
+        self.fail_when = fail_when
+        self.calls = self.inflight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        prompt = req.rendered_prompt()
+        with self._lock:
+            self.calls += 1
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            time.sleep(self.delay_s)
+            detail = self.fail_when and self.fail_when(prompt)
+            if detail:
+                raise BadStatusError(400, detail)
+            content = self.reply(prompt)
+        finally:
+            with self._lock:
+                self.inflight -= 1
+        usage = {"prompt_tokens": len(prompt.split()), "completion_tokens": len(content.split())}
+        return content, "stop", usage
+
+    @staticmethod
+    def reply(prompt: str) -> str:
+        h = int(hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:12], 16)
+        tag = f"{h:012x}"[:8]
+        reasked = "did not follow the required format" in prompt
+        for role, matcher in COMPONENT_MATCHERS.items():
+            if matcher in prompt:
+                return "no tags here" if h % 4 == 0 and not reasked else COMPONENT_RESPONSES[role]
+        if MATCH_PLANNER in prompt:
+            return planner_response(1 + h % 3)
+        if MATCH_EXPAND in prompt:
+            return expansion_response(1 + h % 3, tag)
+        if MATCH_RETRIEVE in prompt:
+            return "" if h % 7 == 0 else f"Relevant facts {tag}."
+        if MATCH_WRITE in prompt:
+            return f"The unit {tag} adapts its gain."
+        if MATCH_REFINE in prompt:
+            return f"The unit {tag} adapts its gain from sensor feedback."
+        if MATCH_REVIEW in prompt:
+            return PASS_REVIEW if h % 3 == 0 else FAIL_REVIEW
+        raise AssertionError(f"no reply for prompt {prompt[:80]!r}")
+
+
+def function_gateways(backend, max_inflight: int) -> dict[str, LlmGateway]:
+    config = BackendConfig(name="default", model_id="mock-model", max_inflight=max_inflight,
+                           retry_max=0, backoff_s=0.0)
+    return {"default": LlmGateway(backend, config=config, sleep_fn=lambda s: None)}
+
+
+def tree_contents(root: Path) -> dict[str, bytes]:
+    """Every file under root by relative path. latency_ms in calls.jsonl is a
+    wall-clock reading, so it is zeroed; every other byte counts."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "calls.jsonl":
+            lines = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+            data = "".join(json.dumps({**e, "latency_ms": 0}) + "\n" for e in lines).encode()
+        files[str(path.relative_to(root))] = data
+    return files
 
 
 # --- independent oracles -------------------------------------------------------

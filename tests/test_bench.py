@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import json
+import sys
+
 import pytest
 
+from patentgen.agents import default_bindings
 from patentgen.bench import (
     AlignmentError,
     BenchReport,
     MetricConfig,
     irr_label,
     report_from_record,
+    run_bench,
     score_directories,
     score_pairs,
 )
-from helpers import oracle_irr
+from patentgen.core import draft_to_record, make_draft
+from patentgen.pipeline import PipelineConfig
+from helpers import PromptFunctionBackend, function_gateways, oracle_irr, tree_contents
 
 
 def test_irr_labels_match_report_columns():
@@ -112,3 +119,44 @@ def test_short_documents_report_undefined_irr():
     row = report.rows[0]
     assert row["irr_t02"] is None
     assert "irr_t02" not in report.aggregates()
+
+
+def _manifest(tmp_path, n_docs: int = 3) -> dict:
+    docs = []
+    for i in range(1, n_docs + 1):
+        answers = {q: f"Answer {q} of document {i} on adaptive gain." for q in range(1, 6)}
+        draft = make_draft(answers, source_id=f"doc{i}")
+        draft_file = tmp_path / f"draft{i}.json"
+        draft_file.write_text(json.dumps(draft_to_record(draft)), "utf-8")
+        ref_file = tmp_path / f"ref{i}.txt"
+        ref_file.write_text(f"Reference patent {i}. It adapts the gain online.", "utf-8")
+        docs.append({"doc_id": f"doc{i}", "draft_file": str(draft_file),
+                     "reference_file": str(ref_file)})
+    return {"docs": docs}
+
+
+def _bench(tmp_path, manifest, width: int, delay_s: float = 0.0):
+    backend = PromptFunctionBackend(delay_s=delay_s)
+    out = tmp_path / f"bench-width{width}"
+    report = run_bench(manifest, function_gateways(backend, width), default_bindings(),
+                       PipelineConfig(), MetricConfig(), out, jobs=2)
+    assert report.to_record()["counts"] == {"scored": len(manifest["docs"]), "failed": 0}
+    return tree_contents(out), backend.peak
+
+
+def test_bench_output_is_the_same_at_every_width(tmp_path):
+    manifest = _manifest(tmp_path)
+    assert _bench(tmp_path, manifest, 1)[0] == _bench(tmp_path, manifest, 8)[0]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_backend_never_sees_more_than_max_inflight(tmp_path, width):
+    # Two documents at a time, each fanning out as wide as the gateway allows;
+    # frequent thread switches make a lost bound likely to show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _, peak = _bench(tmp_path, _manifest(tmp_path, n_docs=4), width, delay_s=0.002)
+    finally:
+        sys.setswitchinterval(interval)
+    assert peak == width

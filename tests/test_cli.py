@@ -141,12 +141,15 @@ def _set_key(config: dict, path: str, value) -> None:
         ("agents.examiner.backend", "nope", "agents.examiner.backend"),
         ("backends.default.retry_max", "2", "backends.default.retry_max"),
         ("backends.default.backoff_s", -1, "backends.default: retry_max and backoff_s"),
-        ("pipeline.parallel_subsections", 2.5, "pipeline.parallel_subsections"),
+        ("pipeline.parallel_subsections", 2,
+         "pipeline: unknown keys ['parallel_subsections']"),
         ("pipeline.max_refine_rounds", True, "pipeline.max_refine_rounds"),
         ("pipeline.section_order", ["title", "abstract"], "pipeline: section_order"),
         ("cache_dir", 5, "cache_dir"),
         ("agents.examiner.max_tokens", 40000, "agents.examiner.max_tokens: 40000 exceeds"),
         ("backends.default.max_tokens_limit", 4096, "agents.description.max_tokens: 8192"),
+        ("backends.default.max_inflight", 0, "backends.default: max_inflight must be >= 1"),
+        ("backends.default.max_inflight", 2.5, "backends.default.max_inflight"),
     ],
 )
 def test_bad_run_config_value_fails_before_any_model_call(tmp_path, monkeypatch, path, value,

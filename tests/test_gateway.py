@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import email.utils
 import json
 import os
 import socket
@@ -25,7 +26,9 @@ from patentgen.gateway import (
     ResponseCache,
     TokenBucket,
     TransportError,
+    _TransientFailure,
     cache_key,
+    retry_after_s,
     user_request,
 )
 from helpers import mock_gateway, rule
@@ -133,6 +136,13 @@ def test_scripted_500s_exhaust_retries():
     assert backend.calls == 3
 
 
+def test_scripted_429_is_retried():
+    playbook = MockPlaybook([rule("title", {"error": "status", "code": 429}, "recovered")])
+    gateway, backend = mock_gateway(playbook, retry_max=1)
+    assert gateway.complete(_req()).content == "recovered"
+    assert backend.calls == 2
+
+
 def test_transient_then_success_records_retries():
     record = RunRecord(model_id="m", sampling={})
     gateway, _ = mock_gateway(
@@ -227,18 +237,21 @@ def test_rpm_config_installs_a_limiter(tmp_path):
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    """Answers each POST with the next (status, body[, delay_s]) of
-    server.script; the last entry repeats. Records every request in
+    """Answers each POST with the next (status, body[, delay_s[, headers]])
+    of server.script; the last entry repeats. Records every request in
     server.seen."""
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         self.server.seen.append({"path": self.path, "headers": self.headers, "body": body})
         script = self.server.script
-        status, reply, *delay_s = script.pop(0) if len(script) > 1 else script[0]
-        time.sleep(sum(delay_s))
+        status, reply, delay_s, headers = (*(script.pop(0) if len(script) > 1 else script[0]),
+                                           0.0, {})[:4]
+        time.sleep(delay_s)
         data = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
         self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -263,10 +276,11 @@ def loopback(monkeypatch):
     thread.join()
 
 
-def _http_gateway(endpoint: str, **config_kwargs) -> LlmGateway:
+def _http_gateway(endpoint: str, sleeps: list | None = None, **config_kwargs) -> LlmGateway:
     config = BackendConfig(name="live", kind="http", endpoint=endpoint, model_id="m",
-                           backoff_s=0.0, **config_kwargs)
-    return LlmGateway(HttpBackend(config), config=config, sleep_fn=lambda s: None)
+                           **{"backoff_s": 0.0, **config_kwargs})
+    sleep_fn = sleeps.append if sleeps is not None else lambda s: None
+    return LlmGateway(HttpBackend(config), config=config, sleep_fn=sleep_fn)
 
 
 def _reply(content: str, finish: str = "stop") -> dict:
@@ -309,6 +323,59 @@ def test_http_server_error_is_retried(loopback):
     assert resp.content == "second try"
     assert len(loopback.seen) == 2
     assert [e.retries for e in record.entries] == [1]
+
+
+def test_http_429_honours_retry_after_seconds(loopback):
+    loopback.script += [(429, {"error": "slow down"}, 0.0, {"Retry-After": "0"}),
+                        (200, _reply("after the wait"))]
+    record, sleeps = RunRecord(model_id="m", sampling={}), []
+    resp = _http_gateway(_url(loopback), sleeps).complete(_req(), recorder=record)
+    assert resp.content == "after the wait"
+    assert len(loopback.seen) == 2
+    assert [e.retries for e in record.entries] == [1]
+    assert sleeps == [0.0]
+
+
+def test_http_429_honours_retry_after_http_date(loopback):
+    when = email.utils.formatdate(time.time() + 30, usegmt=True)
+    loopback.script += [(429, {"error": "slow down"}, 0.0, {"Retry-After": when}),
+                        (200, _reply("ok"))]
+    sleeps: list[float] = []
+    assert _http_gateway(_url(loopback), sleeps).complete(_req()).content == "ok"
+    (slept,) = sleeps
+    assert 25.0 < slept <= 30.0
+    assert retry_after_s("Wed, 21 Oct 2015 07:28:00 GMT") == 0.0
+    assert retry_after_s("soon") is None and retry_after_s(None) is None
+
+
+def test_http_429_without_retry_after_backs_off_with_jitter(loopback):
+    loopback.script.append((429, {"error": "slow down"}))
+    sleeps: list[float] = []
+    gateway = _http_gateway(_url(loopback), sleeps, retry_max=3, backoff_s=0.5)
+    with pytest.raises(TransportError, match="failed after 4 attempts: status 429"):
+        gateway.complete(_req())
+    assert len(loopback.seen) == 4
+    assert [0.5 * 2 ** i / 2 <= s <= 0.5 * 2 ** i for i, s in enumerate(sleeps)] == [True] * 3
+
+
+def test_inflight_slot_is_free_during_backoff():
+    # With max_inflight 1, a request that backs off must not hold the only slot.
+    attempts: list[int] = []
+
+    class Flaky:
+        def send(self, req):
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise _TransientFailure("first attempt fails")
+            return "fine", "stop", {}
+
+    def sleep(seconds):
+        assert gateway._inflight.acquire(blocking=False)
+        gateway._inflight.release()
+
+    gateway = LlmGateway(Flaky(), config=BackendConfig(max_inflight=1), sleep_fn=sleep)
+    assert gateway.complete(_req()).content == "fine"
+    assert len(attempts) == 2
 
 
 def test_http_client_error_is_not_retried(loopback):

@@ -17,11 +17,15 @@ from patentgen.pipeline import (
 )
 from helpers import (
     FAIL_REVIEW,
+    MATCH_RETRIEVE,
     MATCH_WRITE,
     PASS_REVIEW,
+    PromptFunctionBackend,
+    function_gateways,
     mock_gateways,
     pipeline_playbook,
     rule,
+    tree_contents,
 )
 
 
@@ -241,12 +245,93 @@ def test_description_length_accounting(draft):
     assert len(doc.description) == 3 * len(body) + 2 * len("\n\n")
 
 
-def test_parallel_mode_produces_all_subsections(draft):
-    playbook = pipeline_playbook(sections=2, subsections=None)
-    doc = _pipeline(playbook).run(
-        draft, PipelineConfig(pgtree_expansion="off", parallel_subsections=2)
-    )
-    assert len(doc.description.split("\n\n")) == 2
+def test_parallel_mode_produces_all_subsections(draft, tmp_path):
+    # Every rule of this playbook has one response, so it answers the same in
+    # any order and even the mock may take two requests at once.
+    runs = {}
+    for width in (1, 2):
+        run_dir = tmp_path / f"width{width}"
+        pipeline = _pipeline(pipeline_playbook(sections=2, subsections=None), run_dir=run_dir,
+                             max_inflight=width)
+        doc = pipeline.run(draft, PipelineConfig(pgtree_expansion="off"))
+        assert len(doc.description.split("\n\n")) == 2
+        runs[width] = tree_contents(run_dir)
+    assert runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("expansion", ["per_section_call", "off"])
+def test_run_dir_is_the_same_at_every_width(draft, tmp_path, expansion):
+    runs, peaks = {}, {}
+    for width in (1, 8):
+        backend = PromptFunctionBackend(delay_s=0.001)
+        run_dir = tmp_path / f"width{width}"
+        PatentPipeline(function_gateways(backend, width), run_dir=run_dir).run(
+            draft, PipelineConfig(pgtree_expansion=expansion))
+        runs[width], peaks[width] = tree_contents(run_dir), backend.peak
+    assert runs[1] == runs[8]
+    assert peaks[1] == 1 and 1 < peaks[8] <= 8
+    # The run re-asks, refines and warns, so the merge order is exercised.
+    roles = [json.loads(line)["agent_role"] for line in runs[1]["calls.jsonl"].splitlines()]
+    assert roles.count("abstract") > 1 and "description_refine" in roles
+    if expansion == "per_section_call":
+        assert len(json.loads(runs[1]["warnings.json"])["warnings"]) > 1
+
+
+def _node_guidelines(run_dir) -> list[str]:
+    tree = load_json(run_dir / "pgtree.json")
+    return [n["guideline_text"] for s in tree["sections"] for n in s["subsections"]]
+
+
+def _fail_retrieval_of(*guidelines):
+    """fail_when for the retrieval of the nodes with these guidelines."""
+    return lambda prompt: MATCH_RETRIEVE in prompt and next(
+        (f"cannot retrieve for {g!r}" for g in guidelines if g in prompt), None)
+
+
+def test_width_one_abort_stops_where_a_sequential_run_stops(draft, tmp_path):
+    full_dir = tmp_path / "full"
+    PatentPipeline(function_gateways(PromptFunctionBackend(), 1), run_dir=full_dir).run(
+        draft, PipelineConfig())
+    full = tree_contents(full_dir)
+    guidelines = _node_guidelines(full_dir)
+    k = 2
+    backend = PromptFunctionBackend(fail_when=_fail_retrieval_of(guidelines[k]))
+    run_dir = tmp_path / "partial"
+    with pytest.raises(PipelineAborted, match="cannot retrieve"):
+        PatentPipeline(function_gateways(backend, 1), run_dir=run_dir).run(draft, PipelineConfig())
+    partial = tree_contents(run_dir)
+
+    # Each node opens with one retrieval, so the sequential run's calls up to
+    # the failed retrieval are those before the k-th retrieval of the full run.
+    calls = full["calls.jsonl"].decode().splitlines(keepends=True)
+    retrievals = [i for i, line in enumerate(calls) if '"retrieval"' in line]
+    assert partial["calls.jsonl"].decode() == "".join(calls[:retrievals[k]])
+    kept = sorted(name for name in full if name.startswith("subsections/"))[:k]
+    assert sorted(n for n in partial if n.startswith("subsections/")) == kept
+    for name in kept + ["components.json", "pgtree.json", "config.json", "draft.json"]:
+        assert partial[name] == full[name]
+    node_ids = [tuple(json.loads(full[name])["node"]) for name in kept]
+    expected_warnings = [w for w in json.loads(full["warnings.json"])["warnings"]
+                         if any(w.startswith(f"node {n}:") for n in node_ids)]
+    assert json.loads(partial["warnings.json"])["warnings"] == expected_warnings
+    assert json.loads(partial["status.json"])["status"] == "partial"
+    assert "patent.txt" not in partial
+
+
+def test_first_error_in_node_order_is_raised_at_any_width(draft, tmp_path):
+    probe = tmp_path / "probe"
+    PatentPipeline(function_gateways(PromptFunctionBackend(), 1), run_dir=probe).run(
+        draft, PipelineConfig())
+    guidelines = _node_guidelines(probe)
+    for width in (1, 8):
+        backend = PromptFunctionBackend(delay_s=0.002,
+                                        fail_when=_fail_retrieval_of(guidelines[1], guidelines[3]))
+        run_dir = tmp_path / f"width{width}"
+        with pytest.raises(PipelineAborted) as info:
+            PatentPipeline(function_gateways(backend, width), run_dir=run_dir).run(
+                draft, PipelineConfig())
+        assert guidelines[1] in str(info.value) and guidelines[3] not in str(info.value)
+        assert guidelines[1] in load_json(run_dir / "status.json")["error"]
 
 
 def test_pipeline_config_validation():
