@@ -2,10 +2,11 @@
 
 One gateway fronts either a real HTTP backend (the de-facto chat-completions
 wire shape) or a fully scripted mock backend, adding retries with jittered
-exponential backoff, an on-disk response cache, a token-bucket rate limit, a
-bound on requests in flight, and per-call logging into a RunRecord. Tests run
-against the mock and a loopback HTTP server; the HTTP path is the same code
-minus the playbook.
+exponential backoff, an on-disk response cache (one append-only log per cache
+directory, indexed in memory by offset), a token-bucket rate limit, a bound on
+requests in flight, and per-call logging into a RunRecord. Tests run against
+the mock and a loopback HTTP server; the HTTP path is the same code minus the
+playbook.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -173,9 +175,10 @@ class BackendConfig:
 
 
 # A mock playbook hands out each rule's responses in arrival order, so only one
-# request at a time keeps a scripted run reproducible. Two keeps a live backend
-# busy without holding more than a few replies in memory at once.
-DEFAULT_MAX_INFLIGHT = {"mock": 1, "http": 2}
+# request at a time keeps a scripted run reproducible. Three keeps a live
+# backend busy without holding more than a few replies in memory at once; a
+# cache put is one appended line, so the extra width is not spent on the cache.
+DEFAULT_MAX_INFLIGHT = {"mock": 1, "http": 3}
 
 
 # --- mock backend ----------------------------------------------------------
@@ -409,24 +412,64 @@ class TokenBucket:
 
 
 class ResponseCache:
-    """On-disk key-value store, one JSON file per cache key. Eviction is
-    manual: delete files from the directory."""
+    """On-disk key-value store: one append-only log per directory,
+    responses.jsonl, with one `<key>\\t<json entry>\\n` line per put. Memory
+    holds only key -> (offset, length) of the latest line for each key, so
+    the last write wins. Eviction is manual: delete responses.jsonl.
+
+    Each put is a single write to a file opened with O_APPEND, so several
+    processes may share one directory. A cache sees the entries in the log
+    when it was opened and those it appends itself."""
+
+    LOG_NAME = "responses.jsonl"
 
     def __init__(self, directory: Path | str):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._index: dict[str, tuple[int, int]] = {}
+        self._fd = os.open(self.directory / self.LOG_NAME,
+                           os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        self._finalize = weakref.finalize(self, os.close, self._fd)
+        self._load()
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _load(self) -> None:
+        """Index every complete line without decoding its entry. An
+        unterminated last line is an append cut short by a crash: it is not
+        indexed, and it is ended here so that it cannot swallow the next
+        line appended after it."""
+        offset, line = 0, b"\n"
+        with open(self._fd, "rb", closefd=False) as log:
+            for line in log:
+                key, tab, _ = line.partition(b"\t")
+                if tab and line.endswith(b"\n"):
+                    self._index[key.decode("utf-8", "replace")] = (offset, len(line))
+                offset += len(line)
+        if not line.endswith(b"\n"):
+            os.write(self._fd, b"\n")
+
+    def close(self) -> None:
+        """Close the log. A closed cache misses every get; a put raises OSError."""
+        with self._lock:
+            self._fd = -1
+            self._index.clear()
+            self._finalize()
 
     def get(self, key: str) -> dict | None:
-        """The stored entry, or None on a miss. An entry that cannot be read or
+        """The stored entry, or None on a miss. An unindexed key is a miss
+        without any I/O. A line that holds another key, cannot be read, or
         lacks a string content and finish_reason is a miss too, so the fresh
-        response overwrites it."""
+        response supersedes it."""
+        where = self._index.get(key)
+        if where is None:
+            return None
         try:
-            entry = json.loads(self._path(key).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            line = os.pread(self._fd, where[1], where[0])
+            head, _, body = line.partition(b"\t")
+            if head != key.encode("utf-8"):
+                return None
+            entry = json.loads(body.decode("utf-8"))
+        except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
             return None
         if not (
             isinstance(entry, dict)
@@ -437,10 +480,18 @@ class ResponseCache:
         return entry
 
     def put(self, key: str, value: dict) -> None:
+        """Append one line for key; it supersedes any earlier line."""
+        # json.dumps escapes every control character, so the entry is one line.
+        line = f"{key}\t{json.dumps(value, ensure_ascii=False)}\n".encode("utf-8")
         with self._lock:
-            tmp = self._path(key).with_suffix(".tmp")
-            tmp.write_text(json.dumps(value, ensure_ascii=False), encoding="utf-8")
-            tmp.replace(self._path(key))
+            written = os.write(self._fd, line)
+            if written != len(line):
+                os.write(self._fd, b"\n")  # end the cut line; the entry stays a miss
+                return
+            # O_APPEND leaves the fd at the end of this line, even when another
+            # process appended just before it.
+            end = os.lseek(self._fd, 0, os.SEEK_CUR)
+            self._index[key] = (end - len(line), len(line))
 
 
 # --- the gateway -----------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import email.utils
+import gc
 import json
 import os
 import socket
@@ -93,6 +94,15 @@ def test_cache_round_trip(tmp_path):
     assert backend.calls == 1
 
 
+def _log_line(key: str, entry) -> bytes:
+    body = entry if isinstance(entry, bytes) else json.dumps(entry).encode("utf-8")
+    return key.encode("utf-8") + b"\t" + body + b"\n"
+
+
+def _entry(content: str) -> dict:
+    return {"content": content, "finish_reason": "stop", "usage": {"completion_tokens": 1}}
+
+
 @pytest.mark.parametrize(
     "stored",
     [b'{"content": "trunc', b'{"content": "x"}', b'{"finish_reason": "stop"}', b"[1, 2]",
@@ -100,14 +110,113 @@ def test_cache_round_trip(tmp_path):
     ids=["truncated", "no_finish_reason", "no_content", "not_an_object", "not_utf8"],
 )
 def test_unreadable_cache_entry_is_a_miss_then_overwritten(tmp_path, stored):
+    (tmp_path / "cache").mkdir()
+    log = tmp_path / "cache" / ResponseCache.LOG_NAME
+    log.write_bytes(_log_line(cache_key(_req()), stored))
     gateway, backend = mock_gateway(MockPlaybook([rule("title", "fresh answer")]))
     gateway.cache = ResponseCache(tmp_path / "cache")
-    (tmp_path / "cache" / f"{cache_key(_req())}.json").write_bytes(stored)
     first = gateway.complete(_req())
     assert first.content == "fresh answer" and first.cached is False
     second = gateway.complete(_req())
     assert second.content == "fresh answer" and second.cached is True
     assert backend.calls == 1
+    # The fresh line was appended after the bad one, and the last line wins.
+    assert log.read_bytes().startswith(_log_line(cache_key(_req()), stored))
+    assert ResponseCache(tmp_path / "cache").get(cache_key(_req()))["content"] == "fresh answer"
+
+
+def test_reopened_cache_returns_every_entry(tmp_path):
+    cache = ResponseCache(tmp_path)
+    entries = {f"key{i}": _entry(f"answer {i} \u00e9\n\ttabbed") for i in range(20)}
+    for key, entry in entries.items():
+        cache.put(key, entry)
+    cache.put("key3", _entry("replaced"))
+    cache.close()
+    reopened = ResponseCache(tmp_path)
+    assert {k: reopened.get(k) for k in entries} == {**entries, "key3": _entry("replaced")}
+    assert reopened.get("absent") is None
+    assert sorted(os.listdir(tmp_path)) == [ResponseCache.LOG_NAME]
+
+
+def test_old_per_key_files_are_misses(tmp_path):
+    (tmp_path / f"{cache_key(_req())}.json").write_text(json.dumps(_entry("old format")))
+    assert ResponseCache(tmp_path).get(cache_key(_req())) is None
+
+
+def test_unterminated_tail_does_not_hide_the_next_entry(tmp_path):
+    cache = ResponseCache(tmp_path)
+    cache.put("before", _entry("kept"))
+    cache.close()
+    log = tmp_path / ResponseCache.LOG_NAME
+    with log.open("ab") as fh:  # an append cut short by a crash
+        fh.write(b'cut\t{"content": "half')
+    cache = ResponseCache(tmp_path)
+    assert cache.get("cut") is None
+    cache.put("after", _entry("appended after the cut line"))
+    cache.close()
+    reopened = ResponseCache(tmp_path)
+    assert reopened.get("after") == _entry("appended after the cut line")
+    assert reopened.get("before") == _entry("kept")
+    assert reopened.get("cut") is None
+
+
+def test_concurrent_puts_are_all_returned_after_a_reopen(tmp_path):
+    cache = ResponseCache(tmp_path)
+    keys = [[f"t{t}-k{i}" for i in range(50)] for t in range(8)]
+
+    def fill(own):
+        for key in own:
+            cache.put(key, _entry(key * (1 + len(key) % 5)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(own,)) for own in keys]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    flat = [key for own in keys for key in own]
+    assert all(cache.get(key) == _entry(key * (1 + len(key) % 5)) for key in flat)
+    cache.close()
+    reopened = ResponseCache(tmp_path)
+    assert all(reopened.get(key) == _entry(key * (1 + len(key) % 5)) for key in flat)
+    assert len((tmp_path / ResponseCache.LOG_NAME).read_bytes().splitlines()) == 400
+
+
+def test_offset_holding_another_key_is_a_miss(tmp_path):
+    cache = ResponseCache(tmp_path)
+    cache.put("key-a", _entry("alpha"))
+    cache.put("key-b", _entry("bravo"))
+    # Rewrite the log in place with the two equal-length lines swapped, so
+    # each indexed offset now holds the other key's line.
+    log = tmp_path / ResponseCache.LOG_NAME
+    with log.open("r+b") as fh:
+        fh.write(_log_line("key-b", _entry("bravo")) + _log_line("key-a", _entry("alpha")))
+    assert cache.get("key-a") is None and cache.get("key-b") is None
+    assert ResponseCache(tmp_path).get("key-a") == _entry("alpha")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropped_caches_do_not_leak_file_descriptors(tmp_path):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    ResponseCache(tmp_path).put("warm", _entry("up"))
+    gc.collect()
+    before = open_fds()
+    for i in range(200):
+        cache = ResponseCache(tmp_path)
+        assert cache.get("warm") == _entry("up")
+        if i % 2:
+            cache.close()
+            assert cache.get("warm") is None
+    del cache
+    gc.collect()
+    assert open_fds() <= before
 
 
 def test_cache_key_ignores_request_tag():

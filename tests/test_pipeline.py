@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from patentgen.core import EmptySectionError, load_json, patent_to_record, patent_to_text, render_reference
-from patentgen.gateway import MockPlaybook
+from patentgen.core import (EmptySectionError, content_hash, load_json, patent_to_record,
+                            patent_to_text, render_reference)
+from patentgen.gateway import MockPlaybook, ResponseCache
 from patentgen.pipeline import (
     PatentPipeline,
     PipelineAborted,
@@ -275,6 +276,27 @@ def test_run_dir_is_the_same_at_every_width(draft, tmp_path, expansion):
     assert roles.count("abstract") > 1 and "description_refine" in roles
     if expansion == "per_section_call":
         assert len(json.loads(runs[1]["warnings.json"])["warnings"]) > 1
+
+
+def test_cached_run_dir_is_the_same_at_every_width_and_on_a_rerun(draft, tmp_path):
+    def run(width, name):
+        backend = PromptFunctionBackend(delay_s=0.001)
+        gateways = function_gateways(backend, width)
+        gateways["default"].cache = ResponseCache(tmp_path / f"cache{width}")
+        PatentPipeline(gateways, run_dir=tmp_path / name).run(draft, PipelineConfig())
+        gateways["default"].cache.close()
+        return tree_contents(tmp_path / name), backend
+
+    narrow, _ = run(1, "width1")
+    wide, backend = run(3, "width3")
+    assert narrow == wide and backend.peak > 1
+    rerun, backend = run(3, "rerun")
+    assert rerun["patent.json"] == wide["patent.json"]
+    calls = [json.loads(line) for line in rerun["calls.jsonl"].splitlines()]
+    sent = [c for c in calls if not c["cached"]]
+    # An empty reply is never cached, so the rerun sends only those requests.
+    assert backend.calls == len(sent) < len(calls) == len(wide["calls.jsonl"].splitlines())
+    assert all(c["response_hash"] == content_hash("") for c in sent)
 
 
 def _node_guidelines(run_dir) -> list[str]:
