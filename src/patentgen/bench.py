@@ -18,16 +18,14 @@ from .core import ConfigError, CoreError, load_draft, load_json, patent_to_text
 from .metrics import (
     BLEU_SPEC,
     IrrConfig,
-    IrrUndefinedError,
     MetricsError,
     ROUGE_SPEC,
     STOPWORD_LIST_ID,
-    bleu,
     counter_from_config,
-    irr_of_text,
-    length_stats,  # not called here; perfbench/tracing.py wraps bench.length_stats by name
-    rouge_f1,
+    score_pair,
 )
+# Not called here; perfbench/tracing.py wraps these bench attributes by name.
+from .metrics import bleu, irr_of_text, length_stats, rouge_f1  # noqa: F401
 from .pipeline import PatentPipeline, PipelineAborted, PipelineConfig
 
 SCHEMA_VERSION_REPORT = "bench-report-v1"
@@ -62,10 +60,16 @@ class MetricConfig:
         is a ConfigError before any document is generated or scored."""
         try:
             for t in self.thresholds:
-                IrrConfig(t=t, epsilon=self.epsilon)
+                IrrConfig(t=t, epsilon=self.epsilon, cap=self.cap)
             object.__setattr__(self, "counter", counter_from_config(self.counter_config))
         except MetricsError as exc:
             raise ConfigError(str(exc)) from exc
+        labels = [irr_label(t) for t in self.thresholds]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                first = self.thresholds[labels.index(label)]
+                raise ConfigError(f"thresholds {first} and {self.thresholds[i]} share the "
+                                  f"report column {label}")
 
     def header(self) -> dict:
         return {
@@ -80,24 +84,25 @@ class MetricConfig:
 
 
 def score_document(doc_id: str, candidate: str, reference: str, cfg: MetricConfig) -> dict:
+    scores = score_pair(candidate, reference, cfg.thresholds, cfg.epsilon, cfg.cap)
     row: dict = {
         "doc_id": doc_id,
         "failed": False,
-        "bleu": bleu([candidate], [reference]),
-        "rouge1": rouge_f1(candidate, reference, "r1"),
-        "rouge2": rouge_f1(candidate, reference, "r2"),
-        "rougel": rouge_f1(candidate, reference, "rl"),
+        "bleu": scores.bleu,
+        "rouge1": scores.rouge1,
+        "rouge2": scores.rouge2,
+        "rougel": scores.rougel,
         "tokens": cfg.counter.count(candidate),
     }
-    for t in cfg.thresholds:
-        irr_cfg = IrrConfig(t=t, epsilon=cfg.epsilon, cap=cfg.cap)
-        try:
-            result = irr_of_text(candidate, irr_cfg)
-            row[irr_label(t)] = result.value
-            row[irr_label(t) + "_pair_sum"] = result.pair_sum
-            row[irr_label(t) + "_total_pairs"] = result.total_pairs
-        except IrrUndefinedError:
-            row[irr_label(t)] = None
+    for i, t in enumerate(cfg.thresholds):
+        label = irr_label(t)
+        if scores.irr is None:
+            row[label] = None
+            continue
+        result = scores.irr[i]
+        row[label] = result.value
+        row[label + "_pair_sum"] = result.pair_sum
+        row[label + "_total_pairs"] = result.total_pairs
     return row
 
 

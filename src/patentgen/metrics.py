@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 STOPWORD_LIST_ID = "en-v1"
@@ -146,8 +147,12 @@ class IrrConfig:
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise MetricsError(f"threshold t must lie in [0, 1], got {self.t}")
-        if self.epsilon <= 0.0:
-            raise MetricsError(f"epsilon must be positive, got {self.epsilon}")
+        # A non-finite epsilon or cap gives NaN, which is not JSON, or a
+        # meaningless rate; a cap of 0 or below pins every rate to the cap.
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise MetricsError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.cap is not None and not (math.isfinite(self.cap) and self.cap > 0.0):
+            raise MetricsError(f"cap must be positive and finite, got {self.cap}")
 
 
 @dataclass(frozen=True)
@@ -158,53 +163,64 @@ class IrrResult:
     config: IrrConfig
 
 
-def _pair_sum(token_sets: tuple[frozenset[str], ...], t: float) -> int:
-    """Count repeated pairs exactly as `jaccard(a, b) >= t` would.
+def _pair_sum(token_sets: tuple[frozenset[str], ...],
+              thresholds: tuple[float, ...]) -> tuple[int, ...]:
+    """For each threshold t, count the pairs i < j exactly as
+    `jaccard(a, b) >= t` would.
 
-    Each distinct token gets one bit, so a sentence's token set is an int and
-    |a n b| is a popcount; the decision is the same int division jaccard
-    makes. With the sets sorted by size, a pair whose size ratio lo/hi falls
-    below t cannot reach t, and neither can any larger partner: the bound is
-    monotone under correctly rounded division, so stopping there never
-    changes a decision.
+    An inverted index joins the sets in one sweep: each token keeps the list
+    of earlier sets that hold it, so counting the entries of a set's lists
+    gives |a n b| with every earlier set that shares a token. A pair that
+    shares none has similarity 0, or 1 when both sets are empty, so for t > 0
+    only the empty pairs count among them. A sharing pair is decided by the
+    division jaccard makes, against the thresholds in ascending order up to
+    the first it misses: reaching t means reaching every lower threshold.
     """
     n = len(token_sets)
-    if t <= 0.0:
-        return n * (n - 1) // 2
-    bit_of: dict[str, int] = {}
-    sized = []
-    for s in token_sets:
-        b = 0
-        for token in s:
-            b |= 1 << bit_of.setdefault(token, len(bit_of))
-        sized.append((len(s), b))
-    sized.sort(key=lambda item: item[0])
-    total = 0
-    for i in range(n - 1):
-        li, bi = sized[i]
-        for j in range(i + 1, n):
-            lj, bj = sized[j]
-            if lj == 0:
-                total += 1  # two empty sets are identical
+    positive = sorted({t for t in thresholds if t > 0.0})
+    lowest = positive[0] if positive else math.inf
+    counts = [0] * len(positive)
+    sizes = [len(s) for s in token_sets]
+    postings: dict[str, list[int]] = {}
+    for j, s in enumerate(token_sets):
+        lists = [postings.setdefault(token, []) for token in s]
+        shared = Counter(chain.from_iterable(lists))
+        for earlier in lists:
+            earlier.append(j)
+        lj = sizes[j]
+        for i, inter in shared.items():
+            similarity = inter / (sizes[i] + lj - inter)
+            if similarity < lowest:  # the common case: the pair shares a frequent word
                 continue
-            if li / lj < t:
-                break
-            inter = (bi & bj).bit_count()
-            if inter / (li + lj - inter) >= t:
-                total += 1
-    return total
+            for k, t in enumerate(positive):
+                if similarity < t:
+                    break
+                counts[k] += 1
+    empties = sizes.count(0)
+    empty_pairs = empties * (empties - 1) // 2
+    by_t = {t: c + (empty_pairs if t <= 1.0 else 0) for t, c in zip(positive, counts)}
+    return tuple(by_t[t] if t > 0.0 else n * (n - 1) // 2 for t in thresholds)
 
 
-def irr_report(ss: SentenceSet, cfg: IrrConfig) -> IrrResult:
+def _irr_results(ss: SentenceSet, cfgs: tuple[IrrConfig, ...]) -> tuple[IrrResult, ...]:
+    """One IrrResult per config, from a single pair count over ss."""
     n = ss.n
     if n < 2:
         raise IrrUndefinedError(n)
     total_pairs = n * (n - 1) // 2
-    pair_sum = _pair_sum(ss.token_sets, cfg.t)
-    value = total_pairs / (pair_sum + cfg.epsilon)
-    if cfg.cap is not None:
-        value = min(value, cfg.cap)
-    return IrrResult(value=value, pair_sum=pair_sum, total_pairs=total_pairs, config=cfg)
+    results = []
+    for cfg, pair_sum in zip(cfgs, _pair_sum(ss.token_sets, tuple(c.t for c in cfgs))):
+        value = total_pairs / (pair_sum + cfg.epsilon)
+        if cfg.cap is not None:
+            value = min(value, cfg.cap)
+        results.append(
+            IrrResult(value=value, pair_sum=pair_sum, total_pairs=total_pairs, config=cfg)
+        )
+    return tuple(results)
+
+
+def irr_report(ss: SentenceSet, cfg: IrrConfig) -> IrrResult:
+    return _irr_results(ss, (cfg,))[0]
 
 
 def irr(ss: SentenceSet, cfg: IrrConfig) -> float:
@@ -224,6 +240,16 @@ def _tokens(text: str) -> list[str]:
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _overlap(cand: list[str], ref: list[str], n: int) -> tuple[int, int, int]:
+    """Clipped n-gram matches of cand against ref, and the n-gram counts of
+    cand and of ref."""
+    cand_grams = _ngrams(cand, n)
+    ref_grams = _ngrams(ref, n)
+    shared = cand_grams.keys() & ref_grams.keys()
+    matches = sum(map(min, map(cand_grams.__getitem__, shared), map(ref_grams.__getitem__, shared)))
+    return matches, max(len(cand) - n + 1, 0), max(len(ref) - n + 1, 0)
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
@@ -253,6 +279,18 @@ def _lcs_len(a: list[str], b: list[str]) -> int:
     return len(short) - v.bit_count()
 
 
+def _f1(matches: int, denom: int, cand: list[str], ref: list[str]) -> float:
+    """2*matches/denom. Two empty texts score 1.0; when neither side is long
+    enough for the order (denom 0) only identical texts do."""
+    if not cand and not ref:
+        return 1.0
+    if denom == 0:
+        return 1.0 if cand == ref else 0.0
+    if matches == 0:
+        return 0.0
+    return 2.0 * matches / denom
+
+
 def rouge_f1(candidate: str, reference: str, variant: str) -> float:
     """F1 overlap: unigram (r1), bigram (r2) or LCS (rl).
 
@@ -262,25 +300,12 @@ def rouge_f1(candidate: str, reference: str, variant: str) -> float:
     """
     cand = _tokens(candidate)
     ref = _tokens(reference)
-    if not cand and not ref:
-        return 1.0
-    if variant == "r1":
-        matches = sum((_ngrams(cand, 1) & _ngrams(ref, 1)).values())
-        denom = len(cand) + len(ref)
-    elif variant == "r2":
-        matches = sum((_ngrams(cand, 2) & _ngrams(ref, 2)).values())
-        denom = max(len(cand) - 1, 0) + max(len(ref) - 1, 0)
-    elif variant == "rl":
-        matches = _lcs_len(cand, ref)
-        denom = len(cand) + len(ref)
-    else:
-        raise MetricsError(f"unknown rouge variant {variant!r}; use r1, r2 or rl")
-    if denom == 0:
-        # Texts too short for this order on both sides: only identity scores.
-        return 1.0 if cand == ref else 0.0
-    if matches == 0:
-        return 0.0
-    return 2.0 * matches / denom
+    if variant in ("r1", "r2"):
+        matches, cand_total, ref_total = _overlap(cand, ref, int(variant[1]))
+        return _f1(matches, cand_total + ref_total, cand, ref)
+    if variant == "rl":
+        return _f1(_lcs_len(cand, ref), len(cand) + len(ref), cand, ref)
+    raise MetricsError(f"unknown rouge variant {variant!r}; use r1, r2 or rl")
 
 
 # --- BLEU ---------------------------------------------------------------------
@@ -289,6 +314,19 @@ def rouge_f1(candidate: str, reference: str, variant: str) -> float:
 # Pseudo-count for n-gram orders with zero matches; keeps the geometric mean
 # finite while letting fully disjoint pairs score near zero.
 BLEU_ZERO_FLOOR = 0.01
+
+
+def _bleu_score(matches: list[int], totals: list[int], cand_len: int, ref_len: int) -> float:
+    if cand_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for m, t in zip(matches, totals):
+        if t == 0:
+            continue
+        p = (m + 1) / (t + 1) if m > 0 else BLEU_ZERO_FLOOR / t
+        log_sum += math.log(p)
+    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    return 100.0 * brevity * math.exp(log_sum / 4.0)
 
 
 def bleu(candidates: list[str], references: list[str]) -> float:
@@ -312,20 +350,48 @@ def bleu(candidates: list[str], references: list[str]) -> float:
         cand_len += len(cand)
         ref_len += len(ref)
         for k in range(4):
-            cand_ngrams = _ngrams(cand, k + 1)
-            ref_ngrams = _ngrams(ref, k + 1)
-            matches[k] += sum((cand_ngrams & ref_ngrams).values())
-            totals[k] += sum(cand_ngrams.values())
-    if cand_len == 0:
-        return 0.0
-    log_sum = 0.0
-    for m, t in zip(matches, totals):
-        if t == 0:
-            continue
-        p = (m + 1) / (t + 1) if m > 0 else BLEU_ZERO_FLOOR / t
-        log_sum += math.log(p)
-    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
-    return 100.0 * brevity * math.exp(log_sum / 4.0)
+            m, total, _ = _overlap(cand, ref, k + 1)
+            matches[k] += m
+            totals[k] += total
+    return _bleu_score(matches, totals, cand_len, ref_len)
+
+
+# --- one pass over a pair -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PairScores:
+    bleu: float
+    rouge1: float
+    rouge2: float
+    rougel: float
+    irr: tuple[IrrResult, ...] | None  # per threshold; None below two sentences
+
+
+def score_pair(candidate: str, reference: str, thresholds: tuple[float, ...],
+               epsilon: float, cap: float | None) -> PairScores:
+    """Every pair metric, equal to bleu([candidate], [reference]), the three
+    rouge_f1 variants and irr_of_text per threshold, from one pass: each side
+    is tokenized once, the 1-4-gram overlaps are counted once for BLEU and
+    ROUGE-1/2, and the candidate is split once for one pair count that
+    serves every threshold."""
+    cfgs = tuple(IrrConfig(t=t, epsilon=epsilon, cap=cap) for t in thresholds)
+    cand = _tokens(candidate)
+    ref = _tokens(reference)
+    overlaps = [_overlap(cand, ref, n) for n in range(1, 5)]
+    try:
+        irr_results = _irr_results(split_sentences(candidate), cfgs)
+    except IrrUndefinedError:
+        irr_results = None
+    (uni, cand_uni, ref_uni), (bi, cand_bi, ref_bi) = overlaps[:2]
+    return PairScores(
+        bleu=_bleu_score([m for m, _, _ in overlaps], [c for _, c, _ in overlaps],
+                         len(cand), len(ref)),
+        rouge1=_f1(uni, cand_uni + ref_uni, cand, ref),
+        rouge2=_f1(bi, cand_bi + ref_bi, cand, ref),
+        rougel=_f1(_lcs_len(cand, ref), len(cand) + len(ref), cand, ref),
+        irr=irr_results,
+    )
 
 
 # --- length accounting --------------------------------------------------------

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 
 import pytest
 
+from patentgen import metrics
 from patentgen.agents import default_bindings
 from patentgen.bench import (
     AlignmentError,
@@ -14,9 +16,11 @@ from patentgen.bench import (
     report_from_record,
     run_bench,
     score_directories,
+    score_document,
     score_pairs,
 )
 from patentgen.core import draft_to_record, make_draft
+from patentgen.metrics import IrrConfig, IrrUndefinedError, bleu, irr_of_text, rouge_f1
 from patentgen.pipeline import PipelineConfig
 from helpers import PromptFunctionBackend, function_gateways, oracle_irr, tree_contents
 
@@ -56,6 +60,81 @@ def test_rows_match_naive_irr_oracle_exactly():
         assert row["irr_t02"] == oracle_irr(sentences, 0.2, 1e-6)
         assert row["irr_t04"] == oracle_irr(sentences, 0.4, 1e-6)
         assert row["irr_t02_total_pairs"] == len(sentences) * (len(sentences) - 1) // 2
+
+
+def _row_from_public_metrics(doc_id: str, candidate: str, reference: str,
+                             cfg: MetricConfig) -> dict:
+    """A report row built metric by metric through the public functions."""
+    row = {
+        "doc_id": doc_id,
+        "failed": False,
+        "bleu": bleu([candidate], [reference]),
+        "rouge1": rouge_f1(candidate, reference, "r1"),
+        "rouge2": rouge_f1(candidate, reference, "r2"),
+        "rougel": rouge_f1(candidate, reference, "rl"),
+        "tokens": cfg.counter.count(candidate),
+    }
+    for t in cfg.thresholds:
+        try:
+            result = irr_of_text(candidate, IrrConfig(t=t, epsilon=cfg.epsilon, cap=cfg.cap))
+        except IrrUndefinedError:
+            row[irr_label(t)] = None
+            continue
+        row[irr_label(t)] = result.value
+        row[irr_label(t) + "_pair_sum"] = result.pair_sum
+        row[irr_label(t) + "_total_pairs"] = result.total_pairs
+    return row
+
+
+_ROW_VOCAB = ["adaptive", "controller", "gain", "sensor", "loop", "claim", "signal",
+              "the", "of", "1", "schedule", "error", "method", "system"]
+
+
+def _seeded_pair(seed: int) -> tuple[str, str]:
+    rng = random.Random(seed)
+
+    def sentence() -> str:
+        return " ".join(rng.choices(_ROW_VOCAB, k=rng.randint(1, 9))) + rng.choice(".!?")
+
+    reference = [sentence() for _ in range(rng.randint(2, 30))]
+    candidate = [rng.choice(reference) if rng.random() < 0.4 else sentence()
+                 for _ in range(rng.randint(2, 30))]
+    return "\n\n".join(candidate), " ".join(reference)
+
+
+_ROW_PAIRS = {
+    **{f"seeded{seed}": _seeded_pair(seed) for seed in range(12)},
+    "empty_candidate": ("", "A reference. With two sentences."),
+    "empty_reference": ("A candidate. With two sentences.", ""),
+    "both_empty": ("", ""),
+    "one_sentence": ("Only one sentence here", "A reference. With two sentences."),
+    "identical": ("The loop gain adapts. The loop gain adapts!", "The loop gain adapts. "
+                  "The loop gain adapts!"),
+}
+
+
+@pytest.mark.parametrize("cfg", [
+    MetricConfig(),
+    MetricConfig(thresholds=(0.4, 0.0, 1.0, 0.25), epsilon=1e-3, cap=5.0),
+], ids=["defaults", "capped"])
+def test_one_pass_row_equals_the_public_metrics(monkeypatch, cfg):
+    splits = []
+    split_sentences = metrics.split_sentences
+
+    def counted(text):
+        splits.append(text)
+        return split_sentences(text)
+
+    monkeypatch.setattr(metrics, "split_sentences", counted)
+    rows = []
+    for doc_id, (candidate, reference) in _ROW_PAIRS.items():
+        splits.clear()
+        rows.append(score_document(doc_id, candidate, reference, cfg))
+        assert splits == [candidate]
+        expected = _row_from_public_metrics(doc_id, candidate, reference, cfg)
+        assert json.dumps(rows[-1], sort_keys=True) == json.dumps(expected, sort_keys=True)
+    if cfg.cap is not None:
+        assert any(row.get(irr_label(1.0)) == cfg.cap for row in rows)
 
 
 def test_aggregates_are_arithmetic_means():

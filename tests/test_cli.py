@@ -284,8 +284,15 @@ _BAD_METRIC_OPTIONS = pytest.mark.parametrize(
         (["--vocab", "nope.txt"], "vocabulary file not found: nope.txt"),
         (["--t", "0.2,1.5"], "threshold t must lie in [0, 1], got 1.5"),
         (["--epsilon", "0"], "epsilon must be positive"),
+        (["--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+        (["--epsilon", "inf"], "epsilon must be positive and finite, got inf"),
+        (["--cap", "-1"], "cap must be positive and finite, got -1.0"),
+        (["--cap", "0"], "cap must be positive and finite, got 0.0"),
+        (["--t", "0.2,0.2000001"],
+         "thresholds 0.2 and 0.2000001 share the report column irr_t02"),
     ],
-    ids=["missing_vocab", "threshold_above_1", "zero_epsilon"],
+    ids=["missing_vocab", "threshold_above_1", "zero_epsilon", "nan_epsilon", "inf_epsilon",
+         "negative_cap", "zero_cap", "colliding_thresholds"],
 )
 
 

@@ -202,8 +202,12 @@ def test_irr_cap_applies():
 def test_irr_config_validation():
     with pytest.raises(MetricsError):
         IrrConfig(t=1.5)
-    with pytest.raises(MetricsError):
-        IrrConfig(t=0.2, epsilon=0.0)
+    for epsilon in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(MetricsError):
+            IrrConfig(t=0.2, epsilon=epsilon)
+    for cap in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(MetricsError):
+            IrrConfig(t=0.2, cap=cap)
 
 
 _VOCAB = ["adaptive", "controller", "gain", "sensor", "widget", "method",
@@ -348,7 +352,18 @@ _THRESHOLDS = (0.0, 0.2, 0.25, 1 / 3, 0.4, 0.5, 1.0)
 )
 @settings(max_examples=300)
 def test_pair_sum_matches_oracle(sets, t):
-    assert _pair_sum(tuple(sets), t) == oracle_pair_sum(sets, t)
+    assert _pair_sum(tuple(sets), (t,)) == (oracle_pair_sum(sets, t),)
+
+
+@given(
+    sets=st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=6), max_size=14),
+    thresholds=st.lists(st.sampled_from(_THRESHOLDS), min_size=1, max_size=3),
+)
+@settings(max_examples=300)
+def test_pair_sum_counts_every_threshold_in_one_sweep(sets, thresholds):
+    # Unsorted tuples with repeats, 0 and 1: one count per entry, in order.
+    expected = tuple(oracle_pair_sum(sets, t) for t in thresholds)
+    assert _pair_sum(tuple(sets), tuple(thresholds)) == expected
 
 
 @pytest.mark.parametrize("t", _THRESHOLDS)
@@ -362,10 +377,10 @@ def test_pair_sum_counts_exact_ties_and_empty_sets(t):
         frozenset("stu1"), frozenset("st2"),  # 2/5
         frozenset(), frozenset(),
     )
-    assert _pair_sum(sets, t) == oracle_pair_sum(sets, t)
+    assert _pair_sum(sets, (t,)) == (oracle_pair_sum(sets, t),)
     if t > 0.0:
         ties = sum(1 for j in (0.25, 1 / 3, 0.5, 2 / 7, 0.4) if j >= t)
-        assert _pair_sum(sets, t) == ties + 1
+        assert _pair_sum(sets, (t,)) == (ties + 1,)
 
 
 _PINNED_CANDIDATE = """The adaptive controller adjusts loop gain from sensor feedback. \
