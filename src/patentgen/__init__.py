@@ -13,7 +13,6 @@ from .core import (
     Reference,
     ReviewVerdict,
     RunRecord,
-    assemble_patent,
     make_draft,
     render_draft,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Reference",
     "ReviewVerdict",
     "RunRecord",
-    "assemble_patent",
     "make_draft",
     "render_draft",
 ]

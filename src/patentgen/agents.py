@@ -20,7 +20,6 @@ from .core import (
     GuidelineNode,
     PGTree,
     Reference,
-    RetrievedContext,
     ReviewVerdict,
     RunRecord,
     render_draft,
@@ -29,7 +28,7 @@ from .core import (
 )
 from .gateway import ChatMessage, ChatRequest, LlmGateway, check_sampling
 from .prompts import PromptRegistry, default_registry
-from .tags import TagSpec, TagError, extract_sections, extract_tag
+from .tags import TagError, extract_sections, extract_tag
 
 
 class AgentError(Exception):
@@ -165,7 +164,7 @@ class AgentRuntime:
         tag = COMPONENT_TAGS[role]
 
         def parse(content: str) -> str:
-            text = extract_tag(content, TagSpec(tag))
+            text = extract_tag(content, tag)
             if not text:
                 raise EmptyGenerationError(role)
             return text
@@ -204,21 +203,19 @@ class AgentRuntime:
 
     # --- description writing ------------------------------------------
 
-    def retrieve(self, node: GuidelineNode, ref: Reference) -> RetrievedContext:
-        content = self.ask(
+    def retrieve(self, node: GuidelineNode, ref: Reference) -> str:
+        """What the model copied out of the reference for node, stripped; it
+        may be empty."""
+        return self.ask(
             "description", "retrieval",
             {"reference": render_reference(ref), "guideline": node.guideline_text},
             TAG_RETRIEVE, str.strip,
         )
-        return RetrievedContext(
-            node=node.node_id, content=content, empty_retrieval=not content
-        )
 
-    def write_subsection(
-        self, node: GuidelineNode, retrieved: RetrievedContext, tree: PGTree, draft: Draft
-    ) -> str:
+    def write_subsection(self, node: GuidelineNode, retrieved: str, tree: PGTree,
+                         draft: Draft) -> str:
         slots = {
-            "retrieved": retrieved.content,
+            "retrieved": retrieved,
             "tree_overview": render_pgtree(tree),
             "guideline": node.guideline_text,
         }
@@ -247,8 +244,8 @@ class AgentRuntime:
         }
 
         def parse(content: str) -> ReviewVerdict:
-            result = extract_tag(content, TagSpec("Result"))
-            advice = extract_tag(content, TagSpec("Advice"))
+            result = extract_tag(content, "Result")
+            advice = extract_tag(content, "Advice")
             if result not in ("Pass", "Fail"):
                 raise ParseRetryError(f"verdict text {result!r}")
             if not advice:

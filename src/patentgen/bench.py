@@ -199,10 +199,13 @@ def score_pairs(pairs: dict[str, tuple[str, str]], cfg: MetricConfig) -> BenchRe
 
 
 def _doc_texts(directory: Path) -> dict[str, str]:
-    return {
-        path.stem: path.read_text("utf-8")
-        for path in sorted(directory.glob("*.txt"))
-    }
+    texts = {}
+    for path in sorted(directory.glob("*.txt")):
+        try:
+            texts[path.stem] = path.read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    return texts
 
 
 def score_directories(

@@ -17,11 +17,11 @@ import click
 
 from .agents import AgentRuntime
 from .bench import AlignmentError, MetricConfig, report_from_record, run_bench, score_directories
-from .core import (ConfigError, CoreError, assemble_patent, dump_json, load_draft, load_json,
+from .core import (ConfigError, CoreError, PatentDoc, dump_json, load_draft, load_json,
                    patent_to_record, patent_to_text)
 from .datakit import (DatasetBuilder, DatakitError, IngestConfig, InsufficientRecordsError,
-                      SFT_KINDS, build_dataset, export_sft, load_records, make_splits,
-                      write_build_artifacts)
+                      SFT_KINDS, build_dataset, check_split_sizes, export_sft, load_records,
+                      make_splits, write_build_artifacts)
 from .gateway import GatewayError
 from .pipeline import PatentPipeline, PipelineAborted, load_run_config, run_zero_shot
 
@@ -148,7 +148,7 @@ def baseline(draft_file, config_file, mock_playbook, backend, out_dir, max_token
     for name, text in result.sections.items():
         (sections_dir / f"{name}.txt").write_text(text + "\n", "utf-8")
     if result.complete:
-        doc = assemble_patent(**result.sections)
+        doc = PatentDoc(**result.sections)
         (run_dir / "patent.txt").write_text(patent_to_text(doc), "utf-8")
         dump_json(patent_to_record(doc), run_dir / "patent.json")
         click.echo(f"baseline patent complete in {run_dir}")
@@ -177,12 +177,7 @@ def build_dataset_cmd(records_path, config_file, mock_playbook, out_dir, sizes, 
         field_map = load_json(Path(field_map_file)) if field_map_file else {}
         ingest_cfg = IngestConfig(accept_label=accept_label, field_map=field_map)
         records, ingest_skips = load_records(records_path, ingest_cfg)
-        size_tuple = None
-        if sizes:
-            parts = tuple(int(v) for v in sizes.split(","))
-            if len(parts) != 3:
-                raise ConfigError("--sizes needs exactly three integers")
-            size_tuple = parts
+        size_tuple = check_split_sizes(int(v) for v in sizes.split(",")) if sizes else None
         kind_list = [k.strip() for k in kinds.split(",") if k.strip()]
         bad_kinds = [k for k in kind_list if k not in SFT_KINDS]
         if bad_kinds:

@@ -279,19 +279,6 @@ def render_reference(ref: Reference) -> str:
     )
 
 
-@dataclass(frozen=True)
-class RetrievedContext:
-    """What the model copied out of the reference for one guideline node."""
-
-    node: tuple[int, int]
-    content: str
-    empty_retrieval: bool = False
-
-    def __post_init__(self):
-        if not self.content.strip() and not self.empty_retrieval:
-            raise CoreError("blank retrieval content must be flagged empty_retrieval")
-
-
 class VerdictResult:
     PASS = "Pass"
     FAIL = "Fail"
@@ -324,18 +311,27 @@ class RefinementRound:
 
 @dataclass(frozen=True)
 class SubsectionDraft:
-    node: tuple[int, int]
-    text: str
-    rounds_used: int
-    final_verdict: ReviewVerdict
-    history: tuple[RefinementRound, ...]
-    accepted_with_warning: bool = False
+    """One guideline node's write/refine history; its last round is the
+    accepted text."""
 
-    def __post_init__(self):
-        if len(self.history) != self.rounds_used + 1:
-            raise CoreError(
-                f"history length {len(self.history)} != rounds_used {self.rounds_used} + 1"
-            )
+    node: tuple[int, int]
+    history: tuple[RefinementRound, ...]
+
+    @property
+    def text(self) -> str:
+        return self.history[-1].text
+
+    @property
+    def rounds_used(self) -> int:
+        return len(self.history) - 1
+
+    @property
+    def final_verdict(self) -> ReviewVerdict:
+        return self.history[-1].verdict
+
+    @property
+    def accepted_with_warning(self) -> bool:
+        return not self.final_verdict.passed
 
 
 @dataclass(frozen=True)
@@ -424,29 +420,6 @@ class PatentDoc:
 
     def sections_in_order(self) -> list[tuple[str, str]]:
         return [(name, self.section(name)) for name in self.section_order]
-
-
-def assemble_patent(
-    title: str,
-    abstract: str,
-    background: str,
-    summary: str,
-    claims: str,
-    description: str,
-    order: tuple[str, ...] = DEFAULT_SECTION_ORDER,
-    generation_meta: RunRecord | None = None,
-) -> PatentDoc:
-    """Assemble the six sections into a PatentDoc, which rejects an empty one."""
-    return PatentDoc(
-        title=title,
-        abstract=abstract,
-        background=background,
-        summary=summary,
-        claims=claims,
-        description=description,
-        section_order=tuple(order),
-        generation_meta=generation_meta,
-    )
 
 
 def patent_to_text(doc: PatentDoc, headers: bool = True) -> str:

@@ -16,16 +16,15 @@ from pathlib import Path
 
 from .agents import AgentRuntime, ParseRetryError
 from .core import (
-    DEFAULT_SECTION_ORDER,
     Draft,
-    assemble_patent,
+    PatentDoc,
     draft_to_record,
     make_draft,
     patent_to_text,
     render_draft,
 )
 from .gateway import GatewayError
-from .tags import TagError, TagSpec, extract_sections, extract_tag, render_sections
+from .tags import TagError, extract_sections, extract_tag, render_sections
 
 SCHEMA_VERSION_SFT = "sft-pairs-v1"
 
@@ -209,11 +208,11 @@ class DatasetBuilder:
             template = reviewer_template_for(qa.question_id, self.corrected_reviewer_mapping)
 
             def parse(content: str) -> QualityItem:
-                result = extract_tag(content, TagSpec("Result"))
+                result = extract_tag(content, "Result")
                 if result not in ("Pass", "Fail"):
                     raise ParseRetryError(f"verdict text {result!r}")
                 if result == "Fail":
-                    reason = extract_tag(content, TagSpec("Reason"))
+                    reason = extract_tag(content, "Reason")
                     if not reason:
                         raise ParseRetryError("empty reason")
                     return QualityItem(qa.question_id, "Fail", reason)
@@ -333,14 +332,22 @@ def proportional_sizes(n: int, proportions=DEFAULT_SPLIT_PROPORTIONS) -> tuple[i
     return tuple(sizes)
 
 
+def check_split_sizes(sizes) -> tuple[int, int, int]:
+    """sizes as a (train, valid, test) tuple; DatakitError unless they are
+    three integers none of which is negative."""
+    sizes = tuple(sizes)
+    if len(sizes) != 3 or not all(type(s) is int and s >= 0 for s in sizes):
+        raise DatakitError(f"split sizes must be three non-negative integers, got {sizes}")
+    return sizes
+
+
 def make_splits(
     accepted_ids: list[str],
     sizes: tuple[int, int, int] | None = None,
     seed: int = 0,
 ) -> SplitManifest:
     ids = sorted(accepted_ids)
-    if sizes is None:
-        sizes = proportional_sizes(len(ids))
+    sizes = proportional_sizes(len(ids)) if sizes is None else check_split_sizes(sizes)
     needed = sum(sizes)
     if needed > len(ids):
         raise InsufficientRecordsError(needed, len(ids))
@@ -374,12 +381,7 @@ def _target_for(kind: str, build: DatasetBuild, record_id: str) -> str | None:
         tree = build.pgtrees.get(record_id)
         return None if tree is None else render_sections(tree)
     if kind == "D2P_full":
-        doc = assemble_patent(
-            title=rec.title, abstract=rec.abstract, background=rec.background,
-            summary=rec.summary, claims=rec.claims, description=rec.description,
-            order=DEFAULT_SECTION_ORDER,
-        )
-        return patent_to_text(doc)
+        return patent_to_text(PatentDoc(**{name: rec.section(name) for name in RECORD_FIELDS}))
     raise DatakitError(f"unknown export kind {kind!r}; expected one of {SFT_KINDS}")
 
 

@@ -503,15 +503,12 @@ class LlmGateway:
         backend,
         config: BackendConfig | None = None,
         cache: ResponseCache | None = None,
-        limiter: TokenBucket | None = None,
         sleep_fn=time.sleep,
     ):
         self.backend = backend
         self.config = config or getattr(backend, "config", BackendConfig())
         self.cache = cache
-        self.limiter = limiter
-        if self.limiter is None and self.config.rpm:
-            self.limiter = TokenBucket(self.config.rpm)
+        self.limiter = TokenBucket(self.config.rpm) if self.config.rpm else None
         self.max_inflight = (self.config.max_inflight
                              or DEFAULT_MAX_INFLIGHT.get(self.config.kind, 1))
         self._inflight = threading.BoundedSemaphore(self.max_inflight)

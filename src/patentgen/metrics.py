@@ -74,7 +74,9 @@ class SentenceSet:
         return len(self.sentences)
 
 
-_TERMINATORS = ".!?"
+# A terminator followed by whitespace or the end of the paragraph; `\s`
+# matches exactly the characters for which str.isspace() is true.
+_BOUNDARY_RE = re.compile(r"[.!?](?=\s|\Z)")
 # A segment that is nothing but a list enumerator ("1.", "12.").
 _ENUMERATOR_RE = re.compile(r"\s*\d+\.")
 
@@ -87,18 +89,13 @@ def _split_block(block: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    for i, ch in enumerate(block):
-        if ch not in _TERMINATORS:
-            continue
-        at_end = i + 1 == len(block)
-        if not at_end and not block[i + 1].isspace():
-            continue
-        segment = block[start : i + 1]
-        if ch == "." and _ENUMERATOR_RE.fullmatch(segment):
+    for match in _BOUNDARY_RE.finditer(block):
+        segment = block[start : match.end()]
+        if match.group() == "." and _ENUMERATOR_RE.fullmatch(segment):
             continue
         if segment.strip():
             sentences.append(segment.strip())
-        start = i + 1
+        start = match.end()
     tail = block[start:].strip()
     if tail:
         sentences.append(tail)
@@ -141,7 +138,6 @@ def rep_indicator(si: frozenset[str], sj: frozenset[str], t: float) -> int:
 class IrrConfig:
     t: float
     epsilon: float = 1e-6
-    stopword_list_id: str = STOPWORD_LIST_ID
     cap: float | None = None
 
     def __post_init__(self):

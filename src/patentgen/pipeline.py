@@ -48,7 +48,6 @@ from .core import (
     RunRecord,
     SectionPlan,
     SubsectionDraft,
-    assemble_patent,
     check_section_order,
     draft_to_record,
     dump_json,
@@ -61,7 +60,7 @@ from .core import (
 from .gateway import (BackendConfig, GatewayError, LlmGateway, RequestError, ResponseCache,
                       build_gateway, user_request)
 from .prompts import PromptRegistry, default_registry
-from .tags import TagError, TagSpec, extract_tag
+from .tags import TagError, extract_tag
 
 SCHEMA_VERSION_PIPELINE_CONFIG = "pipeline-config-v1"
 
@@ -198,11 +197,6 @@ def load_run_config(config_file: str | None, mock_playbook: str | None = None,
     return gateways, bindings, pipeline_cfg
 
 
-def build_reference(components: dict[str, str], draft: Draft) -> Reference:
-    """Assemble the reference bundle; Reference rejects any empty component."""
-    return Reference(**{role: components[role] for role in COMPONENT_ROLES}, draft=draft)
-
-
 def plan_section(
     index: int,
     overview: str,
@@ -231,20 +225,6 @@ def plan_section(
                 )
     node = GuidelineNode(section_index=index, subsection_index=1, guideline_text=overview)
     return SectionPlan(section_index=index, section_overview=overview, subsections=(node,))
-
-
-def expand_pgtree(
-    first_level: list[tuple[int, str]],
-    cfg: PipelineConfig,
-    expander=None,
-    warnings: list[str] | None = None,
-) -> PGTree:
-    """Grow the second tree layer, one section after another (plan_section)."""
-    if not first_level:
-        raise PipelineError("first_level must be non-empty")
-    return PGTree(sections=tuple(
-        plan_section(index, overview, cfg, expander, warnings) for index, overview in first_level
-    ))
 
 
 class _Skipped(Exception):
@@ -336,7 +316,7 @@ class PatentPipeline:
                 sections = [graph.submit(partial(_expand_section, index, overview, draft, cfg))
                             for index, overview in planned.result()]
                 tree = PGTree(sections=tuple(f.result() for f in sections))
-                reference = build_reference({r: f.result() for r, f in written.items()}, draft)
+                reference = Reference(**{r: f.result() for r, f in written.items()}, draft=draft)
                 nodes = [graph.submit(partial(self._one_subsection, node, reference, tree, draft,
                                               cfg))
                          for node in tree.nodes()]
@@ -353,17 +333,8 @@ class PatentPipeline:
         try:
             if error is not None:
                 raise error
-            description = "\n\n".join(s.text for s in subs)
-            doc = assemble_patent(
-                title=components["title"],
-                abstract=components["abstract"],
-                background=components["background"],
-                summary=components["summary"],
-                claims=components["claims"],
-                description=description,
-                order=cfg.section_order,
-                generation_meta=record,
-            )
+            doc = PatentDoc(**components, description="\n\n".join(s.text for s in subs),
+                            section_order=cfg.section_order, generation_meta=record)
         except (AgentError, GatewayError, TagError, EmptySectionError) as exc:
             self._persist(draft, cfg, record, components, tree, subs, warnings, error=exc)
             raise PipelineAborted(exc, self.run_dir) from exc
@@ -372,34 +343,24 @@ class PatentPipeline:
 
     def _one_subsection(self, node, reference, tree, draft, cfg, runtime, warnings):
         retrieved = runtime.retrieve(node, reference)
-        if retrieved.empty_retrieval:
+        if not retrieved:
             warnings.append(f"node {node.node_id}: empty retrieval")
         text = runtime.write_subsection(node, retrieved, tree, draft)
         verdict, malformed = self._review(runtime, node, text, draft, warnings)
         history = [RefinementRound(text=text, verdict=verdict)]
-        rounds = 0
-        while not malformed and not verdict.passed and rounds < cfg.max_refine_rounds:
+        while not malformed and not verdict.passed and len(history) <= cfg.max_refine_rounds:
             revised = runtime.refine(node, text, verdict.advice, tree)
             no_change = revised == text
             if no_change:
-                warnings.append(f"node {node.node_id}: refinement round {rounds + 1} unchanged")
+                warnings.append(f"node {node.node_id}: refinement round {len(history)} unchanged")
             text = revised
-            rounds += 1
             verdict, malformed = self._review(runtime, node, text, draft, warnings)
             history.append(RefinementRound(text=text, verdict=verdict, no_change=no_change))
-        accepted_with_warning = not verdict.passed
-        if accepted_with_warning:
-            warnings.append(
-                f"node {node.node_id}: accepted with warning after {rounds} refinement rounds"
-            )
-        return SubsectionDraft(
-            node=node.node_id,
-            text=text,
-            rounds_used=rounds,
-            final_verdict=verdict,
-            history=tuple(history),
-            accepted_with_warning=accepted_with_warning,
-        )
+        sub = SubsectionDraft(node=node.node_id, history=tuple(history))
+        if sub.accepted_with_warning:
+            warnings.append(f"node {node.node_id}: accepted with warning after "
+                            f"{sub.rounds_used} refinement rounds")
+        return sub
 
     @staticmethod
     def _review(runtime, node, text, draft, warnings):
@@ -520,14 +481,14 @@ def parse_zero_shot_output(raw: str) -> ZeroShotResult:
     """Pull whatever sections are present out of a one-shot patent dump."""
     body = raw
     try:
-        body = extract_tag(raw, TagSpec("Patent"))
+        body = extract_tag(raw, "Patent")
     except TagError:
         pass
     sections: dict[str, str] = {}
     missing: list[str] = []
     for name, tag in ZERO_SHOT_TAGS.items():
         try:
-            text = extract_tag(body, TagSpec(tag))
+            text = extract_tag(body, tag)
         except TagError:
             missing.append(name)
             continue

@@ -156,7 +156,3 @@ def default_registry() -> PromptRegistry:
     if _default_registry is None:
         _default_registry = PromptRegistry()
     return _default_registry
-
-
-def render(template_id: str, **bindings: str) -> str:
-    return default_registry().render(template_id, **bindings)

@@ -9,7 +9,6 @@ than guessed at.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class TagError(Exception):
@@ -50,20 +49,6 @@ class NonContiguousIndicesError(TagError):
         )
 
 
-EXACTLY_ONE = "exactly_one"
-ONE_OR_MORE = "one_or_more"
-
-
-@dataclass(frozen=True)
-class TagSpec:
-    tag_name: str
-    multiplicity: str = EXACTLY_ONE
-
-    def __post_init__(self):
-        if self.multiplicity not in (EXACTLY_ONE, ONE_OR_MORE):
-            raise ValueError(f"unknown multiplicity {self.multiplicity!r}")
-
-
 def _scan_blocks(output: str, base: str, numbered: bool) -> list[tuple[int | None, str]]:
     """Return (index, inner text) of every well-formed block, in order.
 
@@ -99,16 +84,14 @@ def _scan_blocks(output: str, base: str, numbered: bool) -> list[tuple[int | Non
     return blocks
 
 
-def extract_tag(output: str, spec: TagSpec) -> str | list[str]:
-    """Extract trimmed tag contents per the spec's multiplicity."""
-    contents = [text.strip() for _, text in _scan_blocks(output, spec.tag_name, numbered=False)]
+def extract_tag(output: str, tag_name: str) -> str:
+    """The trimmed contents of the one <tag_name>...</tag_name> block."""
+    contents = [text.strip() for _, text in _scan_blocks(output, tag_name, numbered=False)]
     if not contents:
-        raise TagMissingError(spec.tag_name)
-    if spec.multiplicity == EXACTLY_ONE:
-        if len(contents) > 1:
-            raise TagDuplicatedError(spec.tag_name, len(contents))
-        return contents[0]
-    return contents
+        raise TagMissingError(tag_name)
+    if len(contents) > 1:
+        raise TagDuplicatedError(tag_name, len(contents))
+    return contents[0]
 
 
 def wrap_tag(content: str, tag_name: str) -> str:

@@ -253,6 +253,29 @@ def oracle_lcs_len(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
+def oracle_split_block(block: str) -> list[str]:
+    """One paragraph split by a walk over its characters: a terminator ends a
+    sentence when whitespace or the end of the paragraph follows it, unless
+    the sentence so far is a bare enumerator such as "12."."""
+    sentences: list[str] = []
+    start = 0
+    for i, ch in enumerate(block):
+        if ch not in ".!?":
+            continue
+        if i + 1 < len(block) and not block[i + 1].isspace():
+            continue
+        segment = block[start : i + 1]
+        if ch == "." and re.fullmatch(r"\s*\d+\.", segment):
+            continue
+        if segment.strip():
+            sentences.append(segment.strip())
+        start = i + 1
+    tail = block[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
 def oracle_pair_sum(token_sets, t: float) -> int:
     """Pairs (i < j) whose Jaccard similarity reaches t, by a plain double
     loop over set operations; two empty sets count as identical."""

@@ -24,7 +24,6 @@ from patentgen.pipeline import PatentPipeline, PipelineConfig
 from patentgen.tags import (
     NonContiguousIndicesError,
     TagError,
-    TagSpec,
     extract_sections,
     extract_tag,
     wrap_tag,
@@ -220,7 +219,7 @@ def test_criterion_8_parser_fuzz_and_round_trip():
         if mode == 0:
             # arbitrary noise must only ever raise declared parse errors
             noise = "".join(rng.choices(alphabet, k=rng.randint(0, 80)))
-            for probe in (lambda: extract_tag(noise, TagSpec(rng.choice(tags))),
+            for probe in (lambda: extract_tag(noise, rng.choice(tags)),
                           lambda: extract_sections(noise)):
                 try:
                     probe()
@@ -232,7 +231,7 @@ def test_criterion_8_parser_fuzz_and_round_trip():
             content = "".join(rng.choices(alphabet, k=rng.randint(0, 60)))
             if f"<{tag}>" in content or f"</{tag}>" in content:
                 continue
-            assert extract_tag(wrap_tag(content, tag), TagSpec(tag)) == content.strip()
+            assert extract_tag(wrap_tag(content, tag), tag) == content.strip()
         else:
             # contiguity: blocks numbered 1..m parse, anything else raises
             m = rng.randint(1, 6)

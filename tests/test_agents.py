@@ -13,7 +13,6 @@ from patentgen.core import (
     GuidelineNode,
     PGTree,
     Reference,
-    RetrievedContext,
     SectionPlan,
     new_run_record,
 )
@@ -126,16 +125,12 @@ def test_retrieve_returns_scripted_copy(draft):
     ref = _reference(draft)
     runtime = runtime_for(MockPlaybook([rule(MATCH_RETRIEVE, "1. A method.")]))
     node = GuidelineNode(1, 1, "Cover the claims.")
-    out = runtime.retrieve(node, ref)
-    assert out.content == ref.claims
-    assert out.empty_retrieval is False
+    assert runtime.retrieve(node, ref) == ref.claims
 
 
 def test_retrieve_flags_empty(draft):
     runtime = runtime_for(MockPlaybook([rule(MATCH_RETRIEVE, "")]))
-    out = runtime.retrieve(GuidelineNode(1, 1, "g"), _reference(draft))
-    assert out.empty_retrieval is True
-    assert out.content == ""
+    assert runtime.retrieve(GuidelineNode(1, 1, "g"), _reference(draft)) == ""
 
 
 def test_reference_rejects_empty_component(draft):
@@ -147,7 +142,7 @@ def test_reference_rejects_empty_component(draft):
 def test_write_subsection_passthrough(draft):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_WRITE, "Subsection body text.")]))
-    out = runtime.write_subsection(node, RetrievedContext(node.node_id, "facts"), tree, draft)
+    out = runtime.write_subsection(node, "facts", tree, draft)
     assert out == "Subsection body text."
 
 
@@ -156,7 +151,7 @@ def test_write_subsection_strips_leading_filler(draft):
     runtime = runtime_for(
         MockPlaybook([rule(MATCH_WRITE, "Sure, here is the subsection:\n\nActual body.")])
     )
-    out = runtime.write_subsection(node, RetrievedContext(node.node_id, "facts"), tree, draft)
+    out = runtime.write_subsection(node, "facts", tree, draft)
     assert out == "Actual body."
 
 
@@ -164,7 +159,7 @@ def test_write_subsection_empty_is_an_error(draft):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_WRITE, "")]))
     with pytest.raises(EmptyGenerationError):
-        runtime.write_subsection(node, RetrievedContext(node.node_id, "facts"), tree, draft)
+        runtime.write_subsection(node, "facts", tree, draft)
 
 
 def test_review_parses_verdict_and_advice(draft):

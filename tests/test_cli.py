@@ -324,6 +324,18 @@ def test_bench_rejects_bad_metric_options_before_any_model_call(tmp_path, monkey
     assert not out.exists()
 
 
+def test_score_non_utf8_file_is_invalid_input(tmp_path):
+    for side in ("gen", "ref"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "d1.txt").write_text("One sentence. Another one.", "utf-8")
+    (tmp_path / "gen" / "d1.txt").write_bytes(b"Caf\xe9 au lait. Another one.")
+    result = RUNNER.invoke(main, ["score", str(tmp_path / "gen"), str(tmp_path / "ref")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "d1.txt is not UTF-8 text" in result.output
+    assert [line for line in result.output.splitlines() if line.startswith("error: ")]
+
+
 def test_score_alignment_error_names_id(tmp_path):
     gen = tmp_path / "gen"
     ref = tmp_path / "ref"
@@ -500,6 +512,28 @@ def test_bench_rejects_bad_doc_ids_before_any_model_call(tmp_path, monkeypatch, 
     assert named in result.output
     assert calls == []
     assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("sizes", ["-1,2,3", "2,-1,1", "1,2"])
+def test_build_dataset_bad_sizes_fail_before_any_model_call(tmp_path, monkeypatch, sizes):
+    records = tmp_path / "records"
+    records.mkdir()
+    for i in range(6):
+        record = {name: f"{name} of record {i}." for name in
+                  ("title", "abstract", "background", "summary", "claims", "description")}
+        (records / f"rec{i}.json").write_text(json.dumps(dict(record, record_id=f"rec{i}",
+                                                              decision_label="ACCEPTED")))
+    playbook = tmp_path / "playbook.json"
+    MockPlaybook([rule("You are the inventor", "An answer."),
+                  rule("meets the quality standards", "<Result> Pass </Result>")]).save(playbook)
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "build"
+    result = RUNNER.invoke(main, ["build-dataset", str(records), "--mock-playbook", str(playbook),
+                                  "--out", str(out), "--sizes", sizes, "--skip-trees"])
+    assert result.exit_code == 1, result.output
+    assert "error: split sizes must be three non-negative integers" in result.output
+    assert calls == []
+    assert not out.exists()
 
 
 def test_report_command_renders_table(tmp_path):

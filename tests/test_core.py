@@ -13,8 +13,8 @@ from patentgen.core import (
     EmptySectionError,
     GuidelineNode,
     PGTree,
+    PatentDoc,
     SectionPlan,
-    assemble_patent,
     draft_from_record,
     draft_to_record,
     make_draft,
@@ -101,7 +101,7 @@ SECTIONS = dict(
 
 
 def test_assemble_default_order_puts_description_before_claims():
-    doc = assemble_patent(**SECTIONS)
+    doc = PatentDoc(**SECTIONS)
     text = patent_to_text(doc)
     assert text.index("# DESCRIPTION") < text.index("# CLAIMS")
     assert doc.section_order == DEFAULT_SECTION_ORDER
@@ -109,7 +109,7 @@ def test_assemble_default_order_puts_description_before_claims():
 
 def test_assemble_order_override_is_a_passthrough():
     order = ("title", "abstract", "background", "summary", "claims", "description")
-    doc = assemble_patent(**SECTIONS, order=order)
+    doc = PatentDoc(**SECTIONS, section_order=order)
     text = patent_to_text(doc)
     assert text.index("# CLAIMS") < text.index("# DESCRIPTION")
 
@@ -117,13 +117,13 @@ def test_assemble_order_override_is_a_passthrough():
 def test_assemble_rejects_empty_section():
     bad = dict(SECTIONS, claims=" ")
     with pytest.raises(EmptySectionError) as err:
-        assemble_patent(**bad)
+        PatentDoc(**bad)
     assert err.value.section == "claims"
 
 
 def test_assemble_rejects_bad_order():
     with pytest.raises(Exception, match="permutation"):
-        assemble_patent(**SECTIONS, order=("title",) * 6)
+        PatentDoc(**SECTIONS, section_order=("title",) * 6)
 
 
 _section_text = st.text(min_size=1, max_size=30).filter(lambda s: s.strip())
@@ -132,12 +132,12 @@ _section_text = st.text(min_size=1, max_size=30).filter(lambda s: s.strip())
 @given(parts=st.tuples(*[_section_text] * 6))
 def test_assemble_then_extract_round_trips(parts):
     names = ("title", "abstract", "background", "summary", "claims", "description")
-    doc = assemble_patent(**dict(zip(names, parts)))
+    doc = PatentDoc(**dict(zip(names, parts)))
     assert tuple(doc.section(n) for n in names) == parts
 
 
 def test_patent_record_round_trip():
-    doc = assemble_patent(**SECTIONS)
+    doc = PatentDoc(**SECTIONS)
     loaded = patent_from_record(patent_to_record(doc))
     for name in SECTIONS:
         assert loaded.section(name) == doc.section(name)
@@ -145,7 +145,7 @@ def test_patent_record_round_trip():
 
 
 def test_patent_record_has_schema_version():
-    record = patent_to_record(assemble_patent(**SECTIONS))
+    record = patent_to_record(PatentDoc(**SECTIONS))
     assert record["schema_version"] == "patent-doc-v1"
     assert record["status"] == "complete"
 

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from patentgen.core import render_draft
 from patentgen.datakit import (
+    DatakitError,
     DatasetBuild,
     DatasetBuilder,
     IngestConfig,
@@ -224,6 +225,15 @@ def test_splits_deterministic_for_seed():
 def test_splits_insufficient_records():
     with pytest.raises(InsufficientRecordsError):
         make_splits([f"r{i}" for i in range(10)], sizes=(8, 2, 2))
+
+
+@pytest.mark.parametrize("sizes", [(-1, 2, 3), (5, -2, 0), (0, 0, -1), (3, 3), (1, 2, 3, 4)],
+                         ids=["negative_train", "negative_valid", "negative_test", "two_sizes",
+                              "four_sizes"])
+def test_make_splits_rejects_bad_sizes(sizes):
+    # A negative size used to slice from the end, so records landed in two splits.
+    with pytest.raises(DatakitError, match="three non-negative integers"):
+        make_splits([f"r{i}" for i in range(10)], sizes=sizes)
 
 
 @given(n=st.integers(3, 60), seed=st.integers(0, 999))

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from patentgen.metrics import (
     _lcs_len,
     _pair_sum,
+    _split_block,
     CounterConfigError,
     IrrConfig,
     IrrUndefinedError,
@@ -31,7 +32,8 @@ from patentgen.metrics import (
     stopwords,
     tokenize_for_similarity,
 )
-from helpers import oracle_bleu_single, oracle_irr, oracle_lcs_len, oracle_pair_sum
+from helpers import (oracle_bleu_single, oracle_irr, oracle_lcs_len, oracle_pair_sum,
+                     oracle_split_block)
 
 # --- sentence segmentation -----------------------------------------------------
 
@@ -70,6 +72,26 @@ def test_mid_number_not_a_boundary():
     # followed by more text splits normally.
     ss = split_sentences("Delivered in batch 7. Next sentence.")
     assert ss.n == 2
+
+
+# Terminators, digits for enumerators like "12." (one Arabic-Indic), letters,
+# whitespace that str.isspace() accepts beyond space, tab and newline
+# (\x1c-\x1f, NEL, NBSP, U+2003, the line and paragraph separators, the
+# ideographic space), and two look-alikes it rejects (U+200B, U+00B7).
+_SPLIT_ALPHABET = st.sampled_from(
+    list(".!?") + list("0123456789") + list("ab ") + list("\t\n\r\v\f\x1c\x1f\x85\xa0")
+    + ["\u2003", "\u2028", "\u2029", "\u3000", "\u200b", "\u00b7", "\u0663"]
+)
+
+
+@settings(max_examples=400)
+@given(pieces=st.lists(st.one_of(_SPLIT_ALPHABET,
+                                 st.integers(0, 99).map(lambda k: f"{k}."),
+                                 st.sampled_from(["Word. ", "Done!", "Why?", " 12. ", "..."])),
+                       max_size=40))
+def test_split_block_matches_character_walk(pieces):
+    block = "".join(pieces)
+    assert _split_block(block) == oracle_split_block(block)
 
 
 def test_short_segments_flagged_but_kept():

@@ -4,16 +4,15 @@ import json
 
 import pytest
 
-from patentgen.core import (EmptySectionError, content_hash, load_json, patent_to_record,
-                            patent_to_text, render_reference)
+from patentgen.core import (EmptySectionError, Reference, content_hash, load_json,
+                            patent_to_record, patent_to_text, render_reference)
 from patentgen.gateway import MockPlaybook, ResponseCache
 from patentgen.pipeline import (
     PatentPipeline,
     PipelineAborted,
     PipelineConfig,
-    build_reference,
-    expand_pgtree,
     parse_zero_shot_output,
+    plan_section,
     run_zero_shot,
 )
 from helpers import (
@@ -111,9 +110,10 @@ def test_malformed_verdict_fails_subsection_not_run(draft, tmp_path):
 
 def test_expand_pgtree_off_gives_single_nodes():
     cfg = PipelineConfig(pgtree_expansion="off")
-    tree = expand_pgtree([(1, "alpha"), (2, "beta"), (3, "gamma")], cfg)
-    assert [len(s.subsections) for s in tree.sections] == [1, 1, 1]
-    assert tree.sections[0].subsections[0].guideline_text == "alpha"
+    sections = [plan_section(i, overview, cfg)
+                for i, overview in [(1, "alpha"), (2, "beta"), (3, "gamma")]]
+    assert [len(s.subsections) for s in sections] == [1, 1, 1]
+    assert sections[0].subsections[0].guideline_text == "alpha"
 
 
 def test_expand_pgtree_scripted_counts(draft):
@@ -132,9 +132,10 @@ def test_expand_pgtree_single_section_four_nodes():
         calls.append(overview)
         return [(j, f"g{j}") for j in range(1, 5)]
 
-    tree = expand_pgtree([(1, "only section")], PipelineConfig(), expander=expander)
-    assert len(tree.sections) == 1
-    assert len(tree.sections[0].subsections) == 4
+    sections = [plan_section(i, overview, PipelineConfig(), expander=expander)
+                for i, overview in [(1, "only section")]]
+    assert len(sections) == 1
+    assert len(sections[0].subsections) == 4
     assert calls == ["only section"]
 
 
@@ -147,23 +148,24 @@ def test_expand_pgtree_falls_back_on_malformed_expansion():
         return [(1, "g1"), (2, "g2")]
 
     warnings: list[str] = []
-    tree = expand_pgtree([(1, "good"), (2, "bad")], PipelineConfig(), expander, warnings)
-    assert [len(s.subsections) for s in tree.sections] == [2, 1]
+    sections = [plan_section(i, overview, PipelineConfig(), expander, warnings)
+                for i, overview in [(1, "good"), (2, "bad")]]
+    assert [len(s.subsections) for s in sections] == [2, 1]
     assert warnings and "section 2" in warnings[0]
 
 
 def test_build_reference_requires_all_components(draft):
     components = {r: f"{r} text" for r in ("title", "abstract", "background", "summary", "claims")}
-    ref = build_reference(components, draft)
+    ref = Reference(**components, draft=draft)
     assert (ref.title, ref.claims, ref.draft) == ("title text", "claims text", draft)
     with pytest.raises(EmptySectionError) as err:
-        build_reference(dict(components, background="  "), draft)
+        Reference(**dict(components, background="  "), draft=draft)
     assert err.value.section == "background"
 
 
 def test_reference_rendering_contains_everything(draft):
     components = {r: f"{r} body" for r in ("title", "abstract", "background", "summary", "claims")}
-    ref = build_reference(components, draft)
+    ref = Reference(**components, draft=draft)
     rendered = render_reference(ref)
     for text in components.values():
         assert text in rendered

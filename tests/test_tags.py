@@ -5,13 +5,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from patentgen.tags import (
-    EXACTLY_ONE,
-    ONE_OR_MORE,
     NoSectionsError,
     NonContiguousIndicesError,
     TagDuplicatedError,
     TagMissingError,
-    TagSpec,
     TagUnclosedError,
     extract_sections,
     extract_tag,
@@ -21,53 +18,46 @@ from patentgen.tags import (
 
 
 def test_extracts_trimmed_content():
-    assert extract_tag("<Result> Pass </Result>", TagSpec("Result")) == "Pass"
+    assert extract_tag("<Result> Pass </Result>", "Result") == "Pass"
 
 
 def test_extracts_from_surrounding_text():
-    assert extract_tag("pre <Title>A Widget</Title> post", TagSpec("Title")) == "A Widget"
+    assert extract_tag("pre <Title>A Widget</Title> post", "Title") == "A Widget"
 
 
 def test_duplicate_rejected_for_exactly_one():
     with pytest.raises(TagDuplicatedError):
-        extract_tag("<Title>A</Title><Title>B</Title>", TagSpec("Title"))
-
-
-def test_one_or_more_returns_document_order():
-    out = extract_tag(
-        "<Item>a</Item> x <Item>b</Item>", TagSpec("Item", multiplicity=ONE_OR_MORE)
-    )
-    assert out == ["a", "b"]
+        extract_tag("<Title>A</Title><Title>B</Title>", "Title")
 
 
 def test_missing_tag():
     with pytest.raises(TagMissingError):
-        extract_tag("no tags here", TagSpec("Title"))
+        extract_tag("no tags here", "Title")
 
 
 def test_unclosed_tag():
     with pytest.raises(TagUnclosedError):
-        extract_tag("<Title>never closed", TagSpec("Title"))
+        extract_tag("<Title>never closed", "Title")
 
 
 def test_stray_close_rejected():
     with pytest.raises(TagUnclosedError):
-        extract_tag("</Title> then <Title>x</Title>", TagSpec("Title"))
+        extract_tag("</Title> then <Title>x</Title>", "Title")
 
 
 def test_nested_same_name_rejected():
     with pytest.raises(TagUnclosedError):
-        extract_tag("<T>a<T>b</T></T>", TagSpec("T"))
+        extract_tag("<T>a<T>b</T></T>", "T")
 
 
 def test_tag_names_case_sensitive():
     with pytest.raises(TagUnclosedError):
         # lowercase closer does not close the uppercase opener
-        extract_tag("<Summary>s</summary>", TagSpec("Summary"))
+        extract_tag("<Summary>s</summary>", "Summary")
 
 
 def test_similar_tag_names_do_not_match():
-    assert extract_tag("<Titles>no</Titles><Title>yes</Title>", TagSpec("Title")) == "yes"
+    assert extract_tag("<Titles>no</Titles><Title>yes</Title>", "Title") == "yes"
 
 
 _content = st.text(max_size=60).filter(lambda s: "<Tag>" not in s and "</Tag>" not in s)
@@ -75,7 +65,7 @@ _content = st.text(max_size=60).filter(lambda s: "<Tag>" not in s and "</Tag>" n
 
 @given(content=_content)
 def test_wrap_extract_round_trip(content):
-    assert extract_tag(wrap_tag(content, "Tag"), TagSpec("Tag")) == content.strip()
+    assert extract_tag(wrap_tag(content, "Tag"), "Tag") == content.strip()
 
 
 def test_sections_parse_in_order():
@@ -124,8 +114,3 @@ def test_section_indices_always_one_to_m(texts):
     indices = [k for k, _ in extract_sections(rendered)]
     assert indices == list(range(1, len(texts) + 1))
 
-
-def test_multiplicity_validated():
-    with pytest.raises(ValueError):
-        TagSpec("Title", multiplicity="zero_or_one")
-    assert TagSpec("Title").multiplicity == EXACTLY_ONE
