@@ -7,13 +7,18 @@ model call renders a prompt template and parses the reply through
 AgentRuntime.ask; on a parse failure it re-asks the model with the bad
 response and a format reminder appended, up to parse_retry_max extra calls,
 before surfacing the error.
+
+Calls that read no other call's text run as tasks of a TaskGraph, on one
+thread pool as wide as the runtime's width; gateways bound the sends.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 
 from .core import (
     Draft,
@@ -22,6 +27,7 @@ from .core import (
     Reference,
     ReviewVerdict,
     RunRecord,
+    new_run_record,
     render_draft,
     render_pgtree,
     render_reference,
@@ -117,6 +123,12 @@ class AgentRuntime:
     bindings: dict[str, AgentBinding] = field(default_factory=default_bindings)
     registry: PromptRegistry = field(default_factory=default_registry)
     recorder: RunRecord | None = None
+
+    @property
+    def width(self) -> int:
+        """How many tasks may run at once: the largest max_inflight among the
+        gateways, as each gateway bounds its own sends."""
+        return max(gateway.max_inflight for gateway in self.gateways.values())
 
     def gateway_for(self, binding: AgentBinding) -> LlmGateway:
         try:
@@ -261,6 +273,71 @@ class AgentRuntime:
             return self.ask("examiner", "examiner_review", slots, TAG_REVIEW, parse, reminder)
         except (TagError, ParseRetryError) as exc:
             raise MalformedVerdictError(str(exc)) from exc
+
+
+class _Skipped(Exception):
+    """A task that had not started when another task failed."""
+
+
+class TaskGraph:
+    """Tasks of model calls on one thread pool as wide as the runtime's width.
+
+    Each task logs its model calls and warnings on its own; settle() merges
+    them in submission order, which is the order a sequential run makes them
+    in, so what a run records does not depend on how calls interleave. Once
+    a task fails, tasks that have not started are skipped. A one-worker pool
+    runs tasks in submission order, so at width 1 a failed run stops where a
+    sequential run stops. Leaving the with block waits for every task; an
+    exception leaving it skips the tasks that have not started.
+    """
+
+    def __init__(self, runtime: AgentRuntime):
+        self.runtime = runtime
+        self.tasks: list[tuple[Future, RunRecord, list[str]]] = []
+        self.failed = threading.Event()
+        self._pool = ThreadPoolExecutor(max_workers=runtime.width)
+
+    def __enter__(self) -> "TaskGraph":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.failed.set()
+        self._pool.shutdown()
+
+    def submit(self, fn) -> Future:
+        """Run fn(runtime, warnings) with a runtime that logs into this task's record."""
+        record, warnings = new_run_record(), []
+        runtime = replace(self.runtime, recorder=record)
+
+        def task():
+            if self.failed.is_set():
+                raise _Skipped()
+            try:
+                return fn(runtime, warnings)
+            except BaseException:
+                self.failed.set()
+                raise
+
+        future = self._pool.submit(task)
+        self.tasks.append((future, record, warnings))
+        return future
+
+    def settle(self, warnings: list[str] | None = None) -> BaseException | None:
+        """Wait for every task, merge its calls into the runtime's recorder
+        (when one is set) and its warnings into warnings, in task order, and
+        return the first error in task order."""
+        error = None
+        for future, task_record, task_warnings in self.tasks:
+            exc = future.exception()
+            if self.runtime.recorder is not None:
+                for entry in task_record.entries:
+                    self.runtime.recorder.log_call(entry)
+            if warnings is not None:
+                warnings.extend(task_warnings)
+            if error is None and exc is not None and not isinstance(exc, _Skipped):
+                error = exc
+        return error
 
 
 def _description_text(content: str) -> str:

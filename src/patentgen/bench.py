@@ -199,6 +199,8 @@ def score_pairs(pairs: dict[str, tuple[str, str]], cfg: MetricConfig) -> BenchRe
 
 
 def _doc_texts(directory: Path) -> dict[str, str]:
+    if not directory.is_dir():
+        raise ConfigError(f"{directory} is not a directory")
     texts = {}
     for path in sorted(directory.glob("*.txt")):
         try:

@@ -5,6 +5,10 @@ from descriptions, cut seeded splits, and export training pairs.
 Records come in as structured JSON files; nothing here redistributes source
 data. Every skip (bad record, empty answer, failed gate, unparseable tree)
 is logged with a reason so a build is auditable end to end.
+
+No inventor answer reads another, and no reviewer verdict reads another, so
+a record's five inventor calls, then its five reviewer calls, run as the
+tasks of a TaskGraph; the build is the same at any width.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
-from .agents import AgentRuntime, ParseRetryError
+from .agents import AgentRuntime, ParseRetryError, TaskGraph
 from .core import (
     Draft,
     PatentDoc,
@@ -189,22 +194,26 @@ class DatasetBuilder:
     def synthesize_draft(self, rec: PatentRecord) -> Draft:
         """Five inventor-simulation calls, one per canonical question."""
         record_text = render_record(rec)
-        answers: dict[int, str] = {}
-        for qid in range(1, 6):
+
+        def answer(qid: int, runtime: AgentRuntime, warnings) -> str:
             try:
-                answer = self.runtime.ask(
+                text = runtime.ask(
                     "inventor", f"inventor_q{qid}", {"record": record_text}, "inventor", str.strip
                 )
             except GatewayError as exc:
                 raise RecordSkipped(rec.record_id, "draft", f"q{qid}: {exc}") from exc
-            if not answer:
+            if not text:
                 raise RecordSkipped(rec.record_id, "draft", f"q{qid}: empty answer")
-            answers[qid] = answer
+            return text
+
+        answers = _run_tasks(self.runtime, [partial(answer, qid) for qid in range(1, 6)])
         return make_draft(answers, source_id=rec.record_id)
 
     def review_draft_quality(self, draft: Draft) -> QualityReport:
-        items = []
-        for qa in draft.qa:
+        """One reviewer call per answer; an unparseable verdict fails its
+        question, a gateway error skips the record."""
+
+        def review(qa, runtime: AgentRuntime, warnings) -> QualityItem:
             template = reviewer_template_for(qa.question_id, self.corrected_reviewer_mapping)
 
             def parse(content: str) -> QualityItem:
@@ -224,13 +233,17 @@ class DatasetBuilder:
                 "<Reason> ... </Reason> when the result is Fail."
             )
             try:
-                item = self.runtime.ask(
+                return runtime.ask(
                     "quality", template, {"answer": qa.answer_text}, "draft_quality", parse,
                     reminder,
                 )
             except (TagError, ParseRetryError):
-                item = QualityItem(qa.question_id, "Fail", "unparseable verdict")
-            items.append(item)
+                return QualityItem(qa.question_id, "Fail", "unparseable verdict")
+            except GatewayError as exc:
+                raise RecordSkipped(draft.source_id, "quality_gate",
+                                    f"q{qa.question_id}: {exc}") from exc
+
+        items = _run_tasks(self.runtime, [partial(review, qa) for qa in draft.qa])
         return QualityReport(items=tuple(items))
 
     def collect_pgtree(self, description: str) -> list[tuple[int, str]]:
@@ -244,6 +257,17 @@ class DatasetBuilder:
             "quality", "pgtree_collect", {"description": description}, "pgtree_collect",
             lambda c: extract_sections(c), reminder,
         )
+
+
+def _run_tasks(runtime: AgentRuntime, tasks: list) -> list:
+    """The results of tasks, each fn(runtime, warnings), run as one TaskGraph,
+    in task order; the first error in task order is raised instead."""
+    with TaskGraph(runtime) as graph:
+        futures = [graph.submit(task) for task in tasks]
+        error = graph.settle()
+    if error is not None:
+        raise error
+    return [future.result() for future in futures]
 
 
 @dataclass
@@ -268,13 +292,13 @@ def build_dataset(
         build.records[rec.record_id] = rec
         try:
             draft = builder.synthesize_draft(rec)
+            build.drafts[rec.record_id] = draft
+            report = builder.review_draft_quality(draft)
         except RecordSkipped as skip:
             build.skips.append(
                 {"record_id": skip.record_id, "stage": skip.stage, "reason": skip.reason}
             )
             continue
-        build.drafts[rec.record_id] = draft
-        report = builder.review_draft_quality(draft)
         build.quality[rec.record_id] = report
         if not report.overall_pass:
             reasons = [

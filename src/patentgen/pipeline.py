@@ -18,9 +18,8 @@ width.
 from __future__ import annotations
 
 import json
-import threading
 import typing
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -31,6 +30,7 @@ from .agents import (
     AgentRuntime,
     COMPONENT_ROLES,
     MalformedVerdictError,
+    TaskGraph,
     default_bindings,
 )
 from .core import (
@@ -227,59 +227,6 @@ def plan_section(
     return SectionPlan(section_index=index, section_overview=overview, subsections=(node,))
 
 
-class _Skipped(Exception):
-    """A task that had not started when another task failed."""
-
-
-class _TaskGraph:
-    """The tasks of one run on one thread pool.
-
-    Each task logs its model calls and warnings on its own; settle() merges
-    them in submission order, which is the order a sequential run makes them
-    in, so the run dir does not depend on how calls interleave. Once a task
-    fails, tasks that have not started are skipped. A one-worker pool runs
-    tasks in submission order, so at width 1 a failed run stops where a
-    sequential run stops.
-    """
-
-    def __init__(self, pool: ThreadPoolExecutor, runtime: AgentRuntime):
-        self.pool = pool
-        self.runtime = runtime
-        self.tasks: list[tuple[Future, RunRecord, list[str]]] = []
-        self.failed = threading.Event()
-
-    def submit(self, fn) -> Future:
-        """Run fn(runtime, warnings) with a runtime that logs into this task's record."""
-        record, warnings = new_run_record(), []
-        runtime = replace(self.runtime, recorder=record)
-
-        def task():
-            if self.failed.is_set():
-                raise _Skipped()
-            try:
-                return fn(runtime, warnings)
-            except BaseException:
-                self.failed.set()
-                raise
-
-        future = self.pool.submit(task)
-        self.tasks.append((future, record, warnings))
-        return future
-
-    def settle(self, record: RunRecord, warnings: list[str]) -> BaseException | None:
-        """Wait for every task, merge its calls and warnings into record and
-        warnings in task order, and return the first error in task order."""
-        error = None
-        for future, task_record, task_warnings in self.tasks:
-            exc = future.exception()
-            for entry in task_record.entries:
-                record.log_call(entry)
-            warnings.extend(task_warnings)
-            if error is None and exc is not None and not isinstance(exc, _Skipped):
-                error = exc
-        return error
-
-
 def _succeeded(future: Future) -> bool:
     return future.exception() is None
 
@@ -301,13 +248,11 @@ class PatentPipeline:
         primary = self.gateways["default"].config
         record = new_run_record(model_id=primary.model_id, seed=cfg.seed)
         runtime = AgentRuntime(gateways=self.gateways, bindings=self.bindings,
-                               registry=self.registry)
+                               registry=self.registry, recorder=record)
         warnings: list[str] = []
         tree: PGTree | None = None
         error: BaseException | None = None
-        width = max(gateway.max_inflight for gateway in self.gateways.values())
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            graph = _TaskGraph(pool, runtime)
+        with TaskGraph(runtime) as graph:
             written = {role: graph.submit(partial(_write_component, role, draft))
                        for role in COMPONENT_ROLES}
             planned = graph.submit(lambda rt, _: rt.plan_first_level(draft))
@@ -320,14 +265,12 @@ class PatentPipeline:
                 nodes = [graph.submit(partial(self._one_subsection, node, reference, tree, draft,
                                               cfg))
                          for node in tree.nodes()]
-            except BaseException as exc:
+            except Exception as exc:
                 graph.failed.set()  # tasks not yet started are skipped
-                if not isinstance(exc, Exception):
-                    raise  # an interrupt ends the run at once
                 error = exc
             # The first task error in task order is the run's error: the main
             # thread may have met a later one, or a skipped task.
-            error = graph.settle(record, warnings) or error
+            error = graph.settle(warnings) or error
         components = {role: f.result() for role, f in written.items() if _succeeded(f)}
         subs = [f.result() for f in nodes if _succeeded(f)]
         try:

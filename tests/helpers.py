@@ -71,6 +71,13 @@ MATCH_REVIEW = "<Requirement>"
 PASS_REVIEW = "<Result>Pass</Result><Advice>solid subsection</Advice>"
 FAIL_REVIEW = "<Result>Fail</Result><Advice>add implementation detail</Advice>"
 
+MATCH_INVENTOR = "You are the inventor"
+MATCH_QUALITY = "meets the quality standards"
+MATCH_COLLECT = "summarize the key parts"
+
+PASS_QUALITY = "<Result> Pass </Result>"
+FAIL_QUALITY = "<Result> Fail </Result><Reason> missing implementation detail </Reason>"
+
 
 def planner_response(m: int) -> str:
     return "\n\n".join(f"<Section-{k}> Overview of part {k} </Section-{k}>" for k in range(1, m + 1))
@@ -111,12 +118,13 @@ def pipeline_playbook(
 
 class PromptFunctionBackend:
     """A backend whose reply is a pure function of the prompt, so any order
-    of arrival gets the same answers. It covers every pipeline role: the
-    prompt's hash picks the section and subsection counts, the examiner's
-    verdict, some malformed first answers that force a re-ask, and some
-    empty retrievals. A prompt for which fail_when gives a text is answered
-    with status 400 and that text. It counts the sends in flight and keeps
-    the peak."""
+    of arrival gets the same answers. It covers every pipeline role and the
+    dataset builder's inventor, reviewer and tree collector: the prompt's
+    hash picks the section and subsection counts, the examiner's and the
+    reviewer's verdicts, some malformed first answers that force a re-ask,
+    and some empty retrievals. A prompt for which fail_when gives a text is
+    answered with status 400 and that text. It counts the sends in flight
+    and keeps the peak."""
 
     def __init__(self, delay_s: float = 0.0, fail_when=None):
         self.delay_s = delay_s
@@ -162,6 +170,16 @@ class PromptFunctionBackend:
             return f"The unit {tag} adapts its gain from sensor feedback."
         if MATCH_REVIEW in prompt:
             return PASS_REVIEW if h % 3 == 0 else FAIL_REVIEW
+        if MATCH_INVENTOR in prompt:
+            return f"Answer {tag}: the unit adapts its gain to the load."
+        if MATCH_QUALITY in prompt:
+            if h % 4 == 0 and not reasked:
+                return "The answer looks fine to me."
+            if h % 5 == 0:
+                return f"<Result> Fail </Result><Reason> answer {tag} is too thin </Reason>"
+            return PASS_QUALITY
+        if MATCH_COLLECT in prompt:
+            return "no sections" if h % 4 == 0 and not reasked else planner_response(1 + h % 3)
         raise AssertionError(f"no reply for prompt {prompt[:80]!r}")
 
 

@@ -6,6 +6,7 @@ from patentgen.agents import (
     AgentError,
     EmptyGenerationError,
     MalformedVerdictError,
+    TaskGraph,
     strip_leading_filler,
 )
 from patentgen.core import (
@@ -245,3 +246,17 @@ def test_review_requires_non_empty_subsection(draft):
 )
 def test_strip_leading_filler(raw, expected):
     assert strip_leading_filler(raw) == expected
+
+
+def test_an_interrupt_leaving_a_task_graph_skips_the_tasks_not_started():
+    runtime = runtime_for(MockPlaybook([]), max_inflight=2)
+    started = []
+    with pytest.raises(KeyboardInterrupt):
+        with TaskGraph(runtime) as graph:
+            # Two tasks hold both workers until the interrupt marks the graph failed.
+            held = [graph.submit(lambda rt, w: graph.failed.wait(5)) for _ in range(2)]
+            queued = [graph.submit(lambda rt, w, i=i: started.append(i)) for i in range(3)]
+            raise KeyboardInterrupt
+    assert [f.result() for f in held] == [True, True]
+    assert started == [] and all(f.done() and f.exception() for f in queued)
+    assert graph.settle() is None  # skipped tasks are not errors

@@ -336,6 +336,21 @@ def test_score_non_utf8_file_is_invalid_input(tmp_path):
     assert [line for line in result.output.splitlines() if line.startswith("error: ")]
 
 
+@pytest.mark.parametrize("missing", ["gen", "ref", "both"])
+def test_score_missing_directory_is_invalid_input(tmp_path, missing):
+    # A missing directory used to glob as empty, so two of them scored 0 docs, exit 0.
+    for side in ("gen", "ref"):
+        if missing not in (side, "both"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "d1.txt").write_text("One sentence. Another one.", "utf-8")
+    result = RUNNER.invoke(main, ["score", str(tmp_path / "gen"), str(tmp_path / "ref")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "is not a directory" in errors[0]
+    assert "scored" not in result.output
+
+
 def test_score_alignment_error_names_id(tmp_path):
     gen = tmp_path / "gen"
     ref = tmp_path / "ref"

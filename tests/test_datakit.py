@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from patentgen.core import render_draft
+from patentgen.agents import AgentRuntime
+from patentgen.core import new_run_record, render_draft
 from patentgen.datakit import (
+    SFT_KINDS,
     DatakitError,
     DatasetBuild,
     DatasetBuilder,
@@ -21,16 +25,21 @@ from patentgen.datakit import (
     proportional_sizes,
     render_record,
     reviewer_template_for,
+    write_build_artifacts,
 )
 from patentgen.gateway import MockPlaybook
-from helpers import rule, runtime_for
-
-MATCH_INVENTOR = "You are the inventor"
-MATCH_QUALITY = "meets the quality standards"
-MATCH_COLLECT = "summarize the key parts"
-
-PASS_QUALITY = "<Result> Pass </Result>"
-FAIL_QUALITY = "<Result> Fail </Result><Reason> missing implementation detail </Reason>"
+from helpers import (
+    FAIL_QUALITY,
+    MATCH_COLLECT,
+    MATCH_INVENTOR,
+    MATCH_QUALITY,
+    PASS_QUALITY,
+    PromptFunctionBackend,
+    function_gateways,
+    rule,
+    runtime_for,
+    tree_contents,
+)
 
 
 def _record(i: int, **overrides) -> PatentRecord:
@@ -162,6 +171,17 @@ def test_quality_unparseable_verdict_marks_fail(draft):
     report = _builder(playbook).review_draft_quality(draft)
     assert not report.overall_pass
     assert all(i.reason == "unparseable verdict" for i in report.items)
+
+
+def test_quality_gateway_error_skips_the_record():
+    # A reviewer's gateway error used to escape build_dataset and end the build.
+    playbook = _basic_playbook(extra=[rule(MATCH_QUALITY, {"error": "status", "code": 404})])
+    build = build_dataset(_builder(playbook), [_record(1), _record(2)], collect_trees=False)
+    assert build.accepted_ids == [] and build.quality == {}
+    assert sorted(build.drafts) == ["rec001", "rec002"]
+    assert [(s["record_id"], s["stage"]) for s in build.skips] == [
+        ("rec001", "quality_gate"), ("rec002", "quality_gate")]
+    assert all(s["reason"].startswith("q1: ") and "404" in s["reason"] for s in build.skips)
 
 
 def test_reviewer_mapping_literal_and_corrected():
@@ -348,3 +368,77 @@ def test_gate_counts_on_mixed_corpus():
     for skip in build.skips:
         assert skip["stage"] == "quality_gate"
         assert "missing implementation detail" in skip["reason"]
+
+
+# --- fan-out ---------------------------------------------------------------------------
+
+INVENTOR_Q2 = "technical background of this invention"
+INVENTOR_Q4 = "key points of the invention"
+REVIEWER_Q1 = "technical problem solved by the invention"
+REVIEWER_Q2 = "background of the technology"
+REVIEWER_Q4 = "description of the drawings"
+
+
+def _function_build(records, width, delay_s=0.001, fail_when=None):
+    backend = PromptFunctionBackend(delay_s=delay_s, fail_when=fail_when)
+    recorder = new_run_record()
+    runtime = AgentRuntime(gateways=function_gateways(backend, width), recorder=recorder)
+    return build_dataset(DatasetBuilder(runtime), records), recorder, backend
+
+
+def test_build_and_exports_are_the_same_at_every_width(tmp_path):
+    records = [_record(i) for i in range(1, 13)]
+    runs, peaks = {}, {}
+    for width in (1, 8):
+        build, recorder, backend = _function_build(records, width)
+        out = tmp_path / f"width{width}"
+        manifest = make_splits(build.accepted_ids, seed=0)
+        write_build_artifacts(build, manifest, out)
+        for kind in SFT_KINDS:
+            export_sft(kind, manifest, build, out / "exports")
+        (out / "calls.jsonl").write_text(
+            "".join(json.dumps(entry) + "\n" for entry in recorder.to_records()), "utf-8")
+        runs[width], peaks[width] = tree_contents(out), backend.peak
+    assert runs[1] == runs[8]
+    assert peaks[1] == 1 and 1 < peaks[8] <= 5
+    # Some reviewers fail the record and some re-ask, so the merge order is exercised.
+    skips = [json.loads(line) for line in runs[1]["skips.jsonl"].splitlines()]
+    assert skips and all(s["stage"] == "quality_gate" for s in skips) and len(skips) < 12
+    roles = [json.loads(line)["agent_role"] for line in runs[1]["calls.jsonl"].splitlines()]
+    assert roles.count("inventor") == 60 and roles.count("draft_quality") > 60
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_backend_never_sees_more_than_max_inflight(width):
+    _, _, backend = _function_build([_record(i) for i in range(1, 5)], width, delay_s=0.002)
+    assert backend.peak == width
+
+
+@pytest.mark.parametrize("stage, q2, q4", [("draft", INVENTOR_Q2, INVENTOR_Q4),
+                                           ("quality_gate", REVIEWER_Q2, REVIEWER_Q4)])
+def test_first_failing_question_names_the_skip_at_every_width(stage, q2, q4):
+    for width in (1, 8):
+        prompts, lock = [], threading.Lock()
+
+        def fail_when(prompt):
+            with lock:
+                prompts.append(prompt)
+            if q2 in prompt:
+                time.sleep(0.03)  # q4 fails first when both are in flight
+                return "q2 unavailable"
+            return "q4 unavailable" if q4 in prompt else None
+
+        build, _, _ = _function_build([_record(1)], width, delay_s=0.005, fail_when=fail_when)
+        assert [(s["stage"], s["reason"][:4]) for s in build.skips] == [(stage, "q2: ")]
+        assert "q2 unavailable" in build.skips[0]["reason"]
+        assert build.accepted_ids == [] and build.quality == {}
+        if width == 1:
+            # A one-worker run stops at q2, as a sequential build does.
+            inventor = [p for p in prompts if MATCH_INVENTOR in p]
+            reviewer = [p for p in prompts if MATCH_QUALITY in p]
+            if stage == "draft":
+                assert len(inventor) == 2 and not reviewer
+            else:
+                assert len(inventor) == 5
+                assert sum(q2 in p for p in reviewer) == 1
+                assert all(REVIEWER_Q1 in p or q2 in p for p in reviewer)
