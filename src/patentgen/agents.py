@@ -8,8 +8,10 @@ AgentRuntime.ask; on a parse failure it re-asks the model with the bad
 response and a format reminder appended, up to parse_retry_max extra calls,
 before surfacing the error.
 
-Calls that read no other call's text run as tasks of a TaskGraph, on one
-thread pool as wide as the runtime's width; gateways bound the sends.
+Calls that read no other call's text run as tasks of a TaskGraph, as many
+at once as the runtime's width allows; gateways bound the sends. run_tasks is
+the one way to fan out a list of items: the dataset builder's questions and
+the bench's documents both go through it.
 """
 
 from __future__ import annotations
@@ -280,22 +282,25 @@ class _Skipped(Exception):
 
 
 class TaskGraph:
-    """Tasks of model calls on one thread pool as wide as the runtime's width.
+    """Tasks of model calls, as many at once as the runtime's width allows.
 
     Each task logs its model calls and warnings on its own; settle() merges
     them in submission order, which is the order a sequential run makes them
     in, so what a run records does not depend on how calls interleave. Once
-    a task fails, tasks that have not started are skipped. A one-worker pool
-    runs tasks in submission order, so at width 1 a failed run stops where a
-    sequential run stops. Leaving the with block waits for every task; an
-    exception leaving it skips the tasks that have not started.
+    a task fails, tasks that have not started are skipped. At width 1 each
+    task runs on the caller's thread as it is submitted, so a failed run
+    stops where a sequential run stops and no thread is started; a wider
+    graph runs its tasks on a thread pool of that width. Leaving the with
+    block waits for every task; an exception leaving it skips the tasks that
+    have not started.
     """
 
     def __init__(self, runtime: AgentRuntime):
         self.runtime = runtime
         self.tasks: list[tuple[Future, RunRecord, list[str]]] = []
         self.failed = threading.Event()
-        self._pool = ThreadPoolExecutor(max_workers=runtime.width)
+        width = runtime.width
+        self._pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
 
     def __enter__(self) -> "TaskGraph":
         return self
@@ -303,7 +308,8 @@ class TaskGraph:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
             self.failed.set()
-        self._pool.shutdown()
+        if self._pool is not None:
+            self._pool.shutdown()
 
     def submit(self, fn) -> Future:
         """Run fn(runtime, warnings) with a runtime that logs into this task's record."""
@@ -319,7 +325,14 @@ class TaskGraph:
                 self.failed.set()
                 raise
 
-        future = self._pool.submit(task)
+        if self._pool is not None:
+            future = self._pool.submit(task)
+        else:
+            future = Future()
+            try:
+                future.set_result(task())
+            except Exception as exc:
+                future.set_exception(exc)
         self.tasks.append((future, record, warnings))
         return future
 
@@ -338,6 +351,17 @@ class TaskGraph:
             if error is None and exc is not None and not isinstance(exc, _Skipped):
                 error = exc
         return error
+
+
+def run_tasks(runtime: AgentRuntime, tasks: list) -> list:
+    """The results of tasks, each fn(runtime, warnings), run as one TaskGraph,
+    in task order; the first error in task order is raised instead."""
+    with TaskGraph(runtime) as graph:
+        futures = [graph.submit(task) for task in tasks]
+        error = graph.settle()
+    if error is not None:
+        raise error
+    return [future.result() for future in futures]
 
 
 def _description_text(content: str) -> str:

@@ -2,18 +2,20 @@
 
 score_* functions are pure: text in, numbers out, every metric setting echoed
 into the report header so numbers are self-describing. The bench runner wraps
-the pipeline per draft, is resumable (completed documents are never
-recomputed), and keeps going past per-document failures.
+the pipeline per draft, runs documents as tasks at the backends' width, is
+resumable (completed documents are never recomputed), and keeps going past
+per-document failures.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
+from .agents import AgentRuntime, run_tasks
 from .core import ConfigError, CoreError, load_draft, load_json, patent_to_text
 from .metrics import (
     BLEU_SPEC,
@@ -260,51 +262,47 @@ def _reusable(run_dir: Path, config_record: dict) -> bool:
 
 
 def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: PipelineConfig,
-              metric_cfg: MetricConfig, out: Path, resume: bool = True,
-              jobs: int = 1) -> BenchReport:
-    """Generate each manifest document under out/runs on `jobs` threads, score
-    it and save the report in out. With resume, a complete run dir made under
-    pipeline_cfg is reused. A document that fails is a failed row."""
+              metric_cfg: MetricConfig, out: Path, resume: bool = True) -> BenchReport:
+    """Generate each manifest document under out/runs, score it and save the
+    report in out. Documents are the tasks of one run_tasks call, so as many
+    run at once as the backends' width allows: one at a time, in manifest
+    order, on a mock. With resume, a complete run dir made under pipeline_cfg
+    is reused. A document that fails is a failed row."""
     docs = _check_manifest(manifest)
     generated_dir = out / "generated"
     generated_dir.mkdir(parents=True, exist_ok=True)
     config_record = pipeline_cfg.to_record()
-    failures: dict[str, str] = {}
 
-    def run_one(entry: dict) -> None:
+    def run_one(entry: dict, runtime: AgentRuntime, warnings) -> str | None:
+        """Generate entry's document; its failure, or None."""
         doc_id = entry["doc_id"]
         run_dir = out / "runs" / doc_id
         generated_path = generated_dir / f"{doc_id}.txt"
         if resume and generated_path.exists() and _reusable(run_dir, config_record):
-            return
+            return None
         try:
             draft = load_draft(_manifest_file(entry, "draft_file"))
-            pipeline = PatentPipeline(gateways, bindings=bindings, run_dir=run_dir)
+            pipeline = PatentPipeline(runtime.gateways, bindings=runtime.bindings, run_dir=run_dir)
             doc = pipeline.run(draft, pipeline_cfg)
         except (ConfigError, CoreError, PipelineAborted) as exc:
-            failures[doc_id] = str(exc)
-            return
+            return str(exc)
         generated_path.write_text(patent_to_text(doc, headers=False), "utf-8")
+        return None
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(run_one, docs))
-
+    runtime = AgentRuntime(gateways=gateways, bindings=bindings)
+    failures = run_tasks(runtime, [partial(run_one, entry) for entry in docs])
     report = BenchReport(header=metric_cfg.header())
-    for entry in docs:
+    for entry, failure in zip(docs, failures):
         doc_id = entry["doc_id"]
-        generated_path = generated_dir / f"{doc_id}.txt"
-        if doc_id not in failures and generated_path.exists():
+        if failure is None:
             try:
                 reference = _manifest_file(entry, "reference_file").read_text("utf-8")
             except (ConfigError, OSError, ValueError) as exc:
-                failures[doc_id] = f"cannot read reference: {exc}"
+                failure = f"cannot read reference: {exc}"
             else:
-                report.rows.append(
-                    score_document(doc_id, generated_path.read_text("utf-8"), reference, metric_cfg)
-                )
+                candidate = (generated_dir / f"{doc_id}.txt").read_text("utf-8")
+                report.rows.append(score_document(doc_id, candidate, reference, metric_cfg))
                 continue
-        report.rows.append(
-            {"doc_id": doc_id, "failed": True, "error": failures.get(doc_id, "not generated")}
-        )
+        report.rows.append({"doc_id": doc_id, "failed": True, "error": failure})
     report.save(out)
     return report

@@ -121,13 +121,12 @@ def generate(draft_file, config_file, mock_playbook, backend, out_dir, seed):
 @_backend_option
 @click.option("--out", "out_dir", type=click.Path())
 @click.option("--max-tokens", type=click.IntRange(min=1), default=16384, show_default=True)
-@click.option("--seed", type=int, default=None)
-def baseline(draft_file, config_file, mock_playbook, backend, out_dir, max_tokens, seed):
+def baseline(draft_file, config_file, mock_playbook, backend, out_dir, max_tokens):
     """One-call zero-shot baseline: a single templated request, sections
     extracted where present, missing sections recorded."""
     with _invalid_input(ConfigError, CoreError):
         draft = load_draft(Path(draft_file))
-        gateways, _, _ = load_run_config(config_file, mock_playbook, backend, seed)
+        gateways, _, _ = load_run_config(config_file, mock_playbook, backend)
 
     run_dir = Path(out_dir) if out_dir else Path("runs") / f"{Path(draft_file).stem}_baseline"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -236,13 +235,13 @@ def score(generated_dir, reference_dir, t, epsilon, cap, vocab, out_dir):
 @_backend_option
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--resume/--no-resume", default=True, show_default=True)
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None)
 @_metric_options
-def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resume, jobs, seed,
+def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resume, seed,
               t, epsilon, cap, vocab):
     """Run the pipeline over a manifest of drafts, then score the results.
 
+    Documents run as many at once as the backends' max_inflight allows.
     Documents completed under the same pipeline config are skipped on rerun;
     per-document failures are recorded and the bench continues.
     """
@@ -251,8 +250,7 @@ def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resum
         gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend, seed)
         metric_cfg = _metric_config(t, epsilon, cap, vocab)
     with _invalid_input(ConfigError):
-        report = run_bench(manifest, gateways, bindings, cfg, metric_cfg, Path(out_dir),
-                           resume, jobs)
+        report = run_bench(manifest, gateways, bindings, cfg, metric_cfg, Path(out_dir), resume)
     click.echo(report.to_table())
     sys.exit(EXIT_OK if len(report.scored_rows) == len(report.rows) else EXIT_PARTIAL)
 

@@ -7,8 +7,8 @@ data. Every skip (bad record, empty answer, failed gate, unparseable tree)
 is logged with a reason so a build is auditable end to end.
 
 No inventor answer reads another, and no reviewer verdict reads another, so
-a record's five inventor calls, then its five reviewer calls, run as the
-tasks of a TaskGraph; the build is the same at any width.
+a record's five inventor calls, then its five reviewer calls, go out
+through agents.run_tasks; the build is the same at any width.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .agents import AgentRuntime, ParseRetryError, TaskGraph
+from .agents import AgentRuntime, ParseRetryError, run_tasks
 from .core import (
     Draft,
     PatentDoc,
@@ -206,7 +206,7 @@ class DatasetBuilder:
                 raise RecordSkipped(rec.record_id, "draft", f"q{qid}: empty answer")
             return text
 
-        answers = _run_tasks(self.runtime, [partial(answer, qid) for qid in range(1, 6)])
+        answers = run_tasks(self.runtime, [partial(answer, qid) for qid in range(1, 6)])
         return make_draft(answers, source_id=rec.record_id)
 
     def review_draft_quality(self, draft: Draft) -> QualityReport:
@@ -243,7 +243,7 @@ class DatasetBuilder:
                 raise RecordSkipped(draft.source_id, "quality_gate",
                                     f"q{qa.question_id}: {exc}") from exc
 
-        items = _run_tasks(self.runtime, [partial(review, qa) for qa in draft.qa])
+        items = run_tasks(self.runtime, [partial(review, qa) for qa in draft.qa])
         return QualityReport(items=tuple(items))
 
     def collect_pgtree(self, description: str) -> list[tuple[int, str]]:
@@ -257,17 +257,6 @@ class DatasetBuilder:
             "quality", "pgtree_collect", {"description": description}, "pgtree_collect",
             lambda c: extract_sections(c), reminder,
         )
-
-
-def _run_tasks(runtime: AgentRuntime, tasks: list) -> list:
-    """The results of tasks, each fn(runtime, warnings), run as one TaskGraph,
-    in task order; the first error in task order is raised instead."""
-    with TaskGraph(runtime) as graph:
-        futures = [graph.submit(task) for task in tasks]
-        error = graph.settle()
-    if error is not None:
-        raise error
-    return [future.result() for future in futures]
 
 
 @dataclass

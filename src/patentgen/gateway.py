@@ -458,8 +458,8 @@ class ResponseCache:
     def get(self, key: str) -> dict | None:
         """The stored entry, or None on a miss. An unindexed key is a miss
         without any I/O. A line that holds another key, cannot be read, or
-        lacks a string content and finish_reason is a miss too, so the fresh
-        response supersedes it."""
+        lacks a non-empty string content and a string finish_reason is a miss
+        too, so the fresh response supersedes it."""
         where = self._index.get(key)
         if where is None:
             return None
@@ -474,6 +474,7 @@ class ResponseCache:
         if not (
             isinstance(entry, dict)
             and isinstance(entry.get("content"), str)
+            and entry["content"]
             and isinstance(entry.get("finish_reason"), str)
         ):
             return None

@@ -10,9 +10,9 @@ The calls of a run form a three-stage graph: the five component writers and
 the planner read only the draft; each section expansion reads the draft and
 its section's overview; each node's retrieve/write/review/refine chain reads
 its own node, the tree overview, the draft and the reference, never a
-sibling's text. So the stages fan out on one thread pool as wide as the
-largest max_inflight among the gateways, and the output is the same at any
-width.
+sibling's text. So the stages are the tasks of one TaskGraph, as wide as
+the largest max_inflight among the gateways, and the output is the same at
+any width.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import (
     ConfigError,
     CoreError,
     Draft,
-    EmptySectionError,
     GuidelineNode,
     PatentDoc,
     PGTree,
@@ -278,7 +277,7 @@ class PatentPipeline:
                 raise error
             doc = PatentDoc(**components, description="\n\n".join(s.text for s in subs),
                             section_order=cfg.section_order, generation_meta=record)
-        except (AgentError, GatewayError, TagError, EmptySectionError) as exc:
+        except (AgentError, CoreError, GatewayError, TagError) as exc:
             self._persist(draft, cfg, record, components, tree, subs, warnings, error=exc)
             raise PipelineAborted(exc, self.run_dir) from exc
         self._persist(draft, cfg, record, components, tree, subs, warnings, doc=doc)

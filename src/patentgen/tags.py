@@ -49,6 +49,12 @@ class NonContiguousIndicesError(TagError):
         )
 
 
+class EmptyBlockError(TagError):
+    def __init__(self, tag_name: str):
+        self.tag_name = tag_name
+        super().__init__(f"block <{tag_name}> is empty")
+
+
 def _scan_blocks(output: str, base: str, numbered: bool) -> list[tuple[int | None, str]]:
     """Return (index, inner text) of every well-formed block, in order.
 
@@ -99,13 +105,17 @@ def wrap_tag(content: str, tag_name: str) -> str:
 
 
 def extract_sections(output: str, tag_base: str = "Section") -> list[tuple[int, str]]:
-    """Parse all <Base-k>...</Base-k> blocks, requiring indices 1..m in order."""
+    """Parse all <Base-k>...</Base-k> blocks, requiring indices 1..m in order
+    and some text in each block."""
     blocks = [(k, text.strip()) for k, text in _scan_blocks(output, tag_base, numbered=True)]
     if not blocks:
         raise NoSectionsError(tag_base)
     found = [k for k, _ in blocks]
     if found != list(range(1, len(found) + 1)):
         raise NonContiguousIndicesError(tag_base, found)
+    for k, text in blocks:
+        if not text:
+            raise EmptyBlockError(f"{tag_base}-{k}")
     return blocks
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from patentgen.agents import (
@@ -113,6 +115,14 @@ def test_plan_surfaces_non_contiguous_after_retries(draft):
     with pytest.raises(NonContiguousIndicesError) as err:
         runtime.plan_first_level(draft)
     assert err.value.found == [1, 3]
+
+
+def test_plan_re_asks_after_an_empty_section(draft):
+    runtime = runtime_for(MockPlaybook([
+        rule(MATCH_PLANNER, "<Section-1> A </Section-1><Section-2> </Section-2>",
+             "<Section-1> A </Section-1><Section-2> B </Section-2>"),
+    ]))
+    assert runtime.plan_first_level(draft) == [(1, "A"), (2, "B")]
 
 
 def test_expand_section_uses_subsection_grammar(draft):
@@ -246,6 +256,18 @@ def test_review_requires_non_empty_subsection(draft):
 )
 def test_strip_leading_filler(raw, expected):
     assert strip_leading_filler(raw) == expected
+
+
+def test_a_width_1_graph_runs_its_tasks_on_the_callers_thread():
+    runtime = runtime_for(MockPlaybook([]))
+    threads = threading.active_count()
+    order = []
+    with TaskGraph(runtime) as graph:
+        futures = [graph.submit(lambda rt, w, i=i: order.append(i) or threading.get_ident())
+                   for i in range(3)]
+        # Each task ran as it was submitted, and no thread was started.
+        assert order == [0, 1, 2] and threading.active_count() == threads
+    assert [f.result() for f in futures] == [threading.get_ident()] * 3
 
 
 def test_an_interrupt_leaving_a_task_graph_skips_the_tasks_not_started():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import threading
 
 import pytest
 
@@ -19,10 +20,11 @@ from patentgen.bench import (
     score_document,
     score_pairs,
 )
-from patentgen.core import draft_to_record, make_draft
+from patentgen.core import draft_to_record, load_json, make_draft
 from patentgen.metrics import IrrConfig, IrrUndefinedError, bleu, irr_of_text, rouge_f1
 from patentgen.pipeline import PipelineConfig
-from helpers import PromptFunctionBackend, function_gateways, oracle_irr, tree_contents
+from helpers import (MATCH_PLANNER, PromptFunctionBackend, function_gateways, mock_gateway,
+                     oracle_irr, pipeline_playbook, planner_response, rule, tree_contents)
 
 
 def test_irr_labels_match_report_columns():
@@ -218,7 +220,7 @@ def _bench(tmp_path, manifest, width: int, delay_s: float = 0.0):
     backend = PromptFunctionBackend(delay_s=delay_s)
     out = tmp_path / f"bench-width{width}"
     report = run_bench(manifest, function_gateways(backend, width), default_bindings(),
-                       PipelineConfig(), MetricConfig(), out, jobs=2)
+                       PipelineConfig(), MetricConfig(), out)
     assert report.to_record()["counts"] == {"scored": len(manifest["docs"]), "failed": 0}
     return tree_contents(out), backend.peak
 
@@ -228,9 +230,32 @@ def test_bench_output_is_the_same_at_every_width(tmp_path):
     assert _bench(tmp_path, manifest, 1)[0] == _bench(tmp_path, manifest, 8)[0]
 
 
+def test_a_scripted_bench_runs_its_documents_in_manifest_order(tmp_path):
+    # The planner rule answers with 1, 2 and then 3 sections in arrival
+    # order. The mock's width is 1, so documents run one at a time, in
+    # manifest order, on the caller's thread: doc i gets i sections.
+    manifest = _manifest(tmp_path)
+    trees = []
+    for run in ("first", "second"):
+        planner = rule(MATCH_PLANNER, *(planner_response(m) for m in (1, 2, 3)))
+        gateway, backend = mock_gateway(pipeline_playbook(subsections=1, extra_rules=[planner]))
+        threads = []
+        send = backend.send
+        backend.send = lambda req: threads.append(threading.get_ident()) or send(req)
+        out = tmp_path / run
+        report = run_bench(manifest, {"default": gateway}, default_bindings(), PipelineConfig(),
+                           MetricConfig(), out)
+        assert report.to_record()["counts"] == {"scored": 3, "failed": 0}
+        for i in (1, 2, 3):
+            assert len(load_json(out / "runs" / f"doc{i}" / "pgtree.json")["sections"]) == i
+        assert set(threads) == {threading.get_ident()}
+        trees.append(tree_contents(out))
+    assert trees[0] == trees[1]
+
+
 @pytest.mark.parametrize("width", [1, 3])
 def test_backend_never_sees_more_than_max_inflight(tmp_path, width):
-    # Two documents at a time, each fanning out as wide as the gateway allows;
+    # Documents overlap, each fanning out, as wide as the gateway allows;
     # frequent thread switches make a lost bound likely to show.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from patentgen.agents import AgentRuntime
 from patentgen.cli import main
 from patentgen.core import draft_to_record, load_json, make_draft
 from patentgen.gateway import MockBackend, MockPlaybook
-from helpers import pipeline_playbook, rule
+from helpers import MATCH_EXPAND, pipeline_playbook, rule
 
 RUNNER = CliRunner()
 
@@ -87,6 +90,37 @@ def test_generate_partial_run_exits_2(tmp_path):
         main, ["generate", str(draft_file), "--config", str(config_file), "--out", str(out)]
     )
     assert result.exit_code == 2
+    assert load_json(out / "status.json")["status"] == "partial"
+    assert (out / "components.json").exists()
+
+
+def test_generate_falls_back_to_one_node_after_empty_expansions(tmp_path):
+    playbook = pipeline_playbook(extra_rules=[rule(MATCH_EXPAND, "<Subsection-1> </Subsection-1>")])
+    draft_file, config_file = _setup_generate(tmp_path, playbook)
+    out = tmp_path / "run"
+    result = RUNNER.invoke(
+        main, ["generate", str(draft_file), "--config", str(config_file), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    tree = load_json(out / "pgtree.json")
+    assert [len(section["subsections"]) for section in tree["sections"]] == [1, 1]
+    warnings = load_json(out / "warnings.json")["warnings"]
+    assert sum("block <Subsection-1> is empty" in w for w in warnings) == 2
+    calls = (out / "calls.jsonl").read_text("utf-8").splitlines()
+    roles = [json.loads(line)["agent_role"] for line in calls]
+    assert roles.count("section_expand") == 6  # each section asked, then re-asked twice
+
+
+def test_generate_aborts_on_any_core_error_and_keeps_partial_output(tmp_path, monkeypatch):
+    # An empty guideline is a CoreError raised inside a task.
+    monkeypatch.setattr(AgentRuntime, "expand_section", lambda self, draft, overview: [(1, " ")])
+    draft_file, config_file = _setup_generate(tmp_path, pipeline_playbook())
+    out = tmp_path / "run"
+    result = RUNNER.invoke(
+        main, ["generate", str(draft_file), "--config", str(config_file), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "run aborted: empty guideline at node (1, 1)" in result.output
     assert load_json(out / "status.json")["status"] == "partial"
     assert (out / "components.json").exists()
 
@@ -198,6 +232,7 @@ def test_backend_option_replaces_a_configured_default(tmp_path):
         ["bench", "{manifest}", "--mock-playbook", "{playbook}", "--out", "{out}", "--jobs", "0"],
         ["--bogus", "generate", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}"],
         ["generat", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}"],
+        ["baseline", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}", "--seed", "1"],
     ],
 )
 def test_usage_errors_exit_1(tmp_path, monkeypatch, args):
@@ -444,21 +479,37 @@ def test_bench_failure_row_then_resume_completes_rest(tmp_path):
     assert record["counts"] == {"scored": 3, "failed": 0}
 
 
-def test_bench_parallel_jobs(tmp_path):
+def _set_width(config_file, width: int) -> None:
+    """Let the run config's mock backend send width requests at once."""
+    config = load_json(config_file)
+    config["backends"]["default"]["max_inflight"] = width
+    config_file.write_text(json.dumps(config), "utf-8")
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_bench_overlaps_documents_at_the_backend_width(tmp_path, monkeypatch, width):
     manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
-    out = tmp_path / "bench_jobs"
+    _set_width(config_file, width)
+    calls = _backend_calls(monkeypatch)
+    send = MockBackend.send
+    monkeypatch.setattr(MockBackend, "send", lambda self, req: time.sleep(0.002) or send(self, req))
+    out = tmp_path / "bench"
     result = RUNNER.invoke(
-        main,
-        ["bench", str(manifest_file), "--config", str(config_file),
-         "--out", str(out), "--jobs", "2"],
+        main, ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
     )
     assert result.exit_code == 0, result.output
     assert load_json(out / "report.json")["counts"] == {"scored": 3, "failed": 0}
+    # The prompts that render the draft name their document. At width 1 the
+    # documents run one after another, in manifest order; at width 2 the
+    # second starts before the first is done.
+    docs = [m.group() for req in calls if (m := re.search(r"MARKDOC\d", req.rendered_prompt()))]
+    assert (docs == sorted(docs)) == (width == 1)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, jobs):
+@pytest.mark.parametrize("width", [1, 2])
+def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, width):
     manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook(), n_docs=5)
+    _set_width(config_file, width)
     manifest = load_json(manifest_file)
     docs = manifest["docs"]
     del docs[1]["draft_file"]
@@ -469,8 +520,7 @@ def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, jobs):
     out = tmp_path / "bench"
     result = RUNNER.invoke(
         main,
-        ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out),
-         "--jobs", jobs],
+        ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)],
     )
     assert result.exit_code == 2, result.output
     record = load_json(out / "report.json")
@@ -498,7 +548,7 @@ def test_bench_resume_regenerates_docs_made_under_another_pipeline_config(tmp_pa
     assert load_json(out / "report.json")["counts"] == {"scored": 0, "failed": 3}
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize(
     "spoil, named",
     [
@@ -510,9 +560,10 @@ def test_bench_resume_regenerates_docs_made_under_another_pipeline_config(tmp_pa
     ],
     ids=["no_doc_id", "not_an_object", "duplicate", "escapes_out", "dot_dot"],
 )
-def test_bench_rejects_bad_doc_ids_before_any_model_call(tmp_path, monkeypatch, jobs, spoil,
+def test_bench_rejects_bad_doc_ids_before_any_model_call(tmp_path, monkeypatch, width, spoil,
                                                           named):
     manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+    _set_width(config_file, width)
     manifest = load_json(manifest_file)
     manifest["docs"][1] = spoil(manifest["docs"][1])
     manifest_file.write_text(json.dumps(manifest), "utf-8")
@@ -520,8 +571,7 @@ def test_bench_rejects_bad_doc_ids_before_any_model_call(tmp_path, monkeypatch, 
     out = tmp_path / "a" / "b" / "bench"
     result = RUNNER.invoke(
         main,
-        ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out),
-         "--jobs", jobs],
+        ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)],
     )
     assert result.exit_code == 1, result.output
     assert named in result.output

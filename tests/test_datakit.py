@@ -214,6 +214,12 @@ def test_collect_pgtree_skip_on_bad_numbering():
     assert any(s["stage"] == "pgtree" for s in build.skips)
 
 
+def test_collect_pgtree_re_asks_after_an_empty_section():
+    playbook = MockPlaybook([rule(MATCH_COLLECT, "<Section-1> a </Section-1><Section-2></Section-2>",
+                                  "<Section-1> a </Section-1><Section-2> b </Section-2>")])
+    assert _builder(playbook).collect_pgtree("Some long description.") == [(1, "a"), (2, "b")]
+
+
 def test_collect_pgtree_requires_description():
     with pytest.raises(Exception, match="non-empty"):
         _builder(_basic_playbook()).collect_pgtree("   ")
@@ -406,6 +412,17 @@ def test_build_and_exports_are_the_same_at_every_width(tmp_path):
     assert skips and all(s["stage"] == "quality_gate" for s in skips) and len(skips) < 12
     roles = [json.loads(line)["agent_role"] for line in runs[1]["calls.jsonl"].splitlines()]
     assert roles.count("inventor") == 60 and roles.count("draft_quality") > 60
+
+
+def test_a_width_1_build_starts_no_thread():
+    seen = []
+    runtime = runtime_for(_basic_playbook())
+    send = runtime.gateways["default"].backend.send
+    runtime.gateways["default"].backend.send = (
+        lambda req: seen.append((threading.get_ident(), threading.active_count())) or send(req))
+    threads = threading.active_count()
+    build_dataset(DatasetBuilder(runtime), [_record(i) for i in range(1, 4)])
+    assert seen and set(seen) == {(threading.get_ident(), threads)}
 
 
 @pytest.mark.parametrize("width", [1, 3])

@@ -106,8 +106,9 @@ def _entry(content: str) -> dict:
 @pytest.mark.parametrize(
     "stored",
     [b'{"content": "trunc', b'{"content": "x"}', b'{"finish_reason": "stop"}', b"[1, 2]",
-     b"\xff\xfe"],
-    ids=["truncated", "no_finish_reason", "no_content", "not_an_object", "not_utf8"],
+     b"\xff\xfe", b'{"content": "", "finish_reason": "stop"}'],
+    ids=["truncated", "no_finish_reason", "no_content", "not_an_object", "not_utf8",
+         "empty_content"],
 )
 def test_unreadable_cache_entry_is_a_miss_then_overwritten(tmp_path, stored):
     (tmp_path / "cache").mkdir()

@@ -5,9 +5,11 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from patentgen.tags import (
+    EmptyBlockError,
     NoSectionsError,
     NonContiguousIndicesError,
     TagDuplicatedError,
+    TagError,
     TagMissingError,
     TagUnclosedError,
     extract_sections,
@@ -88,6 +90,17 @@ def test_sections_out_of_order_rejected():
 def test_sections_empty():
     with pytest.raises(NoSectionsError):
         extract_sections("nothing tagged")
+
+
+@pytest.mark.parametrize("output, base, named", [
+    ("<Section-1> a </Section-1><Section-2>  \n </Section-2>", "Section", "Section-2"),
+    ("<Subsection-1> </Subsection-1>", "Subsection", "Subsection-1"),
+])
+def test_sections_with_an_empty_block_rejected(output, base, named):
+    with pytest.raises(EmptyBlockError) as err:
+        extract_sections(output, tag_base=base)
+    assert isinstance(err.value, TagError)
+    assert err.value.tag_name == named
 
 
 def test_sections_mismatched_close_rejected():
