@@ -43,18 +43,14 @@ class AgentError(Exception):
     pass
 
 
-class EmptyGenerationError(AgentError):
-    def __init__(self, role: str):
-        super().__init__(f"agent {role!r} produced empty output")
-
-
 class MalformedVerdictError(AgentError):
     def __init__(self, detail: str):
         super().__init__(f"examiner verdict unparseable after retries: {detail}")
 
 
-class ParseRetryError(Exception):
-    """Parse failure that warrants re-asking the model."""
+class ParseRetryError(TagError):
+    """A reply that breaks no tag rule but cannot be used, such as an empty
+    text or an odd verdict; it is re-asked like a tag error."""
 
 
 COMPONENT_ROLES = ("title", "abstract", "background", "summary", "claims")
@@ -144,8 +140,8 @@ class AgentRuntime:
         """Render the prompt, call the model as `role` and return parse(reply).
 
         Every agent call goes through here. A reply whose parse raises
-        TagError or ParseRetryError is re-asked with the bad reply and the
-        format reminder appended, up to the binding's parse_retry_max extra
+        TagError (ParseRetryError included) is re-asked with the bad reply and
+        the format reminder appended, up to the binding's parse_retry_max extra
         calls; then the last parse error propagates. Any other exception from
         parse propagates at once.
         """
@@ -165,7 +161,7 @@ class AgentRuntime:
             resp = gateway.complete(request, recorder=self.recorder)
             try:
                 return parse(resp.content)
-            except (TagError, ParseRetryError):
+            except TagError:
                 if attempt >= binding.parse_retry_max:
                     raise
                 messages += [ChatMessage("assistant", resp.content), ChatMessage("user", reminder)]
@@ -180,7 +176,7 @@ class AgentRuntime:
         def parse(content: str) -> str:
             text = extract_tag(content, tag)
             if not text:
-                raise EmptyGenerationError(role)
+                raise ParseRetryError(f"agent {role!r} produced empty output")
             return text
 
         reminder = (
@@ -233,7 +229,8 @@ class AgentRuntime:
             "tree_overview": render_pgtree(tree),
             "guideline": node.guideline_text,
         }
-        return self.ask("description", "description_write", slots, TAG_WRITE, _description_text)
+        return self.ask("description", "description_write", slots, TAG_WRITE, _description_text,
+                        _DESCRIPTION_REMINDER)
 
     def refine(self, node: GuidelineNode, subsection: str, feedback: str, tree: PGTree) -> str:
         if not feedback.strip():
@@ -244,7 +241,8 @@ class AgentRuntime:
             "subsection": subsection,
             "feedback": feedback,
         }
-        return self.ask("description", "description_refine", slots, TAG_REFINE, _description_text)
+        return self.ask("description", "description_refine", slots, TAG_REFINE, _description_text,
+                        _DESCRIPTION_REMINDER)
 
     # --- review ----------------------------------------------------------
 
@@ -273,7 +271,7 @@ class AgentRuntime:
         )
         try:
             return self.ask("examiner", "examiner_review", slots, TAG_REVIEW, parse, reminder)
-        except (TagError, ParseRetryError) as exc:
+        except TagError as exc:
             raise MalformedVerdictError(str(exc)) from exc
 
 
@@ -364,10 +362,15 @@ def run_tasks(runtime: AgentRuntime, tasks: list) -> list:
     return [future.result() for future in futures]
 
 
+_DESCRIPTION_REMINDER = (
+    "Your previous response was empty. Respond again with the full text of the subsection."
+)
+
+
 def _description_text(content: str) -> str:
     """A written or refined subsection: the reply minus any conversational
     lead-in, which must leave some text."""
     text = strip_leading_filler(content)
     if not text:
-        raise EmptyGenerationError("description")
+        raise ParseRetryError("agent 'description' produced empty output")
     return text

@@ -23,7 +23,8 @@ from .metrics import (
     MetricsError,
     ROUGE_SPEC,
     STOPWORD_LIST_ID,
-    counter_from_config,
+    VocabCounter,
+    WhitespaceCounter,
     score_pair,
 )
 # Not called here; perfbench/tracing.py wraps these bench attributes by name.
@@ -54,7 +55,7 @@ class MetricConfig:
     thresholds: tuple[float, ...] = (0.2, 0.4)
     epsilon: float = 1e-6
     cap: float | None = None
-    counter_config: dict | None = None
+    vocab: str | None = None  # a token vocabulary file; whitespace words when None
     counter: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,7 +64,8 @@ class MetricConfig:
         try:
             for t in self.thresholds:
                 IrrConfig(t=t, epsilon=self.epsilon, cap=self.cap)
-            object.__setattr__(self, "counter", counter_from_config(self.counter_config))
+            counter = VocabCounter(self.vocab) if self.vocab else WhitespaceCounter()
+            object.__setattr__(self, "counter", counter)
         except MetricsError as exc:
             raise ConfigError(str(exc)) from exc
         labels = [irr_label(t) for t in self.thresholds]

@@ -96,12 +96,11 @@ def main():
 @_run_config_options
 @_backend_option
 @click.option("--out", "out_dir", type=click.Path(), help="run directory (default runs/<draft stem>)")
-@click.option("--seed", type=int, default=None)
-def generate(draft_file, config_file, mock_playbook, backend, out_dir, seed):
+def generate(draft_file, config_file, mock_playbook, backend, out_dir):
     """Run the full pipeline on DRAFT_FILE and write a run directory."""
     with _invalid_input(ConfigError, CoreError):
         draft = load_draft(Path(draft_file))
-        gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend, seed)
+        gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend)
 
     run_dir = Path(out_dir) if out_dir else Path("runs") / Path(draft_file).stem
     pipeline = PatentPipeline(gateways, bindings=bindings, run_dir=run_dir)
@@ -207,10 +206,7 @@ def build_dataset_cmd(records_path, config_file, mock_playbook, out_dir, sizes, 
 
 
 def _metric_config(t: str, epsilon: float, cap: float | None, vocab: str | None) -> MetricConfig:
-    counter_config = {"kind": "vocab", "path": vocab} if vocab else None
-    return MetricConfig(
-        thresholds=_parse_thresholds(t), epsilon=epsilon, cap=cap, counter_config=counter_config
-    )
+    return MetricConfig(thresholds=_parse_thresholds(t), epsilon=epsilon, cap=cap, vocab=vocab)
 
 
 @main.command()
@@ -235,9 +231,8 @@ def score(generated_dir, reference_dir, t, epsilon, cap, vocab, out_dir):
 @_backend_option
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--resume/--no-resume", default=True, show_default=True)
-@click.option("--seed", type=int, default=None)
 @_metric_options
-def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resume, seed,
+def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resume,
               t, epsilon, cap, vocab):
     """Run the pipeline over a manifest of drafts, then score the results.
 
@@ -247,7 +242,7 @@ def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resum
     """
     with _invalid_input(ConfigError, OSError, ValueError):
         manifest = load_json(Path(manifest_file))
-        gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend, seed)
+        gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend)
         metric_cfg = _metric_config(t, epsilon, cap, vocab)
     with _invalid_input(ConfigError):
         report = run_bench(manifest, gateways, bindings, cfg, metric_cfg, Path(out_dir), resume)

@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 SCHEMA_VERSION_DRAFT = "draft-v1"
 SCHEMA_VERSION_PATENT = "patent-doc-v1"
@@ -148,35 +148,29 @@ def draft_to_record(draft: Draft) -> dict:
     return {
         "schema_version": SCHEMA_VERSION_DRAFT,
         "source_id": draft.source_id,
-        "qa": [
-            {
-                "question_id": qa.question_id,
-                "question_text": qa.question_text,
-                "answer_text": qa.answer_text,
-            }
-            for qa in draft.qa
-        ],
+        "qa": [asdict(qa) for qa in draft.qa],
     }
 
 
 def draft_from_record(record: dict) -> Draft:
     """Parse a draft record; question_text is optional and defaults canonical."""
-    try:
-        entries = record["qa"]
-    except (KeyError, TypeError):
+    entries = record.get("qa") if isinstance(record, dict) else None
+    if not isinstance(entries, list):
         raise DraftValidationError("draft record has no 'qa' list")
     qa = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise DraftValidationError(f"draft qa entry is not an object: {entry!r}")
         qid = entry.get("question_id")
         if not isinstance(qid, int) or qid not in CANONICAL_QUESTIONS:
             raise DraftValidationError(f"bad question_id in draft record: {qid!r}")
-        qa.append(
-            DraftQA(
-                question_id=qid,
-                question_text=entry.get("question_text", CANONICAL_QUESTIONS[qid]),
-                answer_text=entry.get("answer_text", ""),
+        question = entry.get("question_text", CANONICAL_QUESTIONS[qid])
+        answer = entry.get("answer_text", "")
+        if not isinstance(question, str) or not isinstance(answer, str):
+            raise DraftValidationError(
+                f"question {qid}: question_text and answer_text must be strings"
             )
-        )
+        qa.append(DraftQA(question_id=qid, question_text=question, answer_text=answer))
     qa.sort(key=lambda q: q.question_id)
     return Draft(qa=tuple(qa), source_id=record.get("source_id", ""))
 
@@ -351,10 +345,8 @@ class RunRecord:
     entry list itself is only read after the run settles.
     """
 
-    def __init__(self, model_id: str, sampling: dict, seed: int = 0):
+    def __init__(self, model_id: str):
         self.model_id = model_id
-        self.sampling = dict(sampling)
-        self.seed = seed
         self._entries: list[CallEntry] = []
         self._lock = threading.Lock()
 
@@ -374,23 +366,11 @@ class RunRecord:
         return counts
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "agent_role": e.agent_role,
-                "prompt_hash": e.prompt_hash,
-                "response_hash": e.response_hash,
-                "latency_ms": e.latency_ms,
-                "retries": e.retries,
-                "cached": e.cached,
-            }
-            for e in self.entries
-        ]
+        return [asdict(entry) for entry in self.entries]
 
 
-def new_run_record(model_id: str = "unset", seed: int = 0, **sampling) -> RunRecord:
-    defaults = {"temperature": 0.5, "top_p": 0.9, "max_tokens": 4096}
-    defaults.update(sampling)
-    return RunRecord(model_id=model_id, sampling=defaults, seed=seed)
+def new_run_record(model_id: str = "unset") -> RunRecord:
+    return RunRecord(model_id=model_id)
 
 
 def check_section_order(order: tuple[str, ...]) -> None:
@@ -443,12 +423,7 @@ def patent_to_record(doc: PatentDoc) -> dict:
     meta: dict = {}
     if doc.generation_meta is not None:
         rec = doc.generation_meta
-        meta = {
-            "model_id": rec.model_id,
-            "sampling": rec.sampling,
-            "seed": rec.seed,
-            "call_counts": rec.role_counts(),
-        }
+        meta = {"model_id": rec.model_id, "call_counts": rec.role_counts()}
     return {
         "schema_version": SCHEMA_VERSION_PATENT,
         "status": "complete",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -114,20 +114,27 @@ def load_records(path: Path | str, cfg: IngestConfig | None = None):
     """
     cfg = cfg or IngestConfig()
     path = Path(path)
-    raws: list[tuple[str, dict]] = []
+    # (fallback record id, where the record is, its JSON text)
+    sources: list[tuple[str, str, str]] = []
     if path.is_dir():
         for file in sorted(path.glob("*.json")):
-            raws.append((file.stem, json.loads(file.read_text("utf-8"))))
+            sources.append((file.stem, str(file), file.read_text("utf-8")))
     elif path.suffix == ".jsonl":
         for i, line in enumerate(path.read_text("utf-8").splitlines()):
             if line.strip():
-                raws.append((f"line{i + 1}", json.loads(line)))
+                sources.append((f"line{i + 1}", f"{path} line {i + 1}", line))
     else:
         raise DatakitError(f"records path must be a directory or .jsonl file: {path}")
 
     records: list[PatentRecord] = []
     skips: list[dict] = []
-    for fallback_id, raw in raws:
+    for fallback_id, where, text in sources:
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:
+            raise DatakitError(f"{where}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise DatakitError(f"{where}: record is not a JSON object")
         rec = _record_from_raw(raw, cfg, fallback_id)
         if rec.decision_label != cfg.accept_label:
             skips.append(
@@ -237,7 +244,7 @@ class DatasetBuilder:
                     "quality", template, {"answer": qa.answer_text}, "draft_quality", parse,
                     reminder,
                 )
-            except (TagError, ParseRetryError):
+            except TagError:
                 return QualityItem(qa.question_id, "Fail", "unparseable verdict")
             except GatewayError as exc:
                 raise RecordSkipped(draft.source_id, "quality_gate",
@@ -302,7 +309,7 @@ def build_dataset(
         if collect_trees:
             try:
                 build.pgtrees[rec.record_id] = builder.collect_pgtree(rec.description)
-            except (TagError, ParseRetryError, GatewayError) as exc:
+            except (TagError, GatewayError) as exc:
                 build.skips.append(
                     {"record_id": rec.record_id, "stage": "pgtree", "reason": str(exc)}
                 )
@@ -443,16 +450,9 @@ def write_build_artifacts(build: DatasetBuild, manifest: SplitManifest, workdir:
         path.write_text(
             json.dumps(draft_to_record(draft), ensure_ascii=False, indent=2) + "\n", "utf-8"
         )
-    quality = {
-        record_id: [
-            {"question_id": i.question_id, "result": i.result, "reason": i.reason}
-            for i in report.items
-        ]
-        for record_id, report in build.quality.items()
-    }
+    quality = {record_id: asdict(report)["items"] for record_id, report in build.quality.items()}
     (workdir / "quality.json").write_text(json.dumps(quality, indent=2) + "\n", "utf-8")
-    trees = {rid: tree for rid, tree in build.pgtrees.items()}
-    (workdir / "pgtrees.json").write_text(json.dumps(trees, indent=2) + "\n", "utf-8")
+    (workdir / "pgtrees.json").write_text(json.dumps(build.pgtrees, indent=2) + "\n", "utf-8")
     (workdir / "splits.json").write_text(
         json.dumps(manifest.to_record(), indent=2) + "\n", "utf-8"
     )

@@ -441,19 +441,6 @@ class VocabCounter:
         return total
 
 
-def counter_from_config(config: dict | None):
-    if config is None:
-        return WhitespaceCounter()
-    kind = config.get("kind")
-    if kind == "whitespace":
-        return WhitespaceCounter()
-    if kind == "vocab":
-        if "path" not in config:
-            raise CounterConfigError("vocab counter config needs a 'path'")
-        return VocabCounter(config["path"])
-    raise CounterConfigError(f"unknown token counter kind {kind!r}")
-
-
 def length_stats(text: str, counter=None) -> LengthStats:
     counter = counter or WhitespaceCounter()
     return LengthStats(

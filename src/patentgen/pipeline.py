@@ -85,7 +85,6 @@ class PipelineConfig:
     max_refine_rounds: int = 3
     pgtree_expansion: str = EXPANSION_PER_SECTION
     section_order: tuple[str, ...] = DEFAULT_SECTION_ORDER
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_refine_rounds < 0:
@@ -137,11 +136,10 @@ def config_record(base, record: dict, where: str, fixed: tuple[str, ...] = ()):
 
 
 def load_run_config(config_file: str | None, mock_playbook: str | None = None,
-                    backend: str | None = None, seed: int | None = None):
+                    backend: str | None = None):
     """A run config file as (gateways, agent bindings, PipelineConfig); a bad
     value is a ConfigError naming its key. mock_playbook replaces the backends
-    with one scripted mock, backend names the one used as "default", and seed
-    replaces the pipeline seed."""
+    with one scripted mock, and backend names the one used as "default"."""
     config: dict = {}
     if config_file:
         try:
@@ -190,10 +188,7 @@ def load_run_config(config_file: str | None, mock_playbook: str | None = None,
             raise ConfigError(f"agents.{role}.max_tokens: {binding.max_tokens} exceeds the "
                               f"max_tokens_limit {limit} of backend {binding.backend!r}")
 
-    pipeline_cfg = PipelineConfig.from_record(config.get("pipeline", {}))
-    if seed is not None:
-        pipeline_cfg = replace(pipeline_cfg, seed=seed)
-    return gateways, bindings, pipeline_cfg
+    return gateways, bindings, PipelineConfig.from_record(config.get("pipeline", {}))
 
 
 def plan_section(
@@ -244,8 +239,7 @@ class PatentPipeline:
         self.run_dir = Path(run_dir) if run_dir is not None else None
 
     def run(self, draft: Draft, cfg: PipelineConfig) -> PatentDoc:
-        primary = self.gateways["default"].config
-        record = new_run_record(model_id=primary.model_id, seed=cfg.seed)
+        record = new_run_record(model_id=self.gateways["default"].config.model_id)
         runtime = AgentRuntime(gateways=self.gateways, bindings=self.bindings,
                                registry=self.registry, recorder=record)
         warnings: list[str] = []
@@ -327,7 +321,7 @@ class PatentPipeline:
         if components:
             dump_json(components, run_dir / "components.json")
         if tree is not None:
-            dump_json(pgtree_to_record(tree), run_dir / "pgtree.json")
+            dump_json(asdict(tree), run_dir / "pgtree.json")
         if subs:
             sub_dir = run_dir / "subsections"
             sub_dir.mkdir(exist_ok=True)
@@ -355,26 +349,6 @@ def _write_component(role, draft, runtime, warnings):
 def _expand_section(index, overview, draft, cfg, runtime, warnings):
     return plan_section(index, overview, cfg,
                         lambda text: runtime.expand_section(draft, text), warnings)
-
-
-def pgtree_to_record(tree: PGTree) -> dict:
-    return {
-        "sections": [
-            {
-                "section_index": plan.section_index,
-                "section_overview": plan.section_overview,
-                "subsections": [
-                    {
-                        "section_index": n.section_index,
-                        "subsection_index": n.subsection_index,
-                        "guideline_text": n.guideline_text,
-                    }
-                    for n in plan.subsections
-                ],
-            }
-            for plan in tree.sections
-        ]
-    }
 
 
 def subsection_to_record(sub: SubsectionDraft) -> dict:

@@ -6,8 +6,8 @@ import pytest
 
 from patentgen.agents import (
     AgentError,
-    EmptyGenerationError,
     MalformedVerdictError,
+    ParseRetryError,
     TaskGraph,
     strip_leading_filler,
 )
@@ -169,8 +169,28 @@ def test_write_subsection_strips_leading_filler(draft):
 def test_write_subsection_empty_is_an_error(draft):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_WRITE, "")]))
-    with pytest.raises(EmptyGenerationError):
+    backend = runtime.gateways["default"].backend
+    with pytest.raises(ParseRetryError, match="empty output"):
         runtime.write_subsection(node, "facts", tree, draft)
+    assert backend.calls == 3  # asked, then re-asked parse_retry_max=2 times
+
+
+def test_write_subsection_re_asks_an_empty_reply_with_a_reminder(draft):
+    tree, node = _tree_one_node()
+    runtime = runtime_for(MockPlaybook([
+        rule("previous response was empty", "Second body."),
+        rule(MATCH_WRITE, " \n "),
+    ]))
+    assert runtime.write_subsection(node, "facts", tree, draft) == "Second body."
+    assert runtime.gateways["default"].backend.calls == 2
+
+
+def test_write_component_re_asks_a_blank_component(draft):
+    runtime = runtime_for(
+        MockPlaybook([rule("patent title", "<Title> </Title>", "<Title>Second try</Title>")])
+    )
+    assert runtime.write_component("title", draft) == "Second try"
+    assert runtime.gateways["default"].backend.calls == 2
 
 
 def test_review_parses_verdict_and_advice(draft):
@@ -232,8 +252,10 @@ def test_refine_requires_feedback(draft):
 def test_refine_empty_revision_is_an_error(draft):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_REFINE, "  ")]))
-    with pytest.raises(EmptyGenerationError):
+    backend = runtime.gateways["default"].backend
+    with pytest.raises(ParseRetryError, match="empty output"):
         runtime.refine(node, "old", "advice", tree)
+    assert backend.calls == 3
 
 
 def test_review_requires_non_empty_subsection(draft):

@@ -42,6 +42,15 @@ def test_header_pins_every_metric_setting():
     assert "bleu" in header and "rouge" in header and "token_counter" in header
 
 
+def test_header_names_the_token_counter(tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("widget\nwid\nget\n", "utf-8")
+    assert MetricConfig().header()["token_counter"] == "whitespace-v1"
+    cfg = MetricConfig(vocab=str(vocab))
+    assert cfg.header()["token_counter"] == "vocab:vocab.txt"
+    assert score_document("d", "widgets", "widgets", cfg)["tokens"] == 2
+
+
 def _sentences_doc(sentences):
     return "\n\n".join(sentences)
 

@@ -125,16 +125,30 @@ def test_generate_aborts_on_any_core_error_and_keeps_partial_output(tmp_path, mo
     assert (out / "components.json").exists()
 
 
-def test_generate_threads_seed_into_run_config(tmp_path):
-    draft_file, config_file = _setup_generate(tmp_path, pipeline_playbook())
+_MALFORMED_DRAFTS = {
+    "qa_string": {"qa": "x"},
+    "answer_int": {"qa": [{"question_id": i, "answer_text": 5} for i in range(1, 6)]},
+    "entry_string": {"qa": ["x"]},
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_DRAFTS))
+def test_generate_malformed_draft_is_invalid_input(tmp_path, monkeypatch, case):
+    draft_file = tmp_path / "bad_draft.json"
+    draft_file.write_text(json.dumps(_MALFORMED_DRAFTS[case]), "utf-8")
+    playbook_path = tmp_path / "pb.json"
+    pipeline_playbook().save(playbook_path)
+    config_file = _write_config(tmp_path / "config.json", playbook_path)
+    calls = _backend_calls(monkeypatch)
     out = tmp_path / "run"
     result = RUNNER.invoke(
-        main,
-        ["generate", str(draft_file), "--config", str(config_file),
-         "--out", str(out), "--seed", "77"],
+        main, ["generate", str(draft_file), "--config", str(config_file), "--out", str(out)]
     )
-    assert result.exit_code == 0
-    assert load_json(out / "config.json")["seed"] == 77
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+    assert not out.exists()
+    assert calls == []
 
 
 def test_generate_rejects_unknown_agent_role(tmp_path):
@@ -184,6 +198,7 @@ def _set_key(config: dict, path: str, value) -> None:
         ("backends.default.max_tokens_limit", 4096, "agents.description.max_tokens: 8192"),
         ("backends.default.max_inflight", 0, "backends.default: max_inflight must be >= 1"),
         ("backends.default.max_inflight", 2.5, "backends.default.max_inflight"),
+        ("pipeline.seed", 0, "pipeline: unknown keys ['seed']"),
     ],
 )
 def test_bad_run_config_value_fails_before_any_model_call(tmp_path, monkeypatch, path, value,
@@ -233,6 +248,8 @@ def test_backend_option_replaces_a_configured_default(tmp_path):
         ["--bogus", "generate", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}"],
         ["generat", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}"],
         ["baseline", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}", "--seed", "1"],
+        ["generate", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}", "--seed", "1"],
+        ["bench", "{manifest}", "--mock-playbook", "{playbook}", "--out", "{out}", "--seed", "1"],
     ],
 )
 def test_usage_errors_exit_1(tmp_path, monkeypatch, args):
@@ -532,6 +549,21 @@ def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, width):
     assert "cannot read reference" in rows["doc4"]["error"]
     assert "cannot read reference" in rows["doc5"]["error"]
     assert result.output.count("FAILED") == 4
+
+
+def test_bench_malformed_draft_becomes_a_failed_row(tmp_path):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook(), n_docs=2)
+    (tmp_path / "draft2.json").write_text(json.dumps(_MALFORMED_DRAFTS["answer_int"]), "utf-8")
+    out = tmp_path / "bench"
+    result = RUNNER.invoke(
+        main, ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    record = load_json(out / "report.json")
+    assert record["counts"] == {"scored": 1, "failed": 1}
+    rows = {r["doc_id"]: r for r in record["rows"]}
+    assert rows["doc1"]["failed"] is False
+    assert "must be strings" in rows["doc2"]["error"]
 
 
 def test_bench_resume_regenerates_docs_made_under_another_pipeline_config(tmp_path):

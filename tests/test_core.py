@@ -95,6 +95,25 @@ def test_draft_record_defaults_question_text():
     assert loaded.qa[0].question_text == CANONICAL_QUESTIONS[1]
 
 
+@pytest.mark.parametrize(
+    "record, named",
+    [
+        ({"qa": "x"}, "no 'qa' list"),
+        ({"qa": {"question_id": 1}}, "no 'qa' list"),
+        (["qa"], "no 'qa' list"),
+        ({"qa": ["x"]}, "not an object"),
+        ({"qa": [{"question_id": 1, "answer_text": 5}]}, "must be strings"),
+        ({"qa": [{"question_id": 1, "answer_text": None}]}, "must be strings"),
+        ({"qa": [{"question_id": 1, "question_text": 5, "answer_text": "a"}]}, "must be strings"),
+    ],
+    ids=["qa_string", "qa_object", "record_list", "entry_string", "answer_int", "answer_null",
+         "question_int"],
+)
+def test_draft_record_of_the_wrong_shape_is_a_validation_error(record, named):
+    with pytest.raises(DraftValidationError, match=named):
+        draft_from_record(record)
+
+
 SECTIONS = dict(
     title="T", abstract="A", background="B", summary="S", claims="C", description="D"
 )

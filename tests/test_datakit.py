@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 
@@ -103,6 +104,22 @@ def test_load_records_jsonl_with_field_map(tmp_path):
     records, skips = load_records(path, cfg)
     assert not skips
     assert records[0].record_id == "x1" and records[0].title == "T"
+
+
+@pytest.mark.parametrize("layout", ["directory", "jsonl"])
+@pytest.mark.parametrize("bad, named", [("[1, 2]", "record is not a JSON object"),
+                                        ('{"title": ', "Expecting value")])
+def test_load_records_names_the_file_of_a_bad_record(tmp_path, layout, bad, named):
+    if layout == "directory":
+        (tmp_path / "a.json").write_text(json.dumps(_record(1).__dict__), "utf-8")
+        (tmp_path / "b.json").write_text(bad, "utf-8")
+        path, where = tmp_path, str(tmp_path / "b.json")
+    else:
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(_record(1).__dict__) + "\n\n" + bad + "\n", "utf-8")
+        where = f"{path} line 3"
+    with pytest.raises(DatakitError, match=f"^{re.escape(where)}: {named}"):
+        load_records(path)
 
 
 def test_render_record_contains_all_sections():
@@ -330,6 +347,25 @@ def test_export_unknown_kind(tmp_path):
     manifest = make_splits(build.accepted_ids, sizes=(1, 0, 0), seed=0)
     with pytest.raises(Exception, match="unknown export kind"):
         export_sft("D2X", manifest, build, tmp_path)
+
+
+def test_quality_and_tree_artifact_formats(tmp_path):
+    playbook = _basic_playbook(extra=[rule("BADQ3", FAIL_QUALITY), rule(
+        r"(?s)Widget 2\b.*detailed technical solution", "BADQ3 thin", regex=True)])
+    build = build_dataset(_builder(playbook), [_record(1), _record(2)])
+    write_build_artifacts(build, make_splits(build.accepted_ids, sizes=(1, 0, 0)), tmp_path)
+    item = '    {{\n      "question_id": {0},\n      "result": "{1}",\n      "reason": "{2}"\n    }}'
+    passing = [item.format(q, "Pass", "") for q in range(1, 6)]
+    failing = [item.format(q, "Pass", "") for q in (1, 2)] + [
+        item.format(3, "Fail", "missing implementation detail")] + passing[3:]
+    assert (tmp_path / "quality.json").read_text("utf-8") == (
+        '{\n  "rec001": [\n' + ",\n".join(passing) + '\n  ],\n'
+        '  "rec002": [\n' + ",\n".join(failing) + '\n  ]\n}\n'
+    )
+    assert (tmp_path / "pgtrees.json").read_text("utf-8") == (
+        '{\n  "rec001": [\n    [\n      1,\n      "part one"\n    ],\n'
+        '    [\n      2,\n      "part two"\n    ]\n  ]\n}\n'
+    )
 
 
 def test_gate_at_benchmark_scale():

@@ -254,7 +254,7 @@ def test_scripted_429_is_retried():
 
 
 def test_transient_then_success_records_retries():
-    record = RunRecord(model_id="m", sampling={})
+    record = RunRecord(model_id="m")
     gateway, _ = mock_gateway(
         MockPlaybook([rule("title", {"error": "transport"}, "recovered")]), retry_max=2
     )
@@ -300,7 +300,7 @@ def test_max_tokens_limit_enforced_by_gateway():
 
 
 def test_run_record_logs_each_call_once():
-    record = RunRecord(model_id="m", sampling={})
+    record = RunRecord(model_id="m")
     gateway, _ = mock_gateway(MockPlaybook([rule("title", "one"), rule("other", "two")]))
     gateway.complete(_req(request_tag="title"), recorder=record)
     gateway.complete(_req("other prompt", request_tag="other"), recorder=record)
@@ -428,7 +428,7 @@ def test_http_backend_parses_wire_shape(loopback, monkeypatch):
 
 def test_http_server_error_is_retried(loopback):
     loopback.script += [(500, {"error": "busy"}), (200, _reply("second try"))]
-    record = RunRecord(model_id="m", sampling={})
+    record = RunRecord(model_id="m")
     resp = _http_gateway(_url(loopback)).complete(_req(), recorder=record)
     assert resp.content == "second try"
     assert len(loopback.seen) == 2
@@ -438,7 +438,7 @@ def test_http_server_error_is_retried(loopback):
 def test_http_429_honours_retry_after_seconds(loopback):
     loopback.script += [(429, {"error": "slow down"}, 0.0, {"Retry-After": "0"}),
                         (200, _reply("after the wait"))]
-    record, sleeps = RunRecord(model_id="m", sampling={}), []
+    record, sleeps = RunRecord(model_id="m"), []
     resp = _http_gateway(_url(loopback), sleeps).complete(_req(), recorder=record)
     assert resp.content == "after the wait"
     assert len(loopback.seen) == 2

@@ -18,9 +18,7 @@ from patentgen.metrics import (
     MetricsError,
     STOPWORD_LIST_ID,
     VocabCounter,
-    WhitespaceCounter,
     bleu,
-    counter_from_config,
     irr,
     irr_of_text,
     irr_report,
@@ -519,14 +517,8 @@ def test_vocab_counter_greedy_longest_match(tmp_path):
 
 
 def test_counter_config():
-    assert isinstance(counter_from_config(None), WhitespaceCounter)
-    assert isinstance(counter_from_config({"kind": "whitespace"}), WhitespaceCounter)
-    with pytest.raises(CounterConfigError):
-        counter_from_config({"kind": "bpe"})
-    with pytest.raises(CounterConfigError):
-        counter_from_config({"kind": "vocab"})
-    with pytest.raises(CounterConfigError):
-        counter_from_config({"kind": "vocab", "path": "/nonexistent/vocab.txt"})
+    with pytest.raises(CounterConfigError, match="vocabulary file not found"):
+        VocabCounter("/nonexistent/vocab.txt")
 
 
 def test_metric_purity_bit_identical():

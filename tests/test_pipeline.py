@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,14 @@ from patentgen.pipeline import (
     PatentPipeline,
     PipelineAborted,
     PipelineConfig,
+    load_run_config,
     parse_zero_shot_output,
     plan_section,
     run_zero_shot,
 )
 from helpers import (
+    COMPONENT_MATCHERS,
+    COMPONENT_RESPONSES,
     FAIL_REVIEW,
     MATCH_RETRIEVE,
     MATCH_WRITE,
@@ -227,6 +232,52 @@ def test_abort_keeps_completed_subsection_histories(draft, tmp_path):
     assert load_json(persisted[0])["text"] == "First body."
 
 
+def test_blank_component_and_subsection_replies_are_re_asked(draft, tmp_path):
+    playbook = pipeline_playbook(sections=1, subsections=None, extra_rules=[
+        rule(COMPONENT_MATCHERS["title"], "<Title> </Title>", "<Title>Second try</Title>"),
+        rule(MATCH_WRITE, "  ", "Written on the second ask."),
+    ])
+    run_dir = tmp_path / "run"
+    doc = _pipeline(playbook, run_dir=run_dir).run(draft, PipelineConfig(pgtree_expansion="off"))
+    assert doc.title == "Second try"
+    assert doc.description == "Written on the second ask."
+    counts = doc.generation_meta.role_counts()
+    assert counts["title"] == 2 and counts["description_write"] == 2
+    assert load_json(run_dir / "status.json")["status"] == "complete"
+
+
+def test_blank_component_after_every_re_ask_aborts_with_partial_output(draft, tmp_path):
+    playbook = pipeline_playbook(sections=1, subsections=None, extra_rules=[
+        rule(COMPONENT_MATCHERS["title"], "<Title> </Title>"),
+    ])
+    run_dir = tmp_path / "run"
+    with pytest.raises(PipelineAborted, match="agent 'title' produced empty output"):
+        _pipeline(playbook, run_dir=run_dir).run(draft, PipelineConfig(pgtree_expansion="off"))
+    assert load_json(run_dir / "status.json")["status"] == "partial"
+    roles = [json.loads(line)["agent_role"]
+             for line in (run_dir / "calls.jsonl").read_text("utf-8").splitlines()]
+    assert roles == ["title"] * 3  # asked, then re-asked parse_retry_max=2 times
+
+
+def test_call_log_and_tree_file_formats(draft, tmp_path):
+    run_dir = tmp_path / "run"
+    _pipeline(pipeline_playbook(sections=1, subsections=2), run_dir=run_dir).run(
+        draft, PipelineConfig())
+    first = json.loads((run_dir / "calls.jsonl").read_text("utf-8").splitlines()[0])
+    assert (run_dir / "calls.jsonl").read_text("utf-8").splitlines()[0] == (
+        '{"agent_role": "title", "prompt_hash": "' + first["prompt_hash"] + '", '
+        '"response_hash": "' + content_hash(COMPONENT_RESPONSES["title"]) + '", '
+        f'"latency_ms": {first["latency_ms"]}, "retries": 0, "cached": false}}'
+    )
+    node = '        {{\n          "guideline_text": "Write about s1 {0}",\n' \
+           '          "section_index": 1,\n          "subsection_index": {0}\n        }}'
+    assert (run_dir / "pgtree.json").read_text("utf-8") == (
+        '{\n  "sections": [\n    {\n      "section_index": 1,\n'
+        '      "section_overview": "Overview of part 1",\n      "subsections": [\n'
+        + node.format(1) + ",\n" + node.format(2) + "\n      ]\n    }\n  ]\n}\n"
+    )
+
+
 def test_run_dir_contains_both_serializations(draft, tmp_path):
     run_dir = tmp_path / "run"
     doc = _pipeline(pipeline_playbook(), run_dir=run_dir).run(draft, PipelineConfig())
@@ -363,9 +414,26 @@ def test_pipeline_config_validation():
         PipelineConfig(max_refine_rounds=-1)
     with pytest.raises(Exception, match="pgtree_expansion"):
         PipelineConfig(pgtree_expansion="sometimes")
-    cfg = PipelineConfig.from_record({"max_refine_rounds": 1, "seed": 7})
-    assert cfg.max_refine_rounds == 1 and cfg.seed == 7
+    cfg = PipelineConfig.from_record({"max_refine_rounds": 1})
+    assert cfg.max_refine_rounds == 1
     assert PipelineConfig.from_record(cfg.to_record()) == cfg
+
+
+def test_readme_run_config_example_loads(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    example = re.search(r"\*\*Run config\*\*:\s*```json\n(.*?)```", readme, re.S).group(1)
+    config_file = tmp_path / "run.json"
+    config_file.write_text(example, "utf-8")
+    MockPlaybook([]).save(tmp_path / "playbook.json")
+    monkeypatch.chdir(tmp_path)
+    gateways, bindings, cfg = load_run_config(str(config_file))
+    config = json.loads(example)
+    assert set(gateways) == {"default", "scripted"}
+    assert gateways["default"].config.kind == "http"
+    assert bindings["title"].temperature == 0.3
+    assert bindings["examiner"].backend == "scripted"
+    assert cfg == PipelineConfig.from_record(config["pipeline"])
+    assert cfg.to_record() == {**config["pipeline"], "schema_version": "pipeline-config-v1"}
 
 
 # --- zero-shot baseline -------------------------------------------------------
