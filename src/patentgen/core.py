@@ -162,7 +162,8 @@ def draft_from_record(record: dict) -> Draft:
         if not isinstance(entry, dict):
             raise DraftValidationError(f"draft qa entry is not an object: {entry!r}")
         qid = entry.get("question_id")
-        if not isinstance(qid, int) or qid not in CANONICAL_QUESTIONS:
+        # A bool is an int, and True == 1.
+        if type(qid) is not int or qid not in CANONICAL_QUESTIONS:
             raise DraftValidationError(f"bad question_id in draft record: {qid!r}")
         question = entry.get("question_text", CANONICAL_QUESTIONS[qid])
         answer = entry.get("answer_text", "")
@@ -172,7 +173,10 @@ def draft_from_record(record: dict) -> Draft:
             )
         qa.append(DraftQA(question_id=qid, question_text=question, answer_text=answer))
     qa.sort(key=lambda q: q.question_id)
-    return Draft(qa=tuple(qa), source_id=record.get("source_id", ""))
+    source_id = record.get("source_id", "")
+    if not isinstance(source_id, str):
+        raise DraftValidationError(f"source_id must be a string, got {source_id!r}")
+    return Draft(qa=tuple(qa), source_id=source_id)
 
 
 @dataclass(frozen=True)

@@ -4,22 +4,26 @@ One gateway fronts either a real HTTP backend (the de-facto chat-completions
 wire shape) or a fully scripted mock backend, adding retries with jittered
 exponential backoff, an on-disk response cache (one append-only log per cache
 directory, indexed in memory by offset), a token-bucket rate limit, a bound on
-requests in flight, and per-call logging into a RunRecord. Tests run against
-the mock and a loopback HTTP server; the HTTP path is the same code minus the
-playbook.
+requests in flight, and per-call logging into a RunRecord. The HTTP backend
+speaks HTTP/1.1 through http.client and reuses its connections (see
+HttpBackend for the delayed-ACK stall that this has to avoid). Tests run
+against the mock and a loopback HTTP server; the HTTP path is the same code
+minus the playbook.
 """
 
 from __future__ import annotations
 
+import base64
 import email.utils
 import http.client
 import json
 import os
 import random
 import re
+import socket
 import threading
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 import weakref
 from dataclasses import dataclass, field
@@ -301,16 +305,59 @@ class MockBackend:
 # --- HTTP backend ----------------------------------------------------------
 
 
+# TCP_QUICKACK is Linux's; without it a reused connection can stall (see HttpBackend).
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+
 class HttpBackend:
-    """POSTs the messages-array wire shape to {endpoint}/chat/completions."""
+    """POSTs the messages-array wire shape to {endpoint}/chat/completions over
+    HTTP/1.1, keeping connections open and reusing them.
+
+    Servers that write the headers and the body of a reply in two sends, as
+    Python's http.server does, hold the body under Nagle's algorithm until
+    the client ACKs the headers, and on a reused connection the client delays
+    that ACK by ~40 ms. So the socket has TCP_NODELAY (http.client sets it on
+    connect), and TCP_QUICKACK is set after the request is sent and again
+    after the reply's headers are read. Where TCP_QUICKACK does not exist,
+    each request asks the server to close the connection and nothing is
+    pooled.
+
+    The `http` and `https` proxies and `no_proxy` of the environment are
+    honoured as urllib reads them: an http endpoint gets absolute-URI
+    requests sent to the proxy, an https endpoint is tunnelled through it.
+    """
 
     def __init__(self, config: BackendConfig):
         if not config.endpoint:
             raise RequestError(f"backend {config.name!r}: http backend needs an endpoint")
         self.config = config
+        url = config.endpoint.rstrip("/") + "/chat/completions"
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise RequestError(f"backend {config.name!r}: endpoint {url!r} is not an "
+                               "http:// or https:// URL")
+        self._target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
+        self._extra_headers = {} if _QUICKACK is not None else {"Connection": "close"}
+        self._tunnel = None
+        address = (parts.hostname, parts.port)  # a bad port is a ValueError
+        proxy = _proxy_for(parts)
+        if proxy is not None:
+            proxy_address, auth = proxy
+            if parts.scheme == "http":
+                self._target = url
+                self._extra_headers.update(auth)
+            else:
+                self._tunnel = (address, auth)
+            address = proxy_address
+        self._connection_class = (http.client.HTTPConnection if parts.scheme == "http"
+                                  else http.client.HTTPSConnection)
+        self._address = address
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", **self._extra_headers}
         if self.config.api_key_env:
             key = os.environ.get(self.config.api_key_env)
             if not key:
@@ -320,11 +367,52 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = self._address
+        conn = self._connection_class(host, port, timeout=self.config.timeout_s)
+        if self._tunnel is not None:
+            (host, port), auth = self._tunnel
+            conn.set_tunnel(host, port, headers=auth)
+        return conn
+
+    def _post(self, body: bytes, headers: dict) -> tuple[http.client.HTTPResponse, bytes]:
+        """The reply to one POST and its body, read in full.
+
+        Only a connection whose reply was read in full, and did not ask to
+        close, goes back to the pool, so the pool never holds more idle
+        connections than there were sends in flight at once. Any exception
+        closes the connection: a late reply after a timeout can never be
+        read as the next call's. If a pooled connection fails before any
+        reply arrives (the server closed it while idle), the request is
+        sent once more on a fresh connection; that is not a retry.
+        """
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        while True:
+            reused = conn is not None
+            conn = conn or self._connect()
+            resp = None
+            try:
+                conn.request("POST", self._target, body, headers)
+                sock = conn.sock  # getresponse() drops it for a Connection: close reply
+                _quickack(sock)
+                resp = conn.getresponse()
+                _quickack(sock)
+                data = resp.read()
+            except BaseException as exc:
+                conn.close()
+                if reused and resp is None and isinstance(exc, ConnectionError):
+                    conn = None
+                    continue
+                raise
+            if resp.will_close or _QUICKACK is None:
+                conn.close()
+            else:
+                with self._lock:
+                    self._idle.append(conn)
+            return resp, data
+
     def send(self, req: ChatRequest) -> tuple[str, str, dict]:
-        """One POST on a fresh connection. urllib asks the server to close it
-        after the reply, so no keep-alive connection is reused: servers that
-        send headers and body in two writes stall a reused connection for
-        tens of milliseconds (Nagle's algorithm against delayed ACKs)."""
         payload = {
             "model": req.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in req.messages],
@@ -332,24 +420,15 @@ class HttpBackend:
             "top_p": req.top_p,
             "max_tokens": req.max_tokens,
         }
-        request = urllib.request.Request(
-            self.config.endpoint.rstrip("/") + "/chat/completions",
-            data=json.dumps(payload).encode("utf-8"),
-            headers=self._headers(),
-            method="POST",
-        )
+        headers = self._headers()
         try:
-            try:
-                with urllib.request.urlopen(request, timeout=self.config.timeout_s) as resp:
-                    status, body = resp.status, resp.read()
-            except urllib.error.HTTPError as exc:
-                status, body = exc.code, exc.read()
-                if status == 429 or status >= 500:
-                    raise _TransientFailure(
-                        f"status {status}", retry_after_s(exc.headers.get("Retry-After"))
-                    ) from None
-        except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
+            resp, body = self._post(json.dumps(payload).encode("utf-8"), headers)
+        except (OSError, http.client.HTTPException) as exc:
             raise _TransientFailure(str(exc)) from exc
+        status = resp.status
+        if status == 429 or status >= 500:
+            raise _TransientFailure(f"status {status}",
+                                    retry_after_s(resp.getheader("Retry-After")))
         if status >= 400:
             raise BadStatusError(status, body.decode("utf-8", "replace")[:200])
         try:
@@ -363,6 +442,32 @@ class HttpBackend:
         if finish not in (FINISH_STOP, FINISH_LENGTH):
             finish = FINISH_STOP
         return content, finish, usage
+
+
+def _proxy_for(parts: urllib.parse.SplitResult) -> tuple[tuple, dict] | None:
+    """The (host, port) of the environment's proxy for a URL, as urllib
+    chooses it, and the Proxy-Authorization header for the user and password
+    in the proxy's URL; None when the URL goes direct."""
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if not proxy or urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
+        return None
+    proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    auth = {}
+    if proxy_parts.username is not None:
+        login = (f"{urllib.parse.unquote(proxy_parts.username)}:"
+                 f"{urllib.parse.unquote(proxy_parts.password or '')}")
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(login.encode()).decode()
+    return (proxy_parts.hostname, proxy_parts.port), auth
+
+
+def _quickack(sock) -> None:
+    if _QUICKACK is not None:
+        sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+
+
+def _close_all(connections: list) -> None:
+    while connections:
+        connections.pop().close()
 
 
 def retry_after_s(value: str | None) -> float | None:
@@ -522,10 +627,11 @@ class LlmGateway:
                 f"max_tokens {req.max_tokens} exceeds the backend limit "
                 f"{self.config.max_tokens_limit} for {self.config.name!r}"
             )
-        key = cache_key(req)
         prompt = req.rendered_prompt()
 
+        key = None
         if self.cache is not None:
+            key = cache_key(req)
             hit = self.cache.get(key)
             if hit is not None:
                 resp = ChatResponse(

@@ -129,6 +129,11 @@ _MALFORMED_DRAFTS = {
     "qa_string": {"qa": "x"},
     "answer_int": {"qa": [{"question_id": i, "answer_text": 5} for i in range(1, 6)]},
     "entry_string": {"qa": ["x"]},
+    # Complete drafts but for one ID.
+    "question_id_bool": {"qa": [{"question_id": True, "answer_text": "a1"}]
+                         + [{"question_id": i, "answer_text": f"a{i}"} for i in range(2, 6)]},
+    "source_id_int": {"qa": [{"question_id": i, "answer_text": f"a{i}"} for i in range(1, 6)],
+                      "source_id": 7},
 }
 
 
@@ -551,9 +556,10 @@ def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, width):
     assert result.output.count("FAILED") == 4
 
 
-def test_bench_malformed_draft_becomes_a_failed_row(tmp_path):
+def _bench_with_malformed_second_draft(tmp_path, case: str) -> str:
+    """Bench two documents, the second from a malformed draft; its row's error."""
     manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook(), n_docs=2)
-    (tmp_path / "draft2.json").write_text(json.dumps(_MALFORMED_DRAFTS["answer_int"]), "utf-8")
+    (tmp_path / "draft2.json").write_text(json.dumps(_MALFORMED_DRAFTS[case]), "utf-8")
     out = tmp_path / "bench"
     result = RUNNER.invoke(
         main, ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
@@ -563,7 +569,21 @@ def test_bench_malformed_draft_becomes_a_failed_row(tmp_path):
     assert record["counts"] == {"scored": 1, "failed": 1}
     rows = {r["doc_id"]: r for r in record["rows"]}
     assert rows["doc1"]["failed"] is False
-    assert "must be strings" in rows["doc2"]["error"]
+    return rows["doc2"]["error"]
+
+
+def test_bench_malformed_draft_becomes_a_failed_row(tmp_path):
+    assert "must be strings" in _bench_with_malformed_second_draft(tmp_path, "answer_int")
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [("question_id_bool", "bad question_id in draft record: True"),
+     ("source_id_int", "source_id must be a string, got 7")],
+    ids=["question_id_bool", "source_id_int"],
+)
+def test_bench_draft_with_a_bad_id_becomes_a_failed_row(tmp_path, case, named):
+    assert named in _bench_with_malformed_second_draft(tmp_path, case)
 
 
 def test_bench_resume_regenerates_docs_made_under_another_pipeline_config(tmp_path):

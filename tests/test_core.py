@@ -105,9 +105,12 @@ def test_draft_record_defaults_question_text():
         ({"qa": [{"question_id": 1, "answer_text": 5}]}, "must be strings"),
         ({"qa": [{"question_id": 1, "answer_text": None}]}, "must be strings"),
         ({"qa": [{"question_id": 1, "question_text": 5, "answer_text": "a"}]}, "must be strings"),
+        ({"qa": [{"question_id": True, "answer_text": "a"}]}, "bad question_id"),
+        ({"qa": [], "source_id": 7}, "source_id must be a string, got 7"),
+        ({"qa": [], "source_id": None}, "source_id must be a string"),
     ],
     ids=["qa_string", "qa_object", "record_list", "entry_string", "answer_int", "answer_null",
-         "question_int"],
+         "question_int", "question_id_bool", "source_id_int", "source_id_null"],
 )
 def test_draft_record_of_the_wrong_shape_is_a_validation_error(record, named):
     with pytest.raises(DraftValidationError, match=named):
