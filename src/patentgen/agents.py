@@ -8,10 +8,11 @@ AgentRuntime.ask; on a parse failure it re-asks the model with the bad
 response and a format reminder appended, up to parse_retry_max extra calls,
 before surfacing the error.
 
-Calls that read no other call's text run as tasks of a TaskGraph, as many
-at once as the runtime's width allows; gateways bound the sends. run_tasks is
-the one way to fan out a list of items: the dataset builder's questions and
-the bench's documents both go through it.
+Calls that read no other call's text run as tasks of run_tasks, as many at
+once as the runtime's width allows; gateways bound the sends. run_tasks is
+the one way to fan out: a patent run's components, sections and guideline
+nodes, the dataset builder's questions and the bench's documents all go
+through it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .core import (
@@ -275,91 +276,50 @@ class AgentRuntime:
             raise MalformedVerdictError(str(exc)) from exc
 
 
-class _Skipped(Exception):
-    """A task that had not started when another task failed."""
-
-
-class TaskGraph:
-    """Tasks of model calls, as many at once as the runtime's width allows.
-
-    Each task logs its model calls and warnings on its own; settle() merges
-    them in submission order, which is the order a sequential run makes them
-    in, so what a run records does not depend on how calls interleave. Once
-    a task fails, tasks that have not started are skipped. At width 1 each
-    task runs on the caller's thread as it is submitted, so a failed run
-    stops where a sequential run stops and no thread is started; a wider
-    graph runs its tasks on a thread pool of that width. Leaving the with
-    block waits for every task; an exception leaving it skips the tasks that
-    have not started.
-    """
-
-    def __init__(self, runtime: AgentRuntime):
-        self.runtime = runtime
-        self.tasks: list[tuple[Future, RunRecord, list[str]]] = []
-        self.failed = threading.Event()
-        width = runtime.width
-        self._pool = ThreadPoolExecutor(max_workers=width) if width > 1 else None
-
-    def __enter__(self) -> "TaskGraph":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.failed.set()
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    def submit(self, fn) -> Future:
-        """Run fn(runtime, warnings) with a runtime that logs into this task's record."""
-        record, warnings = new_run_record(), []
-        runtime = replace(self.runtime, recorder=record)
-
-        def task():
-            if self.failed.is_set():
-                raise _Skipped()
-            try:
-                return fn(runtime, warnings)
-            except BaseException:
-                self.failed.set()
-                raise
-
-        if self._pool is not None:
-            future = self._pool.submit(task)
-        else:
-            future = Future()
-            try:
-                future.set_result(task())
-            except Exception as exc:
-                future.set_exception(exc)
-        self.tasks.append((future, record, warnings))
-        return future
-
-    def settle(self, warnings: list[str] | None = None) -> BaseException | None:
-        """Wait for every task, merge its calls into the runtime's recorder
-        (when one is set) and its warnings into warnings, in task order, and
-        return the first error in task order."""
-        error = None
-        for future, task_record, task_warnings in self.tasks:
-            exc = future.exception()
-            if self.runtime.recorder is not None:
-                for entry in task_record.entries:
-                    self.runtime.recorder.log_call(entry)
-            if warnings is not None:
-                warnings.extend(task_warnings)
-            if error is None and exc is not None and not isinstance(exc, _Skipped):
-                error = exc
-        return error
-
-
 def run_tasks(runtime: AgentRuntime, tasks: list) -> list:
-    """The results of tasks, each fn(runtime, warnings), run as one TaskGraph,
-    in task order; the first error in task order is raised instead."""
-    with TaskGraph(runtime) as graph:
-        futures = [graph.submit(task) for task in tasks]
-        error = graph.settle()
+    """The results of tasks, each fn(runtime), in task order; the first error
+    in task order is raised instead.
+
+    Each task logs its model calls and warnings into a record of its own.
+    The records are merged into the runtime's recorder (when one is set) in
+    task order, which is the order a sequential run makes them in, so what a
+    run records does not depend on how calls interleave. Once a task fails,
+    tasks that have not started are skipped. At width 1 each task runs on
+    the caller's thread, so a failed run stops where a sequential run stops
+    and no thread is started; a wider run uses a thread pool of that width,
+    and an interrupt while the caller waits skips the tasks not started.
+    """
+    failed = threading.Event()
+    records = [new_run_record() for _ in tasks]
+
+    def run(task, record):
+        """(task's result, None), (None, its error), or (None, None) when skipped."""
+        if failed.is_set():
+            return None, None
+        try:
+            return task(replace(runtime, recorder=record)), None
+        except Exception as exc:
+            failed.set()
+            return None, exc
+
+    if runtime.width == 1:
+        outcomes = [run(task, record) for task, record in zip(tasks, records)]
+    else:
+        with ThreadPoolExecutor(max_workers=runtime.width) as pool:
+            try:
+                outcomes = list(pool.map(run, tasks, records))
+            except BaseException:
+                failed.set()
+                raise
+    if runtime.recorder is not None:
+        for record in records:
+            runtime.recorder.extend(record)
+    # A task is skipped only once another has failed, so a skipped task's
+    # None is never returned as a result.
+    error = next((error for _, error in outcomes if error is not None), None)
     if error is not None:
         raise error
-    return [future.result() for future in futures]
+    return [result for result, _ in outcomes]
 
 
 _DESCRIPTION_REMINDER = (

@@ -248,10 +248,11 @@ def _check_manifest(manifest: dict) -> list[dict]:
 
 
 def _manifest_file(entry: dict, key: str) -> Path:
-    try:
-        return Path(entry[key])
-    except KeyError:
-        raise ConfigError(f"manifest entry {entry['doc_id']!r} has no {key!r}") from None
+    path = entry.get(key)
+    if not isinstance(path, str):
+        raise ConfigError(f"manifest entry {entry['doc_id']!r} has no {key!r}: expected a path "
+                          f"string, got {path!r}")
+    return Path(path)
 
 
 def _reusable(run_dir: Path, config_record: dict) -> bool:
@@ -275,7 +276,7 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
     generated_dir.mkdir(parents=True, exist_ok=True)
     config_record = pipeline_cfg.to_record()
 
-    def run_one(entry: dict, runtime: AgentRuntime, warnings) -> str | None:
+    def run_one(entry: dict, runtime: AgentRuntime) -> str | None:
         """Generate entry's document; its failure, or None."""
         doc_id = entry["doc_id"]
         run_dir = out / "runs" / doc_id

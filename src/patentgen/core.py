@@ -343,25 +343,42 @@ class CallEntry:
 
 
 class RunRecord:
-    """Append-only log of every model call in a run.
+    """Append-only log of every model call and warning in a run.
 
     Appends are serialized so concurrent agents can share one record; the
-    entry list itself is only read after the run settles.
+    lists themselves are only read after the run settles.
     """
 
     def __init__(self, model_id: str):
         self.model_id = model_id
         self._entries: list[CallEntry] = []
+        self._warnings: list[str] = []
         self._lock = threading.Lock()
 
     def log_call(self, entry: CallEntry) -> None:
         with self._lock:
             self._entries.append(entry)
 
+    def warn(self, message: str) -> None:
+        with self._lock:
+            self._warnings.append(message)
+
+    def extend(self, other: "RunRecord") -> None:
+        """Append other's calls and warnings after this record's own."""
+        entries, warnings = other.entries, other.warnings
+        with self._lock:
+            self._entries += entries
+            self._warnings += warnings
+
     @property
     def entries(self) -> tuple[CallEntry, ...]:
         with self._lock:
             return tuple(self._entries)
+
+    @property
+    def warnings(self) -> list[str]:
+        with self._lock:
+            return list(self._warnings)
 
     def role_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}

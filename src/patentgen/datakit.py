@@ -202,7 +202,7 @@ class DatasetBuilder:
         """Five inventor-simulation calls, one per canonical question."""
         record_text = render_record(rec)
 
-        def answer(qid: int, runtime: AgentRuntime, warnings) -> str:
+        def answer(qid: int, runtime: AgentRuntime) -> str:
             try:
                 text = runtime.ask(
                     "inventor", f"inventor_q{qid}", {"record": record_text}, "inventor", str.strip
@@ -220,7 +220,7 @@ class DatasetBuilder:
         """One reviewer call per answer; an unparseable verdict fails its
         question, a gateway error skips the record."""
 
-        def review(qa, runtime: AgentRuntime, warnings) -> QualityItem:
+        def review(qa, runtime: AgentRuntime) -> QualityItem:
             template = reviewer_template_for(qa.question_id, self.corrected_reviewer_mapping)
 
             def parse(content: str) -> QualityItem:
@@ -321,23 +321,15 @@ def build_dataset(
 
 @dataclass(frozen=True)
 class SplitManifest:
+    # splits.json is asdict(manifest), so the field order is its key order.
+    seed: int
     train: tuple[str, ...]
     valid: tuple[str, ...]
     test: tuple[str, ...]
-    seed: int
     leftover: tuple[str, ...] = ()
 
     def split(self, name: str) -> tuple[str, ...]:
         return getattr(self, name)
-
-    def to_record(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train": list(self.train),
-            "valid": list(self.valid),
-            "test": list(self.test),
-            "leftover": list(self.leftover),
-        }
 
 
 def proportional_sizes(n: int, proportions=DEFAULT_SPLIT_PROPORTIONS) -> tuple[int, int, int]:
@@ -454,7 +446,7 @@ def write_build_artifacts(build: DatasetBuild, manifest: SplitManifest, workdir:
     (workdir / "quality.json").write_text(json.dumps(quality, indent=2) + "\n", "utf-8")
     (workdir / "pgtrees.json").write_text(json.dumps(build.pgtrees, indent=2) + "\n", "utf-8")
     (workdir / "splits.json").write_text(
-        json.dumps(manifest.to_record(), indent=2) + "\n", "utf-8"
+        json.dumps(asdict(manifest), indent=2) + "\n", "utf-8"
     )
     with (workdir / "skips.jsonl").open("w", encoding="utf-8") as fh:
         for skip in build.skips:

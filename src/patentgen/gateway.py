@@ -693,12 +693,9 @@ class LlmGateway:
 def build_gateway(config: BackendConfig, sleep_fn=time.sleep) -> LlmGateway:
     """Construct a gateway from one backend config entry."""
     if config.kind == "mock":
-        playbook = (
-            MockPlaybook.load(config.playbook_path)
-            if config.playbook_path
-            else MockPlaybook(rules=[], default_response=None)
-        )
-        backend = MockBackend(playbook, config)
+        if not config.playbook_path:
+            raise ConfigError("a mock backend needs a playbook_path")
+        backend = MockBackend(MockPlaybook.load(config.playbook_path), config)
     elif config.kind == "http":
         backend = HttpBackend(config)
     else:

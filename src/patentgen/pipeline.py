@@ -6,20 +6,20 @@ failing (or whose verdicts stay unparseable) is accepted with a warning so a
 long run never dies on one stubborn node. Aborts persist everything finished
 so far into the run directory.
 
-The calls of a run form a three-stage graph: the five component writers and
-the planner read only the draft; each section expansion reads the draft and
-its section's overview; each node's retrieve/write/review/refine chain reads
-its own node, the tree overview, the draft and the reference, never a
-sibling's text. So the stages are the tasks of one TaskGraph, as wide as
-the largest max_inflight among the gateways, and the output is the same at
-any width.
+The calls of a run have a fixed shape: the five component writers and the
+planner read only the draft; each section expansion reads the draft and its
+section's overview; each node's retrieve/write/review/refine chain reads its
+own node, the tree overview, the draft and the reference, never a sibling's
+text. So a run is two agents.run_tasks calls, as wide as the largest
+max_inflight among the gateways: the five components beside one plan task,
+which runs its sections' expansions as tasks of its own, then one task per
+guideline node. The output is the same at any width.
 """
 
 from __future__ import annotations
 
 import json
 import typing
-from concurrent.futures import Future
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -30,8 +30,8 @@ from .agents import (
     AgentRuntime,
     COMPONENT_ROLES,
     MalformedVerdictError,
-    TaskGraph,
     default_bindings,
+    run_tasks,
 )
 from .core import (
     DEFAULT_SECTION_ORDER,
@@ -196,14 +196,14 @@ def plan_section(
     overview: str,
     cfg: PipelineConfig,
     expander=None,
-    warnings: list[str] | None = None,
+    warn=None,
 ) -> SectionPlan:
     """Grow one first-level section into its guideline nodes.
 
     With expansion off the section becomes a single guideline node. With
     per-section expansion, expander(overview) gives numbered subsection
     guidelines; a section whose expansion fails to parse falls back to a
-    single node, with a warning.
+    single node, with a warning passed to warn.
     """
     if cfg.pgtree_expansion == EXPANSION_PER_SECTION and expander is not None:
         try:
@@ -213,16 +213,10 @@ def plan_section(
             )
             return SectionPlan(section_index=index, section_overview=overview, subsections=nodes)
         except TagError as exc:
-            if warnings is not None:
-                warnings.append(
-                    f"section {index}: expansion failed ({exc}); falling back to one node"
-                )
+            if warn is not None:
+                warn(f"section {index}: expansion failed ({exc}); falling back to one node")
     node = GuidelineNode(section_index=index, subsection_index=1, guideline_text=overview)
     return SectionPlan(section_index=index, section_overview=overview, subsections=(node,))
-
-
-def _succeeded(future: Future) -> bool:
-    return future.exception() is None
 
 
 class PatentPipeline:
@@ -242,72 +236,70 @@ class PatentPipeline:
         record = new_run_record(model_id=self.gateways["default"].config.model_id)
         runtime = AgentRuntime(gateways=self.gateways, bindings=self.bindings,
                                registry=self.registry, recorder=record)
-        warnings: list[str] = []
+        # Each task stores its result as it finishes, so an abort persists
+        # whatever finished.
+        components: dict[str, str] = {}
         tree: PGTree | None = None
-        error: BaseException | None = None
-        with TaskGraph(runtime) as graph:
-            written = {role: graph.submit(partial(_write_component, role, draft))
-                       for role in COMPONENT_ROLES}
-            planned = graph.submit(lambda rt, _: rt.plan_first_level(draft))
-            nodes: list[Future] = []
-            try:
-                sections = [graph.submit(partial(_expand_section, index, overview, draft, cfg))
-                            for index, overview in planned.result()]
-                tree = PGTree(sections=tuple(f.result() for f in sections))
-                reference = Reference(**{r: f.result() for r, f in written.items()}, draft=draft)
-                nodes = [graph.submit(partial(self._one_subsection, node, reference, tree, draft,
-                                              cfg))
-                         for node in tree.nodes()]
-            except Exception as exc:
-                graph.failed.set()  # tasks not yet started are skipped
-                error = exc
-            # The first task error in task order is the run's error: the main
-            # thread may have met a later one, or a skipped task.
-            error = graph.settle(warnings) or error
-        components = {role: f.result() for role, f in written.items() if _succeeded(f)}
-        subs = [f.result() for f in nodes if _succeeded(f)]
+        subs: dict[tuple[int, int], SubsectionDraft] = {}
+
+        def write(role, rt):
+            components[role] = rt.write_component(role, draft)
+
+        def plan(rt):
+            nonlocal tree
+            sections = run_tasks(rt, [partial(_expand_section, index, overview, draft, cfg)
+                                      for index, overview in rt.plan_first_level(draft)])
+            tree = PGTree(sections=tuple(sections))
+
+        def write_node(node, reference, rt):
+            subs[node.node_id] = self._one_subsection(node, reference, tree, draft, cfg, rt)
+
         try:
-            if error is not None:
-                raise error
-            doc = PatentDoc(**components, description="\n\n".join(s.text for s in subs),
+            run_tasks(runtime, [partial(write, role) for role in COMPONENT_ROLES] + [plan])
+            reference = Reference(**components, draft=draft)
+            nodes = tree.nodes()
+            run_tasks(runtime, [partial(write_node, node, reference) for node in nodes])
+            doc = PatentDoc(**components,
+                            description="\n\n".join(subs[node.node_id].text for node in nodes),
                             section_order=cfg.section_order, generation_meta=record)
         except (AgentError, CoreError, GatewayError, TagError) as exc:
-            self._persist(draft, cfg, record, components, tree, subs, warnings, error=exc)
+            self._persist(draft, cfg, record, components, tree, subs, error=exc)
             raise PipelineAborted(exc, self.run_dir) from exc
-        self._persist(draft, cfg, record, components, tree, subs, warnings, doc=doc)
+        self._persist(draft, cfg, record, components, tree, subs, doc=doc)
         return doc
 
-    def _one_subsection(self, node, reference, tree, draft, cfg, runtime, warnings):
+    def _one_subsection(self, node, reference, tree, draft, cfg, runtime):
+        warn = runtime.recorder.warn
         retrieved = runtime.retrieve(node, reference)
         if not retrieved:
-            warnings.append(f"node {node.node_id}: empty retrieval")
+            warn(f"node {node.node_id}: empty retrieval")
         text = runtime.write_subsection(node, retrieved, tree, draft)
-        verdict, malformed = self._review(runtime, node, text, draft, warnings)
+        verdict, malformed = self._review(runtime, node, text, draft)
         history = [RefinementRound(text=text, verdict=verdict)]
         while not malformed and not verdict.passed and len(history) <= cfg.max_refine_rounds:
             revised = runtime.refine(node, text, verdict.advice, tree)
             no_change = revised == text
             if no_change:
-                warnings.append(f"node {node.node_id}: refinement round {len(history)} unchanged")
+                warn(f"node {node.node_id}: refinement round {len(history)} unchanged")
             text = revised
-            verdict, malformed = self._review(runtime, node, text, draft, warnings)
+            verdict, malformed = self._review(runtime, node, text, draft)
             history.append(RefinementRound(text=text, verdict=verdict, no_change=no_change))
         sub = SubsectionDraft(node=node.node_id, history=tuple(history))
         if sub.accepted_with_warning:
-            warnings.append(f"node {node.node_id}: accepted with warning after "
-                            f"{sub.rounds_used} refinement rounds")
+            warn(f"node {node.node_id}: accepted with warning after "
+                 f"{sub.rounds_used} refinement rounds")
         return sub
 
     @staticmethod
-    def _review(runtime, node, text, draft, warnings):
+    def _review(runtime, node, text, draft):
         """Review once; an unparseable verdict fails only this subsection."""
         try:
             return runtime.review(node, text, draft), False
         except MalformedVerdictError as exc:
-            warnings.append(f"node {node.node_id}: {exc}")
+            runtime.recorder.warn(f"node {node.node_id}: {exc}")
             return ReviewVerdict(result="Fail", advice="unparseable verdict after retries"), True
 
-    def _persist(self, draft, cfg, record, components, tree, subs, warnings, doc=None, error=None):
+    def _persist(self, draft, cfg, record, components, tree, subs, doc=None, error=None):
         if self.run_dir is None:
             return
         run_dir = self.run_dir
@@ -325,10 +317,10 @@ class PatentPipeline:
         if subs:
             sub_dir = run_dir / "subsections"
             sub_dir.mkdir(exist_ok=True)
-            for sub in subs:
+            for sub in subs.values():
                 i, j = sub.node
                 dump_json(subsection_to_record(sub), sub_dir / f"sec{i:02d}_sub{j:02d}.json")
-        dump_json({"warnings": warnings}, run_dir / "warnings.json")
+        dump_json({"warnings": record.warnings}, run_dir / "warnings.json")
         if doc is not None:
             (run_dir / "patent.txt").write_text(patent_to_text(doc), encoding="utf-8")
             (run_dir / "patent_body.txt").write_text(
@@ -342,13 +334,9 @@ class PatentPipeline:
         )
 
 
-def _write_component(role, draft, runtime, warnings):
-    return runtime.write_component(role, draft)
-
-
-def _expand_section(index, overview, draft, cfg, runtime, warnings):
+def _expand_section(index, overview, draft, cfg, runtime):
     return plan_section(index, overview, cfg,
-                        lambda text: runtime.expand_section(draft, text), warnings)
+                        lambda text: runtime.expand_section(draft, text), runtime.recorder.warn)
 
 
 def subsection_to_record(sub: SubsectionDraft) -> dict:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import signal
 import threading
+import time
+from functools import partial
 
 import pytest
 
@@ -8,7 +11,7 @@ from patentgen.agents import (
     AgentError,
     MalformedVerdictError,
     ParseRetryError,
-    TaskGraph,
+    run_tasks,
     strip_leading_filler,
 )
 from patentgen.core import (
@@ -280,27 +283,46 @@ def test_strip_leading_filler(raw, expected):
     assert strip_leading_filler(raw) == expected
 
 
-def test_a_width_1_graph_runs_its_tasks_on_the_callers_thread():
-    runtime = runtime_for(MockPlaybook([]))
+def test_run_tasks_at_width_1_runs_each_task_on_the_callers_thread():
+    record = new_run_record()
+    runtime = runtime_for(MockPlaybook([]), recorder=record)
     threads = threading.active_count()
     order = []
-    with TaskGraph(runtime) as graph:
-        futures = [graph.submit(lambda rt, w, i=i: order.append(i) or threading.get_ident())
-                   for i in range(3)]
-        # Each task ran as it was submitted, and no thread was started.
-        assert order == [0, 1, 2] and threading.active_count() == threads
-    assert [f.result() for f in futures] == [threading.get_ident()] * 3
+
+    def task(i, rt):
+        rt.recorder.warn(f"task {i}")
+        order.append(i)
+        return threading.get_ident()
+
+    assert run_tasks(runtime, [partial(task, i) for i in range(3)]) == [threading.get_ident()] * 3
+    assert order == [0, 1, 2] and threading.active_count() == threads
+    assert record.warnings == ["task 0", "task 1", "task 2"]
 
 
-def test_an_interrupt_leaving_a_task_graph_skips_the_tasks_not_started():
+def test_run_tasks_raises_the_first_error_and_skips_the_tasks_not_started():
+    started = []
+
+    def fail(message, rt):
+        raise AgentError(message)
+
+    tasks = [lambda rt: started.append(0), partial(fail, "first"),
+             lambda rt: started.append(2), partial(fail, "second")]
+    with pytest.raises(AgentError, match="first"):
+        run_tasks(runtime_for(MockPlaybook([])), tasks)
+    assert started == [0]
+
+
+def test_an_interrupt_while_run_tasks_waits_skips_the_tasks_not_started():
     runtime = runtime_for(MockPlaybook([]), max_inflight=2)
     started = []
+
+    def hold(interrupt, rt):
+        # Both workers are held until the caller has handled the interrupt.
+        if interrupt:
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.2)
+
+    queued = [lambda rt, i=i: started.append(i) for i in range(3)]
     with pytest.raises(KeyboardInterrupt):
-        with TaskGraph(runtime) as graph:
-            # Two tasks hold both workers until the interrupt marks the graph failed.
-            held = [graph.submit(lambda rt, w: graph.failed.wait(5)) for _ in range(2)]
-            queued = [graph.submit(lambda rt, w, i=i: started.append(i)) for i in range(3)]
-            raise KeyboardInterrupt
-    assert [f.result() for f in held] == [True, True]
-    assert started == [] and all(f.done() and f.exception() for f in queued)
-    assert graph.settle() is None  # skipped tasks are not errors
+        run_tasks(runtime, [partial(hold, True), partial(hold, False)] + queued)
+    assert started == []

@@ -10,8 +10,10 @@ from click.testing import CliRunner
 from patentgen.agents import AgentRuntime
 from patentgen.cli import main
 from patentgen.core import draft_to_record, load_json, make_draft
+from patentgen.datakit import SFT_KINDS
 from patentgen.gateway import MockBackend, MockPlaybook
-from helpers import MATCH_EXPAND, pipeline_playbook, rule
+from helpers import (FAIL_QUALITY, MATCH_COLLECT, MATCH_EXPAND, MATCH_INVENTOR, MATCH_QUALITY,
+                     PASS_QUALITY, pipeline_playbook, rule, tree_contents)
 
 RUNNER = CliRunner()
 
@@ -204,6 +206,8 @@ def _set_key(config: dict, path: str, value) -> None:
         ("backends.default.max_inflight", 0, "backends.default: max_inflight must be >= 1"),
         ("backends.default.max_inflight", 2.5, "backends.default.max_inflight"),
         ("pipeline.seed", 0, "pipeline: unknown keys ['seed']"),
+        ("backends.default.playbook_path", "", "backends.default: a mock backend needs a "
+                                               "playbook_path"),
     ],
 )
 def test_bad_run_config_value_fails_before_any_model_call(tmp_path, monkeypatch, path, value,
@@ -421,6 +425,28 @@ def test_score_alignment_error_names_id(tmp_path):
     assert "d2" in result.output
 
 
+def test_a_cached_generate_sends_nothing_and_writes_the_same_run(tmp_path, monkeypatch):
+    draft_file, config_file = _setup_generate(tmp_path, pipeline_playbook())
+    config = load_json(config_file)
+    config["cache_dir"] = str(tmp_path / "cache")
+    config_file.write_text(json.dumps(config), "utf-8")
+    runs, sent = {}, {}
+    for name in ("first", "second"):
+        sent[name] = _backend_calls(monkeypatch)
+        out = tmp_path / name
+        result = RUNNER.invoke(
+            main, ["generate", str(draft_file), "--config", str(config_file), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        runs[name] = tree_contents(out)
+    assert sent["first"] and sent["second"] == []
+    calls = {name: [json.loads(line) for line in run.pop("calls.jsonl").splitlines()]
+             for name, run in runs.items()}
+    assert all(call["cached"] for call in calls["second"])
+    assert [dict(c, cached=True) for c in calls["first"]] == calls["second"]
+    assert runs["first"] == runs["second"]
+
+
 def _bench_fixture(tmp_path, playbook: MockPlaybook, n_docs=3):
     docs = []
     for i in range(1, n_docs + 1):
@@ -530,13 +556,15 @@ def test_bench_overlaps_documents_at_the_backend_width(tmp_path, monkeypatch, wi
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, width):
-    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook(), n_docs=5)
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook(), n_docs=9)
     _set_width(config_file, width)
     manifest = load_json(manifest_file)
     docs = manifest["docs"]
     del docs[1]["draft_file"]
     del docs[2]["reference_file"]
     docs[3]["reference_file"] = str(tmp_path / "no_such_ref.txt")
+    docs[5]["draft_file"], docs[6]["draft_file"], docs[7]["draft_file"] = None, 5, ["x"]
+    docs[8]["reference_file"] = None
     (tmp_path / "ref5.txt").write_bytes(b"\xff\xfe not utf-8")
     manifest_file.write_text(json.dumps(manifest), "utf-8")
     out = tmp_path / "bench"
@@ -546,14 +574,17 @@ def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, width):
     )
     assert result.exit_code == 2, result.output
     record = load_json(out / "report.json")
-    assert record["counts"] == {"scored": 1, "failed": 4}
+    assert record["counts"] == {"scored": 1, "failed": 8}
     rows = {r["doc_id"]: r for r in record["rows"]}
     assert rows["doc1"]["failed"] is False
     assert "has no 'draft_file'" in rows["doc2"]["error"]
     assert "has no 'reference_file'" in rows["doc3"]["error"]
     assert "cannot read reference" in rows["doc4"]["error"]
     assert "cannot read reference" in rows["doc5"]["error"]
-    assert result.output.count("FAILED") == 4
+    for doc_id, value in [("doc6", "None"), ("doc7", "5"), ("doc8", "['x']")]:
+        assert f"has no 'draft_file': expected a path string, got {value}" in rows[doc_id]["error"]
+    assert "has no 'reference_file': expected a path string, got None" in rows["doc9"]["error"]
+    assert result.output.count("FAILED") == 8
 
 
 def _bench_with_malformed_second_draft(tmp_path, case: str) -> str:
@@ -651,6 +682,40 @@ def test_build_dataset_bad_sizes_fail_before_any_model_call(tmp_path, monkeypatc
     assert "error: split sizes must be three non-negative integers" in result.output
     assert calls == []
     assert not out.exists()
+
+
+def test_build_dataset_writes_its_artifacts_and_every_export(tmp_path):
+    records = tmp_path / "records"
+    records.mkdir()
+    for i in range(7):
+        record = {name: f"{name} of record {i}." for name in
+                  ("title", "abstract", "background", "summary", "claims", "description")}
+        if i == 1:
+            record["description"] = "FAILMARK " + record["description"]
+        label = "REJECTED" if i == 0 else "ACCEPTED"
+        (records / f"rec{i}.json").write_text(json.dumps(dict(record, record_id=f"rec{i}",
+                                                              decision_label=label)))
+    playbook = tmp_path / "playbook.json"
+    MockPlaybook([rule("FAILMARK", "BADANSWER"), rule(MATCH_INVENTOR, "An answer."),
+                  rule("BADANSWER", FAIL_QUALITY), rule(MATCH_QUALITY, PASS_QUALITY),
+                  rule(MATCH_COLLECT, "<Section-1> part one </Section-1>")]).save(playbook)
+    out = tmp_path / "build"
+    result = RUNNER.invoke(main, ["build-dataset", str(records), "--mock-playbook", str(playbook),
+                                  "--out", str(out), "--sizes", "3,1,1"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [
+        f"{kind}: train=3, valid=1, test=1" for kind in SFT_KINDS
+    ] + [f"accepted 5/6 records; splits 3/1/1; artifacts in {out}"]
+    skips = [json.loads(line) for line in (out / "skips.jsonl").read_text("utf-8").splitlines()]
+    assert [(s["record_id"], s["stage"]) for s in skips] == [("rec0", "ingest"),
+                                                             ("rec1", "quality_gate")]
+    for kind in SFT_KINDS:
+        for split, n in (("train", 3), ("valid", 1), ("test", 1)):
+            lines = (out / "exports" / kind / f"{split}.jsonl").read_text("utf-8").splitlines()
+            assert len(lines) == n and all(json.loads(line)["output"] for line in lines)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "drafts", "exports", "pgtrees.json", "quality.json", "review_rejected.jsonl",
+        "skips.jsonl", "splits.json"]
 
 
 def test_report_command_renders_table(tmp_path):

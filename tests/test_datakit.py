@@ -366,6 +366,10 @@ def test_quality_and_tree_artifact_formats(tmp_path):
         '{\n  "rec001": [\n    [\n      1,\n      "part one"\n    ],\n'
         '    [\n      2,\n      "part two"\n    ]\n  ]\n}\n'
     )
+    assert (tmp_path / "splits.json").read_text("utf-8") == (
+        '{\n  "seed": 0,\n  "train": [\n    "rec001"\n  ],\n  "valid": [],\n  "test": [],\n'
+        '  "leftover": []\n}\n'
+    )
 
 
 def test_gate_at_benchmark_scale():

@@ -271,6 +271,16 @@ def test_transient_then_success_records_retries():
     assert [e.retries for e in record.entries] == [1]
 
 
+def test_rpm_limiter_is_acquired_before_every_attempt():
+    playbook = MockPlaybook([rule("title", {"error": "status", "code": 429},
+                                  {"error": "transport"}, "recovered")])
+    gateway, backend = mock_gateway(playbook, retry_max=2, rpm=600)
+    acquired = []  # the sends made before each acquire
+    gateway.limiter.acquire = lambda: acquired.append(backend.calls)
+    assert gateway.complete(_req()).content == "recovered"
+    assert acquired == [0, 1, 2] and backend.calls == 3
+
+
 def test_client_error_is_not_retried():
     gateway, backend = mock_gateway(
         MockPlaybook([rule("title", {"error": "status", "code": 403})]), retry_max=3

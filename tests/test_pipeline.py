@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -153,7 +154,7 @@ def test_expand_pgtree_falls_back_on_malformed_expansion():
         return [(1, "g1"), (2, "g2")]
 
     warnings: list[str] = []
-    sections = [plan_section(i, overview, PipelineConfig(), expander, warnings)
+    sections = [plan_section(i, overview, PipelineConfig(), expander, warnings.append)
                 for i, overview in [(1, "good"), (2, "bad")]]
     assert [len(s.subsections) for s in sections] == [2, 1]
     assert warnings and "section 2" in warnings[0]
@@ -329,6 +330,16 @@ def test_run_dir_is_the_same_at_every_width(draft, tmp_path, expansion):
     assert roles.count("abstract") > 1 and "description_refine" in roles
     if expansion == "per_section_call":
         assert len(json.loads(runs[1]["warnings.json"])["warnings"]) > 1
+
+
+def test_a_width_one_run_starts_no_thread(draft, monkeypatch):
+    def start(thread):
+        raise AssertionError(f"a width-1 run started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    doc = PatentPipeline(function_gateways(PromptFunctionBackend(), 1)).run(
+        draft, PipelineConfig())
+    assert doc.generation_meta.role_counts()["section_expand"] > 1
 
 
 def test_cached_run_dir_is_the_same_at_every_width_and_on_a_rerun(draft, tmp_path):
