@@ -8,10 +8,12 @@ AgentRuntime.ask; on a parse failure it re-asks the model with the bad
 response and a format reminder appended, up to parse_retry_max extra calls,
 before surfacing the error.
 
-Calls that read no other call's text run as tasks of run_tasks, as many at
-once as the runtime's width allows; gateways bound the sends. run_tasks is
-the one way to fan out: a patent run's components, sections and guideline
-nodes, the dataset builder's questions and the bench's documents all go
+Calls run as tasks of run_tasks, as many at once as the runtime's width
+allows; gateways bound the sends. A task that reads other tasks' results
+names them, and starts as soon as they have finished. The caller runs tasks
+itself, beside helper threads that live only for that call. run_tasks is the
+one way to fan out: a patent run's components, sections and guideline nodes,
+the dataset builder's answers and reviews and the bench's documents all go
 through it.
 """
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .core import (
@@ -276,41 +277,84 @@ class AgentRuntime:
             raise MalformedVerdictError(str(exc)) from exc
 
 
-def run_tasks(runtime: AgentRuntime, tasks: list) -> list:
+def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> list:
     """The results of tasks, each fn(runtime), in task order; the first error
     in task order is raised instead.
+
+    after maps a task's index to the indices of the earlier tasks whose
+    results it reads, and that task starts only once they have finished; an
+    entry naming a later or unknown index raises ValueError before any task
+    runs. The caller is one of up to runtime.width runners, beside helper
+    threads that live only for this call. Each runner takes the first task
+    not yet started, in task order, whose dependencies have finished. So at
+    width 1 the caller runs every task in task order and no thread starts.
 
     Each task logs its model calls and warnings into a record of its own.
     The records are merged into the runtime's recorder (when one is set) in
     task order, which is the order a sequential run makes them in, so what a
     run records does not depend on how calls interleave. Once a task fails,
-    tasks that have not started are skipped. At width 1 each task runs on
-    the caller's thread, so a failed run stops where a sequential run stops
-    and no thread is started; a wider run uses a thread pool of that width,
-    and an interrupt while the caller waits skips the tasks not started.
+    or the caller is interrupted while it runs or waits, tasks that have not
+    started are skipped; a skipped task never counts as the error.
     """
-    failed = threading.Event()
+    after = after or {}
+    for index, deps in after.items():
+        if index not in range(len(tasks)) or any(dep not in range(index) for dep in deps):
+            raise ValueError(f"task {index!r} must run after earlier tasks, not {deps!r}")
     records = [new_run_record() for _ in tasks]
+    outcomes = [(None, None)] * len(tasks)  # (result, error) of each task that ran
+    waiting = list(range(len(tasks)))  # not started, in task order
+    finished = set()
+    stopped = False
+    cond = threading.Condition()
 
-    def run(task, record):
-        """(task's result, None), (None, its error), or (None, None) when skipped."""
-        if failed.is_set():
-            return None, None
+    def take():
+        """The next task to start, or None once none is left or the run stopped."""
+        with cond:
+            while waiting and not stopped:
+                for index in waiting:
+                    if finished.issuperset(after.get(index, ())):
+                        waiting.remove(index)
+                        return index
+                cond.wait()
+            return None
+
+    def runner():
+        nonlocal stopped
         try:
-            return task(replace(runtime, recorder=record)), None
-        except Exception as exc:
-            failed.set()
-            return None, exc
+            while (index := take()) is not None:
+                try:
+                    outcomes[index] = tasks[index](replace(runtime, recorder=records[index])), None
+                except Exception as exc:
+                    outcomes[index] = None, exc
+                with cond:
+                    finished.add(index)
+                    stopped = stopped or outcomes[index][1] is not None
+                    cond.notify_all()
+        except BaseException:
+            # An interrupt, or an exit from inside a task: start nothing more.
+            with cond:
+                stopped = True
+                cond.notify_all()
+            raise
 
-    if runtime.width == 1:
-        outcomes = [run(task, record) for task, record in zip(tasks, records)]
-    else:
-        with ThreadPoolExecutor(max_workers=runtime.width) as pool:
-            try:
-                outcomes = list(pool.map(run, tasks, records))
-            except BaseException:
-                failed.set()
-                raise
+    escaped = []  # what ended a helper thread, raised again on the caller's
+
+    def helper():
+        try:
+            runner()
+        except BaseException as exc:
+            escaped.append(exc)
+
+    helpers = [threading.Thread(target=helper) for _ in range(min(runtime.width, len(tasks)) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        runner()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if escaped:
+        raise escaped[0]
     if runtime.recorder is not None:
         for record in records:
             runtime.recorder.extend(record)

@@ -161,7 +161,8 @@ def baseline(draft_file, config_file, mock_playbook, backend, out_dir, max_token
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--sizes", default=None, help="train,valid,test sizes; default scales 1500/133/300")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--kinds", default=",".join(SFT_KINDS), show_default=True)
+@click.option("--kinds", help="comma-separated export kinds; default: every kind, less "
+                              "D2W under --skip-trees")
 @click.option("--accept-label", default="ACCEPTED", show_default=True)
 @click.option("--field-map", "field_map_file", type=click.Path(), help="JSON field mapping")
 @click.option("--corrected-reviewer-mapping", is_flag=True,
@@ -176,10 +177,15 @@ def build_dataset_cmd(records_path, config_file, mock_playbook, out_dir, sizes, 
         ingest_cfg = IngestConfig(accept_label=accept_label, field_map=field_map)
         records, ingest_skips = load_records(records_path, ingest_cfg)
         size_tuple = check_split_sizes(int(v) for v in sizes.split(",")) if sizes else None
-        kind_list = [k.strip() for k in kinds.split(",") if k.strip()]
+        if kinds is None:
+            kind_list = [k for k in SFT_KINDS if not (skip_trees and k == "D2W")]
+        else:
+            kind_list = [k.strip() for k in kinds.split(",") if k.strip()]
         bad_kinds = [k for k in kind_list if k not in SFT_KINDS]
         if bad_kinds:
             raise ConfigError(f"unknown export kinds {bad_kinds}; expected {list(SFT_KINDS)}")
+        if skip_trees and "D2W" in kind_list:
+            raise ConfigError("D2W exports guideline trees, which --skip-trees does not collect")
 
     runtime = AgentRuntime(gateways=gateways, bindings=bindings)
     builder = DatasetBuilder(runtime, corrected_reviewer_mapping=corrected_reviewer_mapping)

@@ -230,10 +230,6 @@ class PGTree:
                     raise CoreError(f"duplicate guideline node {node.node_id}")
                 seen.add(node.node_id)
 
-    @property
-    def node_count(self) -> int:
-        return sum(len(s.subsections) for s in self.sections)
-
     def nodes(self) -> list[GuidelineNode]:
         return [node for plan in self.sections for node in plan.subsections]
 
@@ -452,14 +448,6 @@ def patent_to_record(doc: PatentDoc) -> dict:
         "section_order": list(doc.section_order),
         "generation_meta": meta,
     }
-
-
-def patent_from_record(record: dict) -> PatentDoc:
-    sections = record["sections"]
-    return PatentDoc(
-        section_order=tuple(record.get("section_order", DEFAULT_SECTION_ORDER)),
-        **{name: sections[name] for name in SECTION_NAMES},
-    )
 
 
 def dump_json(payload: dict, path) -> None:

@@ -6,9 +6,10 @@ Records come in as structured JSON files; nothing here redistributes source
 data. Every skip (bad record, empty answer, failed gate, unparseable tree)
 is logged with a reason so a build is auditable end to end.
 
-No inventor answer reads another, and no reviewer verdict reads another, so
-a record's five inventor calls, then its five reviewer calls, go out
-through agents.run_tasks; the build is the same at any width.
+No inventor answer reads another, and each reviewer verdict reads only its
+own question's answer. So a record's five inventor calls and five reviewer
+calls go out as one agents.run_tasks fan-out, in which review q starts as
+soon as answer q lands; the build is the same at any width.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from .agents import AgentRuntime, ParseRetryError, run_tasks
 from .core import (
+    CANONICAL_QUESTIONS,
     Draft,
     PatentDoc,
     draft_to_record,
@@ -201,57 +203,82 @@ class DatasetBuilder:
     def synthesize_draft(self, rec: PatentRecord) -> Draft:
         """Five inventor-simulation calls, one per canonical question."""
         record_text = render_record(rec)
-
-        def answer(qid: int, runtime: AgentRuntime) -> str:
-            try:
-                text = runtime.ask(
-                    "inventor", f"inventor_q{qid}", {"record": record_text}, "inventor", str.strip
-                )
-            except GatewayError as exc:
-                raise RecordSkipped(rec.record_id, "draft", f"q{qid}: {exc}") from exc
-            if not text:
-                raise RecordSkipped(rec.record_id, "draft", f"q{qid}: empty answer")
-            return text
-
-        answers = run_tasks(self.runtime, [partial(answer, qid) for qid in range(1, 6)])
+        answers = run_tasks(self.runtime, [partial(self._answer, rec.record_id, record_text, qid)
+                                           for qid in CANONICAL_QUESTIONS])
         return make_draft(answers, source_id=rec.record_id)
 
     def review_draft_quality(self, draft: Draft) -> QualityReport:
         """One reviewer call per answer; an unparseable verdict fails its
         question, a gateway error skips the record."""
-
-        def review(qa, runtime: AgentRuntime) -> QualityItem:
-            template = reviewer_template_for(qa.question_id, self.corrected_reviewer_mapping)
-
-            def parse(content: str) -> QualityItem:
-                result = extract_tag(content, "Result")
-                if result not in ("Pass", "Fail"):
-                    raise ParseRetryError(f"verdict text {result!r}")
-                if result == "Fail":
-                    reason = extract_tag(content, "Reason")
-                    if not reason:
-                        raise ParseRetryError("empty reason")
-                    return QualityItem(qa.question_id, "Fail", reason)
-                return QualityItem(qa.question_id, "Pass", "")
-
-            reminder = (
-                "Your previous response did not follow the required format. Respond again "
-                "with <Result> Pass </Result> or <Result> Fail </Result>, plus a "
-                "<Reason> ... </Reason> when the result is Fail."
-            )
-            try:
-                return runtime.ask(
-                    "quality", template, {"answer": qa.answer_text}, "draft_quality", parse,
-                    reminder,
-                )
-            except TagError:
-                return QualityItem(qa.question_id, "Fail", "unparseable verdict")
-            except GatewayError as exc:
-                raise RecordSkipped(draft.source_id, "quality_gate",
-                                    f"q{qa.question_id}: {exc}") from exc
-
-        items = run_tasks(self.runtime, [partial(review, qa) for qa in draft.qa])
+        items = run_tasks(self.runtime, [partial(self._review, draft.source_id, qa.question_id,
+                                                 qa.answer_text) for qa in draft.qa])
         return QualityReport(items=tuple(items))
+
+    def draft_and_review(self, rec: PatentRecord, drafts: dict[str, Draft]) -> QualityReport:
+        """synthesize_draft, then review_draft_quality, as one fan-out of ten
+        calls in which review q starts as soon as answer q lands. The draft
+        goes into drafts once all five answers are in, so a reviewer error
+        keeps it; an inventor error is raised first, being first in task
+        order."""
+        record_text = render_record(rec)
+        answers = {}
+
+        def answer(qid: int, runtime: AgentRuntime) -> None:
+            answers[qid] = self._answer(rec.record_id, record_text, qid, runtime)
+
+        def review(qid: int, runtime: AgentRuntime) -> QualityItem:
+            return self._review(rec.record_id, qid, answers[qid], runtime)
+
+        n = len(CANONICAL_QUESTIONS)
+        tasks = [partial(answer, qid) for qid in CANONICAL_QUESTIONS]
+        tasks += [partial(review, qid) for qid in CANONICAL_QUESTIONS]
+        try:
+            results = run_tasks(self.runtime, tasks, after={n + i: (i,) for i in range(n)})
+        finally:
+            if len(answers) == n:
+                drafts[rec.record_id] = make_draft(answers, source_id=rec.record_id)
+        return QualityReport(items=tuple(results[n:]))
+
+    # The per-question tasks, shared by the methods above.
+
+    def _answer(self, record_id: str, record_text: str, qid: int, runtime: AgentRuntime) -> str:
+        try:
+            text = runtime.ask(
+                "inventor", f"inventor_q{qid}", {"record": record_text}, "inventor", str.strip
+            )
+        except GatewayError as exc:
+            raise RecordSkipped(record_id, "draft", f"q{qid}: {exc}") from exc
+        if not text:
+            raise RecordSkipped(record_id, "draft", f"q{qid}: empty answer")
+        return text
+
+    def _review(self, source_id: str, qid: int, answer: str, runtime: AgentRuntime) -> QualityItem:
+        template = reviewer_template_for(qid, self.corrected_reviewer_mapping)
+
+        def parse(content: str) -> QualityItem:
+            result = extract_tag(content, "Result")
+            if result not in ("Pass", "Fail"):
+                raise ParseRetryError(f"verdict text {result!r}")
+            if result == "Fail":
+                reason = extract_tag(content, "Reason")
+                if not reason:
+                    raise ParseRetryError("empty reason")
+                return QualityItem(qid, "Fail", reason)
+            return QualityItem(qid, "Pass", "")
+
+        reminder = (
+            "Your previous response did not follow the required format. Respond again "
+            "with <Result> Pass </Result> or <Result> Fail </Result>, plus a "
+            "<Reason> ... </Reason> when the result is Fail."
+        )
+        try:
+            return runtime.ask(
+                "quality", template, {"answer": answer}, "draft_quality", parse, reminder
+            )
+        except TagError:
+            return QualityItem(qid, "Fail", "unparseable verdict")
+        except GatewayError as exc:
+            raise RecordSkipped(source_id, "quality_gate", f"q{qid}: {exc}") from exc
 
     def collect_pgtree(self, description: str) -> list[tuple[int, str]]:
         if not description.strip():
@@ -287,9 +314,7 @@ def build_dataset(
     for rec in records:
         build.records[rec.record_id] = rec
         try:
-            draft = builder.synthesize_draft(rec)
-            build.drafts[rec.record_id] = draft
-            report = builder.review_draft_quality(draft)
+            report = builder.draft_and_review(rec, build.drafts)
         except RecordSkipped as skip:
             build.skips.append(
                 {"record_id": skip.record_id, "stage": skip.stage, "reason": skip.reason}

@@ -117,23 +117,6 @@ def split_sentences(text: str) -> SentenceSet:
     )
 
 
-def jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
-    """|a n b| / |a u b|; two empty sets count as identical (1.0)."""
-    if not a and not b:
-        return 1.0
-    union = len(a | b)
-    if union == 0:
-        return 1.0
-    return len(a & b) / union
-
-
-def rep_indicator(si: frozenset[str], sj: frozenset[str], t: float) -> int:
-    """1 iff the pair's Jaccard similarity reaches t (boundary inclusive)."""
-    if not 0.0 <= t <= 1.0:
-        raise MetricsError(f"threshold t must lie in [0, 1], got {t}")
-    return 1 if jaccard(si, sj) >= t else 0
-
-
 @dataclass(frozen=True)
 class IrrConfig:
     t: float
@@ -161,15 +144,15 @@ class IrrResult:
 
 def _pair_sum(token_sets: tuple[frozenset[str], ...],
               thresholds: tuple[float, ...]) -> tuple[int, ...]:
-    """For each threshold t, count the pairs i < j exactly as
-    `jaccard(a, b) >= t` would.
+    """For each threshold t, count the pairs i < j whose Jaccard similarity
+    |a n b| / |a u b| reaches t; two empty sets count as identical (1.0).
 
     An inverted index joins the sets in one sweep: each token keeps the list
     of earlier sets that hold it, so counting the entries of a set's lists
     gives |a n b| with every earlier set that shares a token. A pair that
     shares none has similarity 0, or 1 when both sets are empty, so for t > 0
     only the empty pairs count among them. A sharing pair is decided by the
-    division jaccard makes, against the thresholds in ascending order up to
+    division |a n b| / |a u b|, against the thresholds in ascending order up to
     the first it misses: reaching t means reaching every lower threshold.
     """
     n = len(token_sets)

@@ -100,10 +100,6 @@ def extract_tag(output: str, tag_name: str) -> str:
     return contents[0]
 
 
-def wrap_tag(content: str, tag_name: str) -> str:
-    return f"<{tag_name}>{content}</{tag_name}>"
-
-
 def extract_sections(output: str, tag_base: str = "Section") -> list[tuple[int, str]]:
     """Parse all <Base-k>...</Base-k> blocks, requiring indices 1..m in order
     and some text in each block."""

@@ -18,8 +18,10 @@ from importlib import resources
 from pathlib import Path
 
 from patentgen.agents import AgentRuntime
+from patentgen.core import DEFAULT_SECTION_ORDER, SECTION_NAMES, PatentDoc
 from patentgen.gateway import (BackendConfig, BadStatusError, LlmGateway, MockBackend,
                                MockPlaybook, PlaybookRule)
+from patentgen.metrics import MetricsError
 
 
 def mock_gateway(playbook: MockPlaybook, retry_max: int = 2, **config_kwargs):
@@ -305,3 +307,31 @@ def oracle_pair_sum(token_sets, t: float) -> int:
             if (len(a & b) / union if union else 1.0) >= t:
                 count += 1
     return count
+
+
+def jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
+    """|a n b| / |a u b|; two empty sets count as identical (1.0)."""
+    if not a and not b:
+        return 1.0
+    return len(a & b) / len(a | b)
+
+
+def rep_indicator(si: frozenset[str], sj: frozenset[str], t: float) -> int:
+    """The paper's per-pair IRR indicator: 1 iff the pair's Jaccard
+    similarity reaches t (boundary inclusive)."""
+    if not 0.0 <= t <= 1.0:
+        raise MetricsError(f"threshold t must lie in [0, 1], got {t}")
+    return 1 if jaccard(si, sj) >= t else 0
+
+
+def wrap_tag(content: str, tag_name: str) -> str:
+    return f"<{tag_name}>{content}</{tag_name}>"
+
+
+def patent_from_record(record: dict) -> PatentDoc:
+    """The PatentDoc a patent.json record (core.patent_to_record) holds."""
+    sections = record["sections"]
+    return PatentDoc(
+        section_order=tuple(record.get("section_order", DEFAULT_SECTION_ORDER)),
+        **{name: sections[name] for name in SECTION_NAMES},
+    )

@@ -26,7 +26,6 @@ from patentgen.tags import (
     TagError,
     extract_sections,
     extract_tag,
-    wrap_tag,
 )
 from helpers import (
     FAIL_REVIEW,
@@ -36,6 +35,7 @@ from helpers import (
     pipeline_playbook,
     rule,
     runtime_for,
+    wrap_tag,
 )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import signal
+import sys
 import threading
 import time
 from functools import partial
@@ -326,3 +327,106 @@ def test_an_interrupt_while_run_tasks_waits_skips_the_tasks_not_started():
     with pytest.raises(KeyboardInterrupt):
         run_tasks(runtime, [partial(hold, True), partial(hold, False)] + queued)
     assert started == []
+
+
+def test_run_tasks_starts_a_task_after_its_dependencies_and_merges_in_task_order():
+    record = new_run_record()
+    runtime = runtime_for(MockPlaybook([]), recorder=record, max_inflight=2)
+    events, lock = [], threading.Lock()
+
+    def task(i, delay, rt):
+        with lock:
+            events.append(f"start {i}")
+        time.sleep(delay)
+        rt.recorder.warn(f"task {i}")
+        with lock:
+            events.append(f"end {i}")
+        return i
+
+    # Task 2 reads task 0, which is slow; task 3 reads nothing, so it goes first.
+    tasks = [partial(task, 0, 0.1), partial(task, 1, 0.0), partial(task, 2, 0.0),
+             partial(task, 3, 0.0)]
+    assert run_tasks(runtime, tasks, after={2: (0,)}) == [0, 1, 2, 3]
+    assert events.index("end 0") < events.index("start 2")
+    assert events.index("start 3") < events.index("start 2")
+    assert events.index("end 3") < events.index("end 0")
+    assert record.warnings == ["task 0", "task 1", "task 2", "task 3"]
+
+
+@pytest.mark.parametrize("after", [{1: (1,)}, {0: (1,)}, {1: (2,)}, {1: (-1,)}, {3: (0,)},
+                                   {-1: (0,)}])
+def test_run_tasks_rejects_an_after_entry_naming_a_later_or_unknown_task(after):
+    started = []
+    tasks = [lambda rt, i=i: started.append(i) for i in range(3)]
+    with pytest.raises(ValueError, match="must run after earlier tasks"):
+        run_tasks(runtime_for(MockPlaybook([])), tasks, after=after)
+    assert started == []
+
+
+def test_run_tasks_raises_the_first_error_in_task_order_not_in_time():
+    runtime = runtime_for(MockPlaybook([]), max_inflight=2)
+    started = []
+
+    def fail(message, delay, rt):
+        time.sleep(delay)
+        raise AgentError(message)
+
+    tasks = [partial(fail, "first", 0.1), partial(fail, "second", 0.0)]
+    tasks += [lambda rt, i=i: started.append(i) for i in range(2, 5)]
+    with pytest.raises(AgentError, match="first"):
+        run_tasks(runtime, tasks, after={4: (0,)})
+    assert started == []
+
+
+def test_an_interrupt_while_the_caller_waits_on_a_dependency_skips_the_tasks_not_started():
+    runtime = runtime_for(MockPlaybook([]), max_inflight=2)
+    helper_started, started = threading.Event(), []
+
+    def hold(rt):
+        if threading.current_thread() is threading.main_thread():
+            # The caller finishes its task, then waits for the helper's.
+            helper_started.wait(2)
+            return
+        helper_started.set()
+        time.sleep(0.05)
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.1)
+
+    queued = [lambda rt, i=i: started.append(i) for i in range(2, 5)]
+    with pytest.raises(KeyboardInterrupt):
+        run_tasks(runtime, [hold, hold] + queued, after={i: (0, 1) for i in range(2, 5)})
+    assert started == []
+
+
+def test_run_tasks_under_stress_runs_each_task_once_after_its_dependencies():
+    # More runners than cores, and a short switch interval, so that an
+    # unguarded take or finish would start a task twice or too early.
+    record = new_run_record()
+    runtime = runtime_for(MockPlaybook([]), recorder=record, max_inflight=8)
+    n = 300
+    after = {i: (i - 1, i // 2) if i % 3 else (i // 3,) for i in range(1, n)}
+    done, lock = set(), threading.Lock()
+    runs = [0] * n
+
+    def task(i, rt):
+        with lock:
+            assert done.issuperset(after.get(i, ()))
+            runs[i] += 1
+        rt.recorder.warn(str(i))
+        with lock:
+            done.add(i)
+        return i
+
+    results = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=lambda: results.append(
+            run_tasks(runtime, [partial(task, i) for i in range(n)], after=after)))
+        thread.start()
+        thread.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not thread.is_alive()
+    assert results == [list(range(n))] and runs == [1] * n
+    assert record.warnings == [str(i) for i in range(n)]

@@ -684,6 +684,50 @@ def test_build_dataset_bad_sizes_fail_before_any_model_call(tmp_path, monkeypatc
     assert not out.exists()
 
 
+def _one_record_corpus(tmp_path):
+    """A records directory of one accepted record, and a playbook that
+    answers every inventor and passes every review."""
+    records = tmp_path / "records"
+    records.mkdir()
+    record = {name: f"{name} of record 0." for name in
+              ("title", "abstract", "background", "summary", "claims", "description")}
+    (records / "rec0.json").write_text(json.dumps(dict(record, record_id="rec0",
+                                                       decision_label="ACCEPTED")))
+    playbook = tmp_path / "playbook.json"
+    MockPlaybook([rule(MATCH_INVENTOR, "An answer."), rule(MATCH_QUALITY, PASS_QUALITY)]).save(
+        playbook)
+    return records, playbook
+
+
+@pytest.mark.parametrize("kinds", ["D2W", "D2T,D2W"])
+def test_build_dataset_d2w_without_trees_fails_before_any_model_call(tmp_path, monkeypatch,
+                                                                     kinds):
+    records, playbook = _one_record_corpus(tmp_path)
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "build"
+    result = RUNNER.invoke(main, ["build-dataset", str(records), "--mock-playbook", str(playbook),
+                                  "--out", str(out), "--sizes", "1,0,0", "--skip-trees",
+                                  "--kinds", kinds])
+    assert result.exit_code == 1, result.output
+    assert "error: D2W exports guideline trees, which --skip-trees does not collect" in (
+        result.output)
+    assert calls == []
+    assert not out.exists()
+
+
+def test_build_dataset_skip_trees_leaves_d2w_out_of_the_default_kinds(tmp_path):
+    records, playbook = _one_record_corpus(tmp_path)
+    out = tmp_path / "build"
+    result = RUNNER.invoke(main, ["build-dataset", str(records), "--mock-playbook", str(playbook),
+                                  "--out", str(out), "--sizes", "1,0,0", "--skip-trees"])
+    assert result.exit_code == 0, result.output
+    kinds = [k for k in SFT_KINDS if k != "D2W"]
+    assert result.output.splitlines() == [
+        f"{kind}: train=1, valid=0, test=0" for kind in kinds
+    ] + [f"accepted 1/1 records; splits 1/0/0; artifacts in {out}"]
+    assert sorted(p.name for p in (out / "exports").iterdir()) == sorted(kinds)
+
+
 def test_build_dataset_writes_its_artifacts_and_every_export(tmp_path):
     records = tmp_path / "records"
     records.mkdir()

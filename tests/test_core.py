@@ -18,11 +18,11 @@ from patentgen.core import (
     draft_from_record,
     draft_to_record,
     make_draft,
-    patent_from_record,
     patent_to_record,
     patent_to_text,
     render_draft,
 )
+from helpers import patent_from_record
 
 
 def test_render_contains_all_questions_in_order(draft):
@@ -179,7 +179,7 @@ def test_pgtree_counts_nodes():
             SectionPlan(2, "second", (GuidelineNode(2, 1, "c"),)),
         )
     )
-    assert tree.node_count == 3
+    assert len(tree.nodes()) == 3
     assert [n.node_id for n in tree.nodes()] == [(1, 1), (1, 2), (2, 1)]
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from patentgen.agents import AgentRuntime
-from patentgen.core import new_run_record, render_draft
+from patentgen.core import draft_to_record, new_run_record, render_draft
 from patentgen.datakit import (
     SFT_KINDS,
     DatakitError,
@@ -418,6 +418,7 @@ def test_gate_counts_on_mixed_corpus():
 
 # --- fan-out ---------------------------------------------------------------------------
 
+INVENTOR_Q1 = "technical problem that this patent aims to solve"
 INVENTOR_Q2 = "technical background of this invention"
 INVENTOR_Q4 = "key points of the invention"
 REVIEWER_Q1 = "technical problem solved by the invention"
@@ -477,13 +478,20 @@ def test_first_failing_question_names_the_skip_at_every_width(stage, q2, q4):
     for width in (1, 8):
         prompts, lock = [], threading.Lock()
 
+        q2_sent = threading.Event()
+
         def fail_when(prompt):
             with lock:
                 prompts.append(prompt)
             if q2 in prompt:
+                q2_sent.set()
                 time.sleep(0.03)  # q4 fails first when both are in flight
                 return "q2 unavailable"
-            return "q4 unavailable" if q4 in prompt else None
+            if q4 in prompt:
+                # Held until q2 is in flight too, so q2 is never skipped.
+                q2_sent.wait(2)
+                return "q4 unavailable"
+            return None
 
         build, _, _ = _function_build([_record(1)], width, delay_s=0.005, fail_when=fail_when)
         assert [(s["stage"], s["reason"][:4]) for s in build.skips] == [(stage, "q2: ")]
@@ -499,3 +507,52 @@ def test_first_failing_question_names_the_skip_at_every_width(stage, q2, q4):
                 assert len(inventor) == 5
                 assert sum(q2 in p for p in reviewer) == 1
                 assert all(REVIEWER_Q1 in p or q2 in p for p in reviewer)
+
+
+@pytest.mark.parametrize("width", [1, 8])
+def test_a_reviewer_error_keeps_the_draft_and_skips_the_record(tmp_path, width):
+    def fail_when(prompt):
+        return "reviewer down" if REVIEWER_Q2 in prompt else None
+
+    build, _, _ = _function_build([_record(1), _record(2)], width, fail_when=fail_when)
+    assert build.quality == {} and build.accepted_ids == []
+    assert [(s["record_id"], s["stage"], s["reason"][:4]) for s in build.skips] == [
+        ("rec001", "quality_gate", "q2: "), ("rec002", "quality_gate", "q2: ")]
+    assert sorted(build.drafts) == ["rec001", "rec002"]
+    write_build_artifacts(build, make_splits([], sizes=(0, 0, 0)), tmp_path)
+    for record_id, draft in build.drafts.items():
+        assert draft.source_id == record_id and len(draft.qa) == 5
+        saved = json.loads((tmp_path / "drafts" / f"{record_id}.json").read_text("utf-8"))
+        assert saved == draft_to_record(draft)
+
+
+@pytest.mark.parametrize("width", [1, 8])
+def test_an_inventor_error_wins_over_a_reviewer_error(width):
+    def fail_when(prompt):
+        if INVENTOR_Q4 in prompt:
+            time.sleep(0.03)  # the reviewer fails first when both are in flight
+            return "inventor down"
+        return "reviewer down" if REVIEWER_Q1 in prompt else None
+
+    build, _, _ = _function_build([_record(1)], width, fail_when=fail_when)
+    assert [(s["stage"], s["reason"][:4]) for s in build.skips] == [("draft", "q4: ")]
+    assert "inventor down" in build.skips[0]["reason"]
+    assert build.drafts == {} and build.quality == {} and build.accepted_ids == []
+
+
+def test_a_review_starts_as_soon_as_its_own_answer_lands():
+    # At width 3, answer q1 is held until review q2 is sent, or for 2 s.
+    events, review_q2_sent = [], threading.Event()
+
+    def fail_when(prompt):
+        if REVIEWER_Q2 in prompt:
+            events.append("review q2 sent")
+            review_q2_sent.set()
+        elif INVENTOR_Q1 in prompt:
+            review_q2_sent.wait(2)
+            events.append("answer q1 done")
+        return None
+
+    build, _, _ = _function_build([_record(1)], 3, fail_when=fail_when)
+    assert events == ["review q2 sent", "answer q1 done"]
+    assert list(build.quality) == ["rec001"]

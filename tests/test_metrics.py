@@ -22,16 +22,14 @@ from patentgen.metrics import (
     irr,
     irr_of_text,
     irr_report,
-    jaccard,
     length_stats,
-    rep_indicator,
     rouge_f1,
     split_sentences,
     stopwords,
     tokenize_for_similarity,
 )
-from helpers import (oracle_bleu_single, oracle_irr, oracle_lcs_len, oracle_pair_sum,
-                     oracle_split_block)
+from helpers import (jaccard, oracle_bleu_single, oracle_irr, oracle_lcs_len, oracle_pair_sum,
+                     oracle_split_block, rep_indicator)
 
 # --- sentence segmentation -----------------------------------------------------
 

@@ -15,8 +15,8 @@ from patentgen.tags import (
     extract_sections,
     extract_tag,
     render_sections,
-    wrap_tag,
 )
+from helpers import wrap_tag
 
 
 def test_extracts_trimmed_content():
