@@ -293,8 +293,11 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> 
     The records are merged into the runtime's recorder (when one is set) in
     task order, which is the order a sequential run makes them in, so what a
     run records does not depend on how calls interleave. Once a task fails,
-    or the caller is interrupted while it runs or waits, tasks that have not
-    started are skipped; a skipped task never counts as the error.
+    the tasks after it in task order that have not started are skipped, while
+    earlier ones still start once their dependencies have finished; so the
+    first error in task order is the same at every width. An interrupt while
+    the caller runs or waits skips every task not started. A skipped task
+    never counts as the error.
     """
     after = after or {}
     for index, deps in after.items():
@@ -304,22 +307,24 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> 
     outcomes = [(None, None)] * len(tasks)  # (result, error) of each task that ran
     waiting = list(range(len(tasks)))  # not started, in task order
     finished = set()
-    stopped = False
+    failed = len(tasks)  # the first failed task's index; no later task starts
+    stopped = False  # set by an interrupt: no task starts
     cond = threading.Condition()
 
     def take():
-        """The next task to start, or None once none is left or the run stopped."""
+        """The next task to start, or None once none before the first failure
+        is left or the run stopped."""
         with cond:
-            while waiting and not stopped:
+            while waiting and waiting[0] < failed and not stopped:
                 for index in waiting:
-                    if finished.issuperset(after.get(index, ())):
+                    if index < failed and finished.issuperset(after.get(index, ())):
                         waiting.remove(index)
                         return index
                 cond.wait()
             return None
 
     def runner():
-        nonlocal stopped
+        nonlocal failed, stopped
         try:
             while (index := take()) is not None:
                 try:
@@ -328,7 +333,8 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> 
                     outcomes[index] = None, exc
                 with cond:
                     finished.add(index)
-                    stopped = stopped or outcomes[index][1] is not None
+                    if outcomes[index][1] is not None:
+                        failed = min(failed, index)
                     cond.notify_all()
         except BaseException:
             # An interrupt, or an exit from inside a task: start nothing more.
@@ -358,8 +364,8 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> 
     if runtime.recorder is not None:
         for record in records:
             runtime.recorder.extend(record)
-    # A task is skipped only once another has failed, so a skipped task's
-    # None is never returned as a result.
+    # A task is skipped only once an earlier one has failed, so a skipped
+    # task's None is never returned as a result.
     error = next((error for _, error in outcomes if error is not None), None)
     if error is not None:
         raise error

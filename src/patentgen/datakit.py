@@ -200,6 +200,9 @@ class DatasetBuilder:
         self.runtime = runtime
         self.corrected_reviewer_mapping = corrected_reviewer_mapping
 
+    # build_dataset runs both stages as one fan-out, draft_and_review. Each
+    # stage on its own stays a method, as perfbench's tracer times it by name.
+
     def synthesize_draft(self, rec: PatentRecord) -> Draft:
         """Five inventor-simulation calls, one per canonical question."""
         record_text = render_record(rec)
@@ -216,10 +219,10 @@ class DatasetBuilder:
 
     def draft_and_review(self, rec: PatentRecord, drafts: dict[str, Draft]) -> QualityReport:
         """synthesize_draft, then review_draft_quality, as one fan-out of ten
-        calls in which review q starts as soon as answer q lands. The draft
-        goes into drafts once all five answers are in, so a reviewer error
-        keeps it; an inventor error is raised first, being first in task
-        order."""
+        calls in which review q starts as soon as answer q lands. Every
+        answer comes before every review in task order, so a reviewer error
+        skips no answer: the draft still goes into drafts, and an inventor
+        error is the one raised."""
         record_text = render_record(rec)
         answers = {}
 

@@ -378,6 +378,25 @@ def test_run_tasks_raises_the_first_error_in_task_order_not_in_time():
     assert started == []
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_a_failure_skips_only_later_tasks_so_the_outcome_is_the_same_at_every_width(width):
+    runtime = runtime_for(MockPlaybook([]), max_inflight=width)
+    started = []
+
+    def slow(rt):
+        time.sleep(0.05)
+
+    def fail(rt):
+        raise AgentError("task 2")
+
+    # At width 2, task 2 fails while task 1 still waits on task 0; task 1
+    # starts all the same, as it does at width 1, and only task 3 is skipped.
+    tasks = [slow, lambda rt: started.append(1), fail, lambda rt: started.append(3)]
+    with pytest.raises(AgentError, match="task 2"):
+        run_tasks(runtime, tasks, after={1: (0,)})
+    assert started == [1]
+
+
 def test_an_interrupt_while_the_caller_waits_on_a_dependency_skips_the_tasks_not_started():
     runtime = runtime_for(MockPlaybook([]), max_inflight=2)
     helper_started, started = threading.Event(), []
