@@ -43,16 +43,22 @@ STALL_MS = 35.0
 WARMUP_CALLS = 20
 
 
+def chat_request(prompt: str, tag: str):
+    """A one-message request with the agents' default sampling, spelled out."""
+    from patentgen.gateway import ChatMessage, ChatRequest
+
+    return ChatRequest(model_id="bench-model", messages=(ChatMessage("user", prompt),),
+                       temperature=0.5, top_p=0.9, max_tokens=4096, request_tag=tag)
+
+
 def make_requests(n: int, seed: int):
     from textgen import paragraph_text
-
-    from patentgen.gateway import user_request
 
     rng = random.Random(f"gateway-timing-{seed}")
     requests, replies = [], []
     for i in range(n):
-        requests.append(user_request(f"Call {i}.\n" + paragraph_text(rng, 1000),
-                                     model_id="bench-model", request_tag="description_write"))
+        requests.append(chat_request(f"Call {i}.\n" + paragraph_text(rng, 1000),
+                                     "description_write"))
         replies.append({"content": paragraph_text(rng, 150), "finish_reason": "stop",
                         "usage": {"prompt_tokens": 1000, "completion_tokens": 150}})
     return requests, replies
@@ -75,7 +81,7 @@ def time_transport(n: int, seed: int) -> dict:
     """Send WARMUP_CALLS + n requests through HttpBackend.send to a fresh endpoint."""
     from textgen import paragraph_text
 
-    from patentgen.gateway import BackendConfig, HttpBackend, user_request
+    from patentgen.gateway import BackendConfig, HttpBackend
 
     endpoint = subprocess.Popen(
         [sys.executable, str(ROOT / "perfbench" / "endpoint.py"), "--seed", str(seed),
@@ -85,8 +91,8 @@ def time_transport(n: int, seed: int) -> dict:
         url = f"http://127.0.0.1:{int(endpoint.stdout.readline().split()[1])}"
         backend = HttpBackend(BackendConfig(name="timing", kind="http", endpoint=url))
         rng = random.Random(f"transport-timing-{seed}")
-        requests = [user_request(f"Call {i}: detailed background information.\n"
-                                 + paragraph_text(rng, 1000), model_id="bench-model")
+        requests = [chat_request(f"Call {i}: detailed background information.\n"
+                                 + paragraph_text(rng, 1000), "background")
                     for i in range(WARMUP_CALLS + n)]
         call_ms, done = [], []
         for req in requests:

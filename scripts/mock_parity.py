@@ -11,12 +11,16 @@ scenarios, run in this order with the tree's own code, one subprocess each:
 - corpus: scripts/make_synthetic_records.py (12 records);
 - build: build-dataset on that corpus with --sizes 6,3,3;
 - build_trimmed: the same with --skip-trees --corrected-reviewer-mapping
-  --kinds D2T,D2W;
+  --kinds D2T;
 - generate: generate on the demo's draft and playbook;
 - abort_planner, abort_expand, abort_write: generate with the demo's playbook
   changed so that the planner's reply has no sections, the second section
   expansion, or the second subsection write, gets HTTP 400;
-- bench: a 3-document bench on the demo's playbook.
+- bench: a 3-document bench on the demo's playbook;
+- baseline: the zero-shot baseline on the demo's draft and playbook, whose
+  reply lacks the description (exit 2);
+- baseline_full: the same with the demo's playbook changed so that the reply
+  holds all six sections (exit 0).
 
 The inputs (the demo's draft and playbook, as files) are written once, with
 the first tree's code, and copied to every tree. Every file a scenario
@@ -45,7 +49,7 @@ SCENARIOS = [
                      "--out", "build", "--sizes", "6,3,3"]),
     ("build_trimmed", CLI + ["build-dataset", "corpus/records", "--mock-playbook",
                              "corpus/playbook.json", "--out", "build_trimmed", "--sizes", "6,3,3",
-                             "--skip-trees", "--corrected-reviewer-mapping", "--kinds", "D2T,D2W"]),
+                             "--skip-trees", "--corrected-reviewer-mapping", "--kinds", "D2T"]),
     ("generate", CLI + ["generate", "inputs/draft1.json", "--mock-playbook",
                         "inputs/playbook.json", "--out", "generate"]),
 ] + [
@@ -55,20 +59,33 @@ SCENARIOS = [
 ] + [
     ("bench", CLI + ["bench", "inputs/manifest.json", "--mock-playbook", "inputs/playbook.json",
                      "--out", "bench"]),
+] + [
+    (name, CLI + ["baseline", "inputs/draft1.json", "--mock-playbook", f"inputs/{playbook}.json",
+                  "--out", name])
+    for name, playbook in (("baseline", "playbook"), ("baseline_full", "baseline_full"))
 ]
 
 HTTP_400 = {"error": "status", "code": 400}
-# The start of each changed rule's match, and the responses it gets instead.
-ABORTS = {
+FULL_PATENT = ("<Patent><Title> Self-Tuning Conveyor Drive </Title>"
+               "<Abstract> A load-aware drive. </Abstract>"
+               "<Background> Fixed drives overheat. </Background>"
+               "<Summary> Gains retune from torque. </Summary>"
+               "<Claims> 1. A drive. </Claims>"
+               "<Full Description> A torque sensor feeds a gain scheduler. </Full Description>"
+               "</Patent>")
+# Each changed playbook: the start of the changed rule's match, and the
+# responses it gets instead (an int keeps the demo's response at that index).
+PLAYBOOK_EDITS = {
     "abort_planner": ("detailed writing guide", ["No sections in this reply."]),
     "abort_expand": ("split this section", [0, HTTP_400]),
     "abort_write": ("Just output this subsection", [0, HTTP_400]),
+    "baseline_full": ("write a complete patent document", [FULL_PATENT]),
 }
 
 
 def write_inputs(tree: Path, out: Path) -> None:
     """The demo's draft (three times, as bench documents), its playbook and
-    the abort playbooks, written with tree's code."""
+    the changed playbooks, written with tree's code."""
     sys.path[:0] = [str(tree / "src"), str(tree / "scripts")]
     from dataclasses import replace
 
@@ -87,7 +104,7 @@ def write_inputs(tree: Path, out: Path) -> None:
     (out / "manifest.json").write_text(json.dumps({"docs": docs}), "utf-8")
     playbook = demo_playbook()
     playbook.save(out / "playbook.json")
-    for name, (match, responses) in ABORTS.items():
+    for name, (match, responses) in PLAYBOOK_EDITS.items():
         record = playbook.to_record()
         rule = next(r for r in record["rules"] if r["match"].startswith(match))
         rule["responses"] = [rule["responses"][r] if isinstance(r, int) else r

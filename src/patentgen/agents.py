@@ -25,6 +25,8 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from .core import (
+    COMPONENT_ROLES,
+    SECTION_TAGS,
     Draft,
     GuidelineNode,
     PGTree,
@@ -55,17 +57,9 @@ class ParseRetryError(TagError):
     text or an odd verdict; it is re-asked like a tag error."""
 
 
-COMPONENT_ROLES = ("title", "abstract", "background", "summary", "claims")
 # Every role a run config may bind: the pipeline's agents, then the dataset
 # builder's inventor and quality reviewer.
 AGENT_ROLES = COMPONENT_ROLES + ("planner", "description", "examiner", "inventor", "quality")
-COMPONENT_TAGS = {
-    "title": "Title",
-    "abstract": "Abstract",
-    "background": "Background",
-    "summary": "Summary",
-    "claims": "Claims",
-}
 
 # Request tags keyed by operation; these are the call-log role labels.
 TAG_PLAN = "planner"
@@ -141,11 +135,11 @@ class AgentRuntime:
     def ask(self, role: str, template_id: str, slots: dict, tag: str, parse, reminder: str = ""):
         """Render the prompt, call the model as `role` and return parse(reply).
 
-        Every agent call goes through here. A reply whose parse raises
-        TagError (ParseRetryError included) is re-asked with the bad reply and
-        the format reminder appended, up to the binding's parse_retry_max extra
-        calls; then the last parse error propagates. Any other exception from
-        parse propagates at once.
+        Every model call goes through here, the zero-shot baseline's too. A
+        reply whose parse raises TagError (ParseRetryError included) is
+        re-asked with the bad reply and the format reminder appended, up to the
+        binding's parse_retry_max extra calls; then the last parse error
+        propagates. Any other exception from parse propagates at once.
         """
         binding = self.bindings[role]
         prompt = self.registry.render(template_id, **slots)
@@ -173,7 +167,7 @@ class AgentRuntime:
     def write_component(self, role: str, draft: Draft) -> str:
         if role not in COMPONENT_ROLES:
             raise AgentError(f"{role!r} is not a short-component role")
-        tag = COMPONENT_TAGS[role]
+        tag = SECTION_TAGS[role]
 
         def parse(content: str) -> str:
             text = extract_tag(content, tag)

@@ -167,7 +167,7 @@ class BenchReport:
                 return f"{'-':>14}"
             if isinstance(value, float):
                 return f"{value:>14.2f}"
-            return f"{value:>14}"
+            return f"{value!s:>14}"
 
         for row in self.rows:
             if row.get("failed"):
@@ -191,7 +191,23 @@ class BenchReport:
 
 
 def report_from_record(record: dict) -> BenchReport:
-    return BenchReport(header=record["header"], rows=record["rows"])
+    """A saved report.json as a BenchReport. A ConfigError unless it is an
+    object whose header is an object, with thresholds (if any) a list of
+    numbers, and whose rows are a list of objects with a string doc_id."""
+    if not isinstance(record, dict):
+        raise ConfigError("a report must be a JSON object")
+    header, rows = record.get("header"), record.get("rows")
+    if not isinstance(header, dict):
+        raise ConfigError(f"report header must be a JSON object, got {header!r}")
+    thresholds = header.get("thresholds", [])
+    if not isinstance(thresholds, list) or not all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in thresholds):
+        raise ConfigError(f"report header thresholds must be a list of numbers, "
+                          f"got {thresholds!r}")
+    if not isinstance(rows, list) or not all(
+            isinstance(row, dict) and isinstance(row.get("doc_id"), str) for row in rows):
+        raise ConfigError("report rows must be a list of objects with a string doc_id")
+    return BenchReport(header=header, rows=rows)
 
 
 def score_pairs(pairs: dict[str, tuple[str, str]], cfg: MetricConfig) -> BenchReport:

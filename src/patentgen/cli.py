@@ -17,11 +17,10 @@ import click
 
 from .agents import AgentRuntime
 from .bench import AlignmentError, MetricConfig, report_from_record, run_bench, score_directories
-from .core import (ConfigError, CoreError, PatentDoc, dump_json, load_draft, load_json,
-                   patent_to_record, patent_to_text)
+from .core import ConfigError, CoreError, load_draft, load_json, patent_to_text
 from .datakit import (DatasetBuilder, DatakitError, IngestConfig, InsufficientRecordsError,
-                      SFT_KINDS, build_dataset, check_split_sizes, export_sft, load_records,
-                      make_splits, write_build_artifacts)
+                      SFT_KINDS, build_dataset, check_split_sizes, export_sft, load_field_map,
+                      load_records, make_splits, write_build_artifacts)
 from .gateway import GatewayError
 from .pipeline import PatentPipeline, PipelineAborted, load_run_config, run_zero_shot
 
@@ -128,27 +127,15 @@ def baseline(draft_file, config_file, mock_playbook, backend, out_dir, max_token
         gateways, _, _ = load_run_config(config_file, mock_playbook, backend)
 
     run_dir = Path(out_dir) if out_dir else Path("runs") / f"{Path(draft_file).stem}_baseline"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        result = run_zero_shot(gateways["default"], draft, max_tokens=max_tokens)
-    except GatewayError as exc:
-        dump_json({"error": str(exc)}, run_dir / "parse_report.json")
-        click.echo(f"baseline call failed: {exc}", err=True)
-        sys.exit(EXIT_PARTIAL)
-
-    (run_dir / "raw_response.txt").write_text(result.raw, "utf-8")
-    dump_json(
-        {"sections_found": sorted(result.sections), "missing": list(result.missing)},
-        run_dir / "parse_report.json",
-    )
-    sections_dir = run_dir / "sections"
-    sections_dir.mkdir(exist_ok=True)
-    for name, text in result.sections.items():
-        (sections_dir / f"{name}.txt").write_text(text + "\n", "utf-8")
+    # A --max-tokens over the backend's limit is a ConfigError before any call.
+    with _invalid_input(ConfigError):
+        try:
+            result = run_zero_shot(gateways["default"], draft, max_tokens=max_tokens,
+                                   run_dir=run_dir)
+        except GatewayError as exc:
+            click.echo(f"baseline call failed: {exc}", err=True)
+            sys.exit(EXIT_PARTIAL)
     if result.complete:
-        doc = PatentDoc(**result.sections)
-        (run_dir / "patent.txt").write_text(patent_to_text(doc), "utf-8")
-        dump_json(patent_to_record(doc), run_dir / "patent.json")
         click.echo(f"baseline patent complete in {run_dir}")
         sys.exit(EXIT_OK)
     click.echo(f"baseline missing sections {list(result.missing)}; artifacts in {run_dir}", err=True)
@@ -173,7 +160,7 @@ def build_dataset_cmd(records_path, config_file, mock_playbook, out_dir, sizes, 
     """Build drafts + quality gate + splits + SFT exports from RECORDS_PATH."""
     with _invalid_input(ConfigError, DatakitError, ValueError, OSError):
         gateways, bindings, _ = load_run_config(config_file, mock_playbook)
-        field_map = load_json(Path(field_map_file)) if field_map_file else {}
+        field_map = load_field_map(field_map_file) if field_map_file else {}
         ingest_cfg = IngestConfig(accept_label=accept_label, field_map=field_map)
         records, ingest_skips = load_records(records_path, ingest_cfg)
         size_tuple = check_split_sizes(int(v) for v in sizes.split(",")) if sizes else None
@@ -260,7 +247,7 @@ def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resum
 @click.argument("report_file", type=click.Path())
 def report(report_file):
     """Render a saved machine-readable report as a table."""
-    with _invalid_input(OSError, ValueError, KeyError):
+    with _invalid_input(ConfigError, OSError, ValueError):
         loaded = report_from_record(load_json(Path(report_file)))
     click.echo(loaded.to_table())
     sys.exit(EXIT_OK)

@@ -33,7 +33,12 @@ CANONICAL_QUESTIONS: dict[int, str] = {
     5: "What is the detailed description of each figure individually?",
 }
 
-SECTION_NAMES = ("title", "abstract", "background", "summary", "claims", "description")
+# The six patent sections in canonical order, each with the tag a model wraps it in.
+SECTION_TAGS = {"title": "Title", "abstract": "Abstract", "background": "Background",
+                "summary": "Summary", "claims": "Claims", "description": "Full Description"}
+SECTION_NAMES = tuple(SECTION_TAGS)
+# The five short components, every section but the description, each an agent role.
+COMPONENT_ROLES = SECTION_NAMES[:-1]
 
 # Default assembly order: description precedes claims.
 DEFAULT_SECTION_ORDER = ("title", "abstract", "background", "summary", "description", "claims")
@@ -259,18 +264,17 @@ class Reference:
     draft: Draft
 
     def __post_init__(self):
-        _reject_empty(self, ("title", "abstract", "background", "summary", "claims"))
+        _reject_empty(self, COMPONENT_ROLES)
+
+
+def render_fields(obj, names) -> str:
+    """obj's named text fields as `Name: text` blocks joined by blank lines;
+    the reference and dataset records render through it, so it is byte-stable."""
+    return "\n\n".join(f"{name.capitalize()}: {getattr(obj, name)}" for name in names)
 
 
 def render_reference(ref: Reference) -> str:
-    return (
-        f"Title: {ref.title}\n\n"
-        f"Abstract: {ref.abstract}\n\n"
-        f"Background: {ref.background}\n\n"
-        f"Summary: {ref.summary}\n\n"
-        f"Claims: {ref.claims}\n\n"
-        f"Draft:\n{render_draft(ref.draft)}"
-    )
+    return f"{render_fields(ref, COMPONENT_ROLES)}\n\nDraft:\n{render_draft(ref.draft)}"
 
 
 class VerdictResult:

@@ -23,28 +23,25 @@ from pathlib import Path
 from .agents import AgentRuntime, ParseRetryError, run_tasks
 from .core import (
     CANONICAL_QUESTIONS,
+    COMPONENT_ROLES,
+    SECTION_NAMES,
     Draft,
     PatentDoc,
     draft_to_record,
+    load_json,
     make_draft,
     patent_to_text,
     render_draft,
+    render_fields,
 )
 from .gateway import GatewayError
 from .tags import TagError, extract_sections, extract_tag, render_sections
 
 SCHEMA_VERSION_SFT = "sft-pairs-v1"
 
-RECORD_FIELDS = ("title", "abstract", "background", "summary", "claims", "description")
-
-SFT_KINDS = ("D2T", "D2A", "D2B", "D2S", "D2C", "D2W", "D2P_full")
-_COMPONENT_KIND_FIELDS = {
-    "D2T": "title",
-    "D2A": "abstract",
-    "D2B": "background",
-    "D2S": "summary",
-    "D2C": "claims",
-}
+# D2T, D2A, D2B, D2S, D2C: a short component, named by its initial.
+_COMPONENT_KIND_FIELDS = {f"D2{name[0].upper()}": name for name in COMPONENT_ROLES}
+SFT_KINDS = (*_COMPONENT_KIND_FIELDS, "D2W", "D2P_full")
 
 DEFAULT_SPLIT_PROPORTIONS = (1500, 133, 300)
 SPLIT_NAMES = ("train", "valid", "test")
@@ -86,8 +83,7 @@ class PatentRecord:
 
 def render_record(rec: PatentRecord) -> str:
     """Full record text used to condition the simulated inventor."""
-    parts = [f"{name.capitalize()}: {rec.section(name)}" for name in RECORD_FIELDS]
-    return "\n\n".join(parts)
+    return render_fields(rec, SECTION_NAMES)
 
 
 @dataclass(frozen=True)
@@ -100,11 +96,27 @@ class IngestConfig:
         return self.field_map.get(name, name)
 
 
+def load_field_map(path: Path | str) -> dict:
+    """A --field-map file: a JSON object whose values are strings, the source
+    records' key for each canonical field it names. Anything else is a
+    DatakitError naming the file and, for a bad value, its key."""
+    try:
+        field_map = load_json(Path(path))
+    except (OSError, ValueError) as exc:
+        raise DatakitError(f"cannot read field map {path}: {exc}") from exc
+    if not isinstance(field_map, dict):
+        raise DatakitError(f"field map {path} must be a JSON object of strings")
+    for key, value in field_map.items():
+        if not isinstance(value, str):
+            raise DatakitError(f"field map {path}: {key!r} must map to a string, got {value!r}")
+    return field_map
+
+
 def _record_from_raw(raw: dict, cfg: IngestConfig, fallback_id: str) -> PatentRecord:
     return PatentRecord(
         record_id=str(raw.get(cfg.source_key("record_id"), fallback_id)),
         decision_label=str(raw.get(cfg.source_key("decision_label"), "")),
-        **{name: str(raw.get(cfg.source_key(name), "")) for name in RECORD_FIELDS},
+        **{name: str(raw.get(cfg.source_key(name), "")) for name in SECTION_NAMES},
     )
 
 
@@ -144,7 +156,7 @@ def load_records(path: Path | str, cfg: IngestConfig | None = None):
                  "reason": f"decision label {rec.decision_label!r} != {cfg.accept_label!r}"}
             )
             continue
-        empty = [name for name in RECORD_FIELDS if not rec.section(name).strip()]
+        empty = [name for name in SECTION_NAMES if not rec.section(name).strip()]
         if empty:
             skips.append(
                 {"record_id": rec.record_id, "stage": "ingest",
@@ -421,7 +433,7 @@ def _target_for(kind: str, build: DatasetBuild, record_id: str) -> str | None:
         tree = build.pgtrees.get(record_id)
         return None if tree is None else render_sections(tree)
     if kind == "D2P_full":
-        return patent_to_text(PatentDoc(**{name: rec.section(name) for name in RECORD_FIELDS}))
+        return patent_to_text(PatentDoc(**{name: rec.section(name) for name in SECTION_NAMES}))
     raise DatakitError(f"unknown export kind {kind!r}; expected one of {SFT_KINDS}")
 
 

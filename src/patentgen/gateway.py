@@ -94,10 +94,10 @@ def check_sampling(temperature: float, top_p: float, max_tokens: int) -> None:
 class ChatRequest:
     model_id: str
     messages: tuple[ChatMessage, ...]
-    temperature: float = 0.5
-    top_p: float = 0.9
-    max_tokens: int = 4096
-    request_tag: str = "untagged"
+    temperature: float
+    top_p: float
+    max_tokens: int
+    request_tag: str
 
     def __post_init__(self):
         if not any(m.role == "user" for m in self.messages):
@@ -106,10 +106,6 @@ class ChatRequest:
 
     def rendered_prompt(self) -> str:
         return "\n".join(m.content for m in self.messages)
-
-
-def user_request(prompt: str, **kwargs) -> ChatRequest:
-    return ChatRequest(messages=(ChatMessage("user", prompt),), **kwargs)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .agents import (
 )
 from .core import (
     DEFAULT_SECTION_ORDER,
+    SECTION_TAGS,
     ConfigError,
     CoreError,
     Draft,
@@ -44,7 +45,6 @@ from .core import (
     Reference,
     RefinementRound,
     ReviewVerdict,
-    RunRecord,
     SectionPlan,
     SubsectionDraft,
     check_section_order,
@@ -57,7 +57,7 @@ from .core import (
     render_draft,
 )
 from .gateway import (BackendConfig, GatewayError, LlmGateway, RequestError, ResponseCache,
-                      build_gateway, user_request)
+                      build_gateway)
 from .prompts import PromptRegistry, default_registry
 from .tags import TagError, extract_tag
 
@@ -180,15 +180,21 @@ def load_run_config(config_file: str | None, mock_playbook: str | None = None,
             raise ConfigError(f"unknown agent role {role!r}; expected one of {list(bindings)}")
         bindings[role] = config_record(bindings[role], record, f"agents.{role}", ("role",))
     for role, binding in bindings.items():
-        gateway = gateways.get(binding.backend)
-        if gateway is None:
-            raise ConfigError(f"agents.{role}.backend: no backend named {binding.backend!r}")
-        limit = gateway.config.max_tokens_limit
-        if binding.max_tokens > limit:
-            raise ConfigError(f"agents.{role}.max_tokens: {binding.max_tokens} exceeds the "
-                              f"max_tokens_limit {limit} of backend {binding.backend!r}")
+        check_binding(binding, gateways, f"agents.{role}")
 
     return gateways, bindings, PipelineConfig.from_record(config.get("pipeline", {}))
+
+
+def check_binding(binding: AgentBinding, gateways: dict[str, LlmGateway], where: str) -> None:
+    """A ConfigError naming `where` unless binding's backend is one of
+    gateways and its max_tokens is within that backend's max_tokens_limit."""
+    gateway = gateways.get(binding.backend)
+    if gateway is None:
+        raise ConfigError(f"{where}.backend: no backend named {binding.backend!r}")
+    limit = gateway.config.max_tokens_limit
+    if binding.max_tokens > limit:
+        raise ConfigError(f"{where}.max_tokens: {binding.max_tokens} exceeds the "
+                          f"max_tokens_limit {limit} of backend {binding.backend!r}")
 
 
 def plan_section(
@@ -322,16 +328,22 @@ class PatentPipeline:
                 dump_json(subsection_to_record(sub), sub_dir / f"sec{i:02d}_sub{j:02d}.json")
         dump_json({"warnings": record.warnings}, run_dir / "warnings.json")
         if doc is not None:
-            (run_dir / "patent.txt").write_text(patent_to_text(doc), encoding="utf-8")
+            write_patent(doc, run_dir)
             (run_dir / "patent_body.txt").write_text(
                 patent_to_text(doc, headers=False), encoding="utf-8"
             )
-            dump_json(patent_to_record(doc), run_dir / "patent.json")
         dump_json(
             {"status": "complete" if doc is not None else "partial",
              "error": None if error is None else str(error)},
             run_dir / "status.json",
         )
+
+
+def write_patent(doc: PatentDoc, run_dir: Path) -> None:
+    """A finished patent's patent.txt and patent.json, for a pipeline run and
+    the zero-shot baseline alike."""
+    (run_dir / "patent.txt").write_text(patent_to_text(doc), encoding="utf-8")
+    dump_json(patent_to_record(doc), run_dir / "patent.json")
 
 
 def _expand_section(index, overview, draft, cfg, runtime):
@@ -360,14 +372,8 @@ def subsection_to_record(sub: SubsectionDraft) -> dict:
 
 # --- zero-shot baseline ------------------------------------------------------
 
-ZERO_SHOT_TAGS = {
-    "title": "Title",
-    "abstract": "Abstract",
-    "background": "Background",
-    "summary": "Summary",
-    "claims": "Claims",
-    "description": "Full Description",
-}
+# The baseline's role and request tag; its binding is fixed, not configurable.
+ZERO_SHOT = "zero_shot"
 
 
 @dataclass(frozen=True)
@@ -389,36 +395,52 @@ def parse_zero_shot_output(raw: str) -> ZeroShotResult:
     except TagError:
         pass
     sections: dict[str, str] = {}
-    missing: list[str] = []
-    for name, tag in ZERO_SHOT_TAGS.items():
+    for name, tag in SECTION_TAGS.items():
         try:
             text = extract_tag(body, tag)
         except TagError:
-            missing.append(name)
             continue
         if text:
             sections[name] = text
-        else:
-            missing.append(name)
-    return ZeroShotResult(raw=raw, sections=sections, missing=tuple(missing))
+    return ZeroShotResult(raw=raw, sections=sections,
+                          missing=tuple(name for name in SECTION_TAGS if name not in sections))
 
 
-def run_zero_shot(
-    gateway: LlmGateway,
-    draft: Draft,
-    registry: PromptRegistry | None = None,
-    recorder: RunRecord | None = None,
-    max_tokens: int = 16384,
-) -> ZeroShotResult:
-    registry = registry or default_registry()
-    prompt = registry.render("zero_shot_full", draft=render_draft(draft))
-    resp = gateway.complete(
-        user_request(
-            prompt,
-            model_id=gateway.config.model_id,
-            max_tokens=max_tokens,
-            request_tag="zero_shot",
-        ),
-        recorder=recorder,
+def run_zero_shot(gateway: LlmGateway, draft: Draft, max_tokens: int = 16384,
+                  run_dir: Path | None = None) -> ZeroShotResult:
+    """The one-call baseline: the whole patent asked for in one request, sent
+    through AgentRuntime.ask with the gateway's model, the default sampling,
+    max_tokens, no re-ask and the tag zero_shot. A max_tokens over the
+    backend's limit is a ConfigError before any call. With run_dir, the
+    reply and its sections are written there; a gateway error writes only
+    parse_report.json, naming the error, and propagates."""
+    gateways = {"default": gateway}
+    binding = AgentBinding(ZERO_SHOT, max_tokens=max_tokens, parse_retry_max=0)
+    check_binding(binding, gateways, ZERO_SHOT)
+    runtime = AgentRuntime(gateways=gateways, bindings={ZERO_SHOT: binding})
+    try:
+        result = runtime.ask(ZERO_SHOT, "zero_shot_full", {"draft": render_draft(draft)},
+                             ZERO_SHOT, parse_zero_shot_output)
+    except GatewayError as exc:
+        if run_dir is not None:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            dump_json({"error": str(exc)}, run_dir / "parse_report.json")
+        raise
+    if run_dir is not None:
+        _persist_zero_shot(result, run_dir)
+    return result
+
+
+def _persist_zero_shot(result: ZeroShotResult, run_dir: Path) -> None:
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "raw_response.txt").write_text(result.raw, "utf-8")
+    dump_json(
+        {"sections_found": sorted(result.sections), "missing": list(result.missing)},
+        run_dir / "parse_report.json",
     )
-    return parse_zero_shot_output(resp.content)
+    sections_dir = run_dir / "sections"
+    sections_dir.mkdir(exist_ok=True)
+    for name, text in result.sections.items():
+        (sections_dir / f"{name}.txt").write_text(text + "\n", "utf-8")
+    if result.complete:
+        write_patent(PatentDoc(**result.sections), run_dir)

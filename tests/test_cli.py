@@ -281,14 +281,15 @@ _FULL_BASELINE = (
 )
 
 
-def _run_baseline(tmp_path, scripted: str):
+def _run_baseline(tmp_path, scripted: str, *args: str):
     draft_file = _write_draft(tmp_path / "draft.json")
     playbook_path = tmp_path / "pb.json"
     MockPlaybook([rule("write a complete patent document", scripted)]).save(playbook_path)
     out = tmp_path / "baseline"
     result = RUNNER.invoke(
         main,
-        ["baseline", str(draft_file), "--mock-playbook", str(playbook_path), "--out", str(out)],
+        ["baseline", str(draft_file), "--mock-playbook", str(playbook_path), "--out", str(out),
+         *args],
     )
     return result, out
 
@@ -300,6 +301,20 @@ def test_baseline_full_output(tmp_path):
     report = load_json(out / "parse_report.json")
     assert report["missing"] == []
     assert len(report["sections_found"]) == 6
+
+
+def test_baseline_max_tokens_over_the_backend_limit_fails_before_any_model_call(
+        tmp_path, monkeypatch):
+    calls = _backend_calls(monkeypatch)
+    result, out = _run_baseline(tmp_path, _FULL_BASELINE, "--max-tokens", "99999")
+    assert result.exit_code == 1, result.output
+    assert ("error: zero_shot.max_tokens: 99999 exceeds the max_tokens_limit 32768 of backend "
+            "'default'") in result.output
+    assert calls == []
+    assert not out.exists()
+    result, out = _run_baseline(tmp_path, _FULL_BASELINE, "--max-tokens", "32768")
+    assert result.exit_code == 0, result.output
+    assert [req.max_tokens for req in calls] == [32768]
 
 
 def test_baseline_missing_description(tmp_path):
@@ -715,6 +730,31 @@ def test_build_dataset_d2w_without_trees_fails_before_any_model_call(tmp_path, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field_map, named",
+    [
+        (["title"], "field map {map} must be a JSON object of strings"),
+        ({"title": 5}, "field map {map}: 'title' must map to a string, got 5"),
+        ({"title": "t", "claims": None}, "field map {map}: 'claims' must map to a string"),
+        ("{not json", "cannot read field map {map}"),
+    ],
+    ids=["a_list", "int_value", "null_value", "not_json"],
+)
+def test_build_dataset_bad_field_map_fails_before_any_model_call(tmp_path, monkeypatch,
+                                                                  field_map, named):
+    records, playbook = _one_record_corpus(tmp_path)
+    map_file = tmp_path / "map.json"
+    map_file.write_text(field_map if isinstance(field_map, str) else json.dumps(field_map))
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "build"
+    result = RUNNER.invoke(main, ["build-dataset", str(records), "--mock-playbook", str(playbook),
+                                  "--out", str(out), "--field-map", str(map_file)])
+    assert result.exit_code == 1, result.output
+    assert "error: " + named.format(map=map_file) in result.output
+    assert calls == []
+    assert not out.exists()
+
+
 def test_build_dataset_skip_trees_leaves_d2w_out_of_the_default_kinds(tmp_path):
     records, playbook = _one_record_corpus(tmp_path)
     out = tmp_path / "build"
@@ -775,6 +815,42 @@ def test_report_command_renders_table(tmp_path):
     assert result.exit_code == 0
     assert "doc_id" in result.output and "d1" in result.output
     assert "mean" in result.output
+
+
+@pytest.mark.parametrize(
+    "record, named",
+    [
+        ([], "a report must be a JSON object"),
+        ({"header": "x", "rows": []}, "report header must be a JSON object, got 'x'"),
+        ({"rows": []}, "report header must be a JSON object, got None"),
+        ({"header": {"thresholds": 0.2}, "rows": []},
+         "report header thresholds must be a list of numbers, got 0.2"),
+        ({"header": {"thresholds": ["0.2"]}, "rows": []},
+         "report header thresholds must be a list of numbers"),
+        ({"header": {}, "rows": {"doc_id": "d1"}}, "report rows must be a list of objects"),
+        ({"header": {}, "rows": ["d1"]}, "report rows must be a list of objects"),
+        ({"header": {}, "rows": [{"bleu": 1.0}]},
+         "report rows must be a list of objects with a string doc_id"),
+    ],
+    ids=["a_list", "header_a_string", "no_header", "thresholds_a_number",
+         "threshold_a_string", "rows_an_object", "row_a_string", "row_without_doc_id"],
+)
+def test_report_of_a_file_that_is_not_a_report_is_invalid_input(tmp_path, record, named):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(record), "utf-8")
+    result = RUNNER.invoke(main, ["report", str(path)])
+    assert result.exit_code == 1, result.output
+    assert f"error: {named}" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_report_renders_a_row_value_of_any_json_type(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"header": {"thresholds": [0.2]},
+                                "rows": [{"doc_id": "d1", "bleu": {"odd": 1}, "tokens": 7}]}))
+    result = RUNNER.invoke(main, ["report", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "{'odd': 1}" in result.output
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from patentgen.agents import COMPONENT_ROLES  # defined in core; perfbench imports it from agents
 from patentgen.core import (
     CANONICAL_QUESTIONS,
     DEFAULT_SECTION_ORDER,
+    SECTION_NAMES,
+    SECTION_TAGS,
     Draft,
     DraftQA,
     DraftValidationError,
@@ -14,6 +17,7 @@ from patentgen.core import (
     GuidelineNode,
     PGTree,
     PatentDoc,
+    Reference,
     SectionPlan,
     draft_from_record,
     draft_to_record,
@@ -21,8 +25,29 @@ from patentgen.core import (
     patent_to_record,
     patent_to_text,
     render_draft,
+    render_reference,
 )
 from helpers import patent_from_record
+
+
+def test_section_vocabulary_is_pinned():
+    assert SECTION_NAMES == ("title", "abstract", "background", "summary", "claims",
+                             "description")
+    assert COMPONENT_ROLES == ("title", "abstract", "background", "summary", "claims")
+    # The tags the component writers parse, and those the zero-shot baseline parses.
+    assert {role: SECTION_TAGS[role] for role in COMPONENT_ROLES} == {
+        "title": "Title", "abstract": "Abstract", "background": "Background",
+        "summary": "Summary", "claims": "Claims"}
+    assert list(SECTION_TAGS.items()) == [
+        ("title", "Title"), ("abstract", "Abstract"), ("background", "Background"),
+        ("summary", "Summary"), ("claims", "Claims"), ("description", "Full Description")]
+
+
+def test_reference_renders_name_colon_text_blocks_then_the_draft(draft):
+    ref = Reference(title="T", abstract="A", background="B", summary="S", claims="1. C.",
+                    draft=draft)
+    assert render_reference(ref) == ("Title: T\n\nAbstract: A\n\nBackground: B\n\nSummary: S"
+                                     "\n\nClaims: 1. C.\n\nDraft:\n" + render_draft(draft))
 
 
 def test_render_contains_all_questions_in_order(draft):

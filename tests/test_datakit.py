@@ -126,6 +126,13 @@ def test_render_record_contains_all_sections():
     text = render_record(_record(7))
     for part in ("Title:", "Abstract:", "Background:", "Summary:", "Claims:", "Description:"):
         assert part in text
+    assert text == ("Title: Widget 7\n\nAbstract: Abstract 7\n\nBackground: Background 7\n\n"
+                    "Summary: Summary 7\n\nClaims: 1. A widget 7.\n\n"
+                    "Description: Description of widget 7. It has parts.")
+
+
+def test_sft_kinds_are_pinned():
+    assert SFT_KINDS == ("D2T", "D2A", "D2B", "D2S", "D2C", "D2W", "D2P_full")
 
 
 # --- draft synthesis -------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -31,13 +32,16 @@ from patentgen.gateway import (
     _TransientFailure,
     cache_key,
     retry_after_s,
-    user_request,
 )
 from helpers import mock_gateway, rule
 
 
 def _req(prompt="write the patent title", **kwargs):
-    return user_request(prompt, model_id="mock-model", **kwargs)
+    """A one-message request; a ChatRequest has no defaults, so every field
+    not given here is spelled out."""
+    fields = dict(model_id="mock-model", temperature=0.5, top_p=0.9, max_tokens=4096,
+                  request_tag="untagged")
+    return ChatRequest(messages=(ChatMessage("user", prompt),), **{**fields, **kwargs})
 
 
 def test_playbook_rule_answers_uncached():
@@ -241,8 +245,8 @@ def test_cache_key_sensitive_to_sampling():
 def test_cache_key_sensitive_to_message_order():
     m1 = ChatMessage("user", "one")
     m2 = ChatMessage("user", "two")
-    a = ChatRequest(model_id="m", messages=(m1, m2))
-    b = ChatRequest(model_id="m", messages=(m2, m1))
+    a = replace(_req(), messages=(m1, m2))
+    b = replace(_req(), messages=(m2, m1))
     assert cache_key(a) != cache_key(b)
 
 
@@ -300,7 +304,7 @@ def test_empty_content_surfaces_as_error_finish():
 
 def test_request_validation():
     with pytest.raises(RequestError):
-        ChatRequest(model_id="m", messages=(ChatMessage("system", "no user"),))
+        replace(_req(), messages=(ChatMessage("system", "no user"),))
     with pytest.raises(RequestError):
         _req(temperature=3.0)
     with pytest.raises(RequestError):

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from patentgen.core import (EmptySectionError, Reference, content_hash, load_json,
-                            patent_to_record, patent_to_text, render_reference)
-from patentgen.gateway import MockPlaybook, ResponseCache
+from patentgen.core import (SECTION_NAMES, EmptySectionError, Reference, content_hash,
+                            load_json, patent_to_record, patent_to_text, render_draft,
+                            render_reference)
+from patentgen.gateway import (BackendConfig, ChatMessage, ChatRequest, LlmGateway, MockPlaybook,
+                               ResponseCache, cache_key)
 from patentgen.pipeline import (
     PatentPipeline,
     PipelineAborted,
@@ -19,6 +21,7 @@ from patentgen.pipeline import (
     plan_section,
     run_zero_shot,
 )
+from patentgen.prompts import default_registry
 from helpers import (
     COMPONENT_MATCHERS,
     COMPONENT_RESPONSES,
@@ -465,6 +468,48 @@ def test_zero_shot_full_output_parses_six_sections(draft):
         "title": "T", "abstract": "A", "background": "B",
         "summary": "S", "claims": "C", "description": "D",
     }
+
+
+class _RecordingBackend:
+    """Answers every request with one reply and keeps what it was sent."""
+
+    def __init__(self, reply: str):
+        self.reply = reply
+        self.sent = []
+
+    def send(self, req):
+        self.sent.append(req)
+        return self.reply, "stop", {}
+
+
+def _zero_shot_gateway(reply: str, cache=None):
+    backend = _RecordingBackend(reply)
+    config = BackendConfig(name="default", model_id="pinned-model", retry_max=0, backoff_s=0.0)
+    return LlmGateway(backend, config=config, cache=cache), backend
+
+
+def _zero_shot_request(draft, max_tokens: int) -> ChatRequest:
+    """The baseline's request, field by field."""
+    prompt = default_registry().render("zero_shot_full", draft=render_draft(draft))
+    return ChatRequest(model_id="pinned-model", messages=(ChatMessage("user", prompt),),
+                       temperature=0.5, top_p=0.9, max_tokens=max_tokens, request_tag="zero_shot")
+
+
+def test_zero_shot_sends_one_pinned_request_and_never_re_asks(draft):
+    gateway, backend = _zero_shot_gateway("An untagged patent.")
+    result = run_zero_shot(gateway, draft, max_tokens=1234)
+    assert result.missing == SECTION_NAMES
+    assert backend.sent == [_zero_shot_request(draft, 1234)]
+
+
+def test_zero_shot_reply_is_cached_under_the_key_of_its_request(draft, tmp_path):
+    gateway, _ = _zero_shot_gateway(_FULL_ZERO_SHOT, cache=ResponseCache(tmp_path))
+    run_zero_shot(gateway, draft, max_tokens=777)
+    key = cache_key(_zero_shot_request(draft, 777))
+    assert ResponseCache(tmp_path).get(key)["content"] == _FULL_ZERO_SHOT
+    again, backend = _zero_shot_gateway("never sent", cache=ResponseCache(tmp_path))
+    assert run_zero_shot(again, draft, max_tokens=777).complete
+    assert backend.sent == []
 
 
 def test_zero_shot_missing_description_is_recorded():
