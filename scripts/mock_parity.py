@@ -20,7 +20,11 @@ scenarios, run in this order with the tree's own code, one subprocess each:
 - baseline: the zero-shot baseline on the demo's draft and playbook, whose
   reply lacks the description (exit 2);
 - baseline_full: the same with the demo's playbook changed so that the reply
-  holds all six sections (exit 0).
+  holds all six sections (exit 0);
+- bad_manifest, bad_playbook: bench on a manifest, and generate with a
+  playbook, that is not JSON (exit 1);
+- unset_key: generate with a config whose one backend is http and names an
+  API key variable that is not set (exit 1; nothing is sent).
 
 The inputs (the demo's draft and playbook, as files) are written once, with
 the first tree's code, and copied to every tree. Every file a scenario
@@ -63,7 +67,15 @@ SCENARIOS = [
     (name, CLI + ["baseline", "inputs/draft1.json", "--mock-playbook", f"inputs/{playbook}.json",
                   "--out", name])
     for name, playbook in (("baseline", "playbook"), ("baseline_full", "baseline_full"))
+] + [
+    ("bad_manifest", CLI + ["bench", "inputs/bad.json", "--mock-playbook",
+                            "inputs/playbook.json", "--out", "bad_manifest"]),
+    ("bad_playbook", CLI + ["generate", "inputs/draft1.json", "--mock-playbook", "inputs/bad.json",
+                            "--out", "bad_playbook"]),
+    ("unset_key", CLI + ["generate", "inputs/draft1.json", "--config", "inputs/unset_key.json",
+                         "--out", "unset_key"]),
 ]
+UNSET_KEY = "PATENTGEN_PARITY_UNSET_KEY"
 
 HTTP_400 = {"error": "status", "code": 400}
 FULL_PATENT = ("<Patent><Title> Self-Tuning Conveyor Drive </Title>"
@@ -110,11 +122,17 @@ def write_inputs(tree: Path, out: Path) -> None:
         rule["responses"] = [rule["responses"][r] if isinstance(r, int) else r
                              for r in responses]
         (out / f"{name}.json").write_text(json.dumps(record), "utf-8")
+    (out / "bad.json").write_text("{not json", "utf-8")
+    # Port 9 on the loopback: the key is checked before anything is sent.
+    (out / "unset_key.json").write_text(json.dumps({"backends": {"default": {
+        "kind": "http", "endpoint": "http://127.0.0.1:9/v1", "api_key_env": UNSET_KEY}}}),
+        "utf-8")
 
 
 def run_scenarios(tree: Path, inputs: Path, work: Path) -> None:
     shutil.copytree(inputs, work / "inputs")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop(UNSET_KEY, None)
     for name, command in SCENARIOS:
         command = [part.replace("{src}", str(tree)) for part in command]
         done = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)

@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from .agents import AgentRuntime, run_tasks
-from .core import ConfigError, CoreError, load_draft, load_json, patent_to_text
+from .core import ConfigError, load_draft, load_json, patent_to_text
 from .metrics import (
     BLEU_SPEC,
     IrrConfig,
@@ -34,7 +34,7 @@ from .pipeline import PatentPipeline, PipelineAborted, PipelineConfig
 SCHEMA_VERSION_REPORT = "bench-report-v1"
 
 
-class AlignmentError(Exception):
+class AlignmentError(ConfigError):
     def __init__(self, missing_refs: list[str], missing_gens: list[str]):
         self.missing_refs = missing_refs
         self.missing_gens = missing_gens
@@ -227,6 +227,8 @@ def _doc_texts(directory: Path) -> dict[str, str]:
             texts[path.stem] = path.read_text("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
     return texts
 
 
@@ -276,7 +278,7 @@ def _reusable(run_dir: Path, config_record: dict) -> bool:
     try:
         complete = load_json(run_dir / "status.json").get("status") == "complete"
         return complete and load_json(run_dir / "config.json") == config_record
-    except (OSError, ValueError):
+    except ConfigError:
         return False
 
 
@@ -303,7 +305,7 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
             draft = load_draft(_manifest_file(entry, "draft_file"))
             pipeline = PatentPipeline(runtime.gateways, bindings=runtime.bindings, run_dir=run_dir)
             doc = pipeline.run(draft, pipeline_cfg)
-        except (ConfigError, CoreError, PipelineAborted) as exc:
+        except (ConfigError, PipelineAborted) as exc:
             return str(exc)
         generated_path.write_text(patent_to_text(doc, headers=False), "utf-8")
         return None

@@ -10,33 +10,22 @@ from __future__ import annotations
 
 import functools
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from .agents import AgentRuntime
-from .bench import AlignmentError, MetricConfig, report_from_record, run_bench, score_directories
-from .core import ConfigError, CoreError, load_draft, load_json, patent_to_text
-from .datakit import (DatasetBuilder, DatakitError, IngestConfig, InsufficientRecordsError,
-                      SFT_KINDS, build_dataset, check_split_sizes, export_sft, load_field_map,
-                      load_records, make_splits, write_build_artifacts)
+from .bench import MetricConfig, report_from_record, run_bench, score_directories
+from .core import ConfigError, load_draft, load_json, patent_to_text
+from .datakit import (DatasetBuilder, IngestConfig, SFT_KINDS, build_dataset, check_split_sizes,
+                      export_sft, load_field_map, load_records, make_splits,
+                      write_build_artifacts)
 from .gateway import GatewayError
 from .pipeline import PatentPipeline, PipelineAborted, load_run_config, run_zero_shot
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARTIAL = 2
-
-
-@contextmanager
-def _invalid_input(*errors: type[Exception]):
-    """Report any of errors raised in the block as invalid input: exit 1."""
-    try:
-        yield
-    except errors as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INVALID)
 
 
 def _options(*decorators):
@@ -67,9 +56,17 @@ def _parse_thresholds(raw: str) -> tuple[float, ...]:
     return values
 
 
-def _usage_errors_exit_1(method):
-    """Click exits 2 on a usage error, but here 2 means partial output, so a
-    usage error exits 1 like any other invalid input."""
+def _parse_sizes(raw: str) -> tuple[int, int, int]:
+    try:
+        return check_split_sizes(int(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"split sizes must be three non-negative integers, got {raw!r}") from exc
+
+
+def _invalid_input_exits_1(method):
+    """Invalid input exits 1: a ConfigError, raised wherever an input is read,
+    is printed as `error: <message>`. Click exits 2 on a usage error, but
+    here 2 means partial output, so a usage error exits 1 too."""
 
     def wrapper(*args, **kwargs):
         try:
@@ -77,12 +74,15 @@ def _usage_errors_exit_1(method):
         except click.UsageError as exc:
             exc.exit_code = EXIT_INVALID
             raise
+        except ConfigError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_INVALID)
     return wrapper
 
 
 class _Cli(click.Group):
-    make_context = _usage_errors_exit_1(click.Group.make_context)
-    invoke = _usage_errors_exit_1(click.Group.invoke)
+    make_context = _invalid_input_exits_1(click.Group.make_context)
+    invoke = _invalid_input_exits_1(click.Group.invoke)
 
 
 @click.group(cls=_Cli)
@@ -97,10 +97,8 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), help="run directory (default runs/<draft stem>)")
 def generate(draft_file, config_file, mock_playbook, backend, out_dir):
     """Run the full pipeline on DRAFT_FILE and write a run directory."""
-    with _invalid_input(ConfigError, CoreError):
-        draft = load_draft(Path(draft_file))
-        gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend)
-
+    draft = load_draft(Path(draft_file))
+    gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend)
     run_dir = Path(out_dir) if out_dir else Path("runs") / Path(draft_file).stem
     pipeline = PatentPipeline(gateways, bindings=bindings, run_dir=run_dir)
     try:
@@ -122,19 +120,15 @@ def generate(draft_file, config_file, mock_playbook, backend, out_dir):
 def baseline(draft_file, config_file, mock_playbook, backend, out_dir, max_tokens):
     """One-call zero-shot baseline: a single templated request, sections
     extracted where present, missing sections recorded."""
-    with _invalid_input(ConfigError, CoreError):
-        draft = load_draft(Path(draft_file))
-        gateways, _, _ = load_run_config(config_file, mock_playbook, backend)
-
+    draft = load_draft(Path(draft_file))
+    gateways, _, _ = load_run_config(config_file, mock_playbook, backend)
     run_dir = Path(out_dir) if out_dir else Path("runs") / f"{Path(draft_file).stem}_baseline"
     # A --max-tokens over the backend's limit is a ConfigError before any call.
-    with _invalid_input(ConfigError):
-        try:
-            result = run_zero_shot(gateways["default"], draft, max_tokens=max_tokens,
-                                   run_dir=run_dir)
-        except GatewayError as exc:
-            click.echo(f"baseline call failed: {exc}", err=True)
-            sys.exit(EXIT_PARTIAL)
+    try:
+        result = run_zero_shot(gateways["default"], draft, max_tokens=max_tokens, run_dir=run_dir)
+    except GatewayError as exc:
+        click.echo(f"baseline call failed: {exc}", err=True)
+        sys.exit(EXIT_PARTIAL)
     if result.complete:
         click.echo(f"baseline patent complete in {run_dir}")
         sys.exit(EXIT_OK)
@@ -158,28 +152,26 @@ def baseline(draft_file, config_file, mock_playbook, backend, out_dir, max_token
 def build_dataset_cmd(records_path, config_file, mock_playbook, out_dir, sizes, seed, kinds,
                       accept_label, field_map_file, corrected_reviewer_mapping, skip_trees):
     """Build drafts + quality gate + splits + SFT exports from RECORDS_PATH."""
-    with _invalid_input(ConfigError, DatakitError, ValueError, OSError):
-        gateways, bindings, _ = load_run_config(config_file, mock_playbook)
-        field_map = load_field_map(field_map_file) if field_map_file else {}
-        ingest_cfg = IngestConfig(accept_label=accept_label, field_map=field_map)
-        records, ingest_skips = load_records(records_path, ingest_cfg)
-        size_tuple = check_split_sizes(int(v) for v in sizes.split(",")) if sizes else None
-        if kinds is None:
-            kind_list = [k for k in SFT_KINDS if not (skip_trees and k == "D2W")]
-        else:
-            kind_list = [k.strip() for k in kinds.split(",") if k.strip()]
-        bad_kinds = [k for k in kind_list if k not in SFT_KINDS]
-        if bad_kinds:
-            raise ConfigError(f"unknown export kinds {bad_kinds}; expected {list(SFT_KINDS)}")
-        if skip_trees and "D2W" in kind_list:
-            raise ConfigError("D2W exports guideline trees, which --skip-trees does not collect")
+    gateways, bindings, _ = load_run_config(config_file, mock_playbook)
+    field_map = load_field_map(field_map_file) if field_map_file else {}
+    ingest_cfg = IngestConfig(accept_label=accept_label, field_map=field_map)
+    records, ingest_skips = load_records(records_path, ingest_cfg)
+    size_tuple = _parse_sizes(sizes) if sizes else None
+    if kinds is None:
+        kind_list = [k for k in SFT_KINDS if not (skip_trees and k == "D2W")]
+    else:
+        kind_list = [k.strip() for k in kinds.split(",") if k.strip()]
+    bad_kinds = [k for k in kind_list if k not in SFT_KINDS]
+    if bad_kinds:
+        raise ConfigError(f"unknown export kinds {bad_kinds}; expected {list(SFT_KINDS)}")
+    if skip_trees and "D2W" in kind_list:
+        raise ConfigError("D2W exports guideline trees, which --skip-trees does not collect")
 
     runtime = AgentRuntime(gateways=gateways, bindings=bindings)
     builder = DatasetBuilder(runtime, corrected_reviewer_mapping=corrected_reviewer_mapping)
     build = build_dataset(builder, records, collect_trees=not skip_trees)
     build.skips = ingest_skips + build.skips
-    with _invalid_input(InsufficientRecordsError):
-        manifest = make_splits(build.accepted_ids, sizes=size_tuple, seed=seed)
+    manifest = make_splits(build.accepted_ids, sizes=size_tuple, seed=seed)
 
     workdir = Path(out_dir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -209,9 +201,7 @@ def _metric_config(t: str, epsilon: float, cap: float | None, vocab: str | None)
 @click.option("--out", "out_dir", type=click.Path(), help="report directory")
 def score(generated_dir, reference_dir, t, epsilon, cap, vocab, out_dir):
     """Score generated documents against references aligned by doc_id."""
-    with _invalid_input(ConfigError, AlignmentError, OSError):
-        cfg = _metric_config(t, epsilon, cap, vocab)
-        report = score_directories(generated_dir, reference_dir, cfg)
+    report = score_directories(generated_dir, reference_dir, _metric_config(t, epsilon, cap, vocab))
     if out_dir:
         report.save(Path(out_dir))
     click.echo(report.to_table())
@@ -233,12 +223,10 @@ def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resum
     Documents completed under the same pipeline config are skipped on rerun;
     per-document failures are recorded and the bench continues.
     """
-    with _invalid_input(ConfigError, OSError, ValueError):
-        manifest = load_json(Path(manifest_file))
-        gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend)
-        metric_cfg = _metric_config(t, epsilon, cap, vocab)
-    with _invalid_input(ConfigError):
-        report = run_bench(manifest, gateways, bindings, cfg, metric_cfg, Path(out_dir), resume)
+    manifest = load_json(manifest_file, "manifest")
+    gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend)
+    metric_cfg = _metric_config(t, epsilon, cap, vocab)
+    report = run_bench(manifest, gateways, bindings, cfg, metric_cfg, Path(out_dir), resume)
     click.echo(report.to_table())
     sys.exit(EXIT_OK if len(report.scored_rows) == len(report.rows) else EXIT_PARTIAL)
 
@@ -247,8 +235,7 @@ def bench_cmd(manifest_file, config_file, mock_playbook, backend, out_dir, resum
 @click.argument("report_file", type=click.Path())
 def report(report_file):
     """Render a saved machine-readable report as a table."""
-    with _invalid_input(ConfigError, OSError, ValueError):
-        loaded = report_from_record(load_json(Path(report_file)))
+    loaded = report_from_record(load_json(report_file, "report"))
     click.echo(loaded.to_table())
     sys.exit(EXIT_OK)
 

@@ -13,6 +13,7 @@ import json
 import re
 import threading
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 SCHEMA_VERSION_DRAFT = "draft-v1"
 SCHEMA_VERSION_PATENT = "patent-doc-v1"
@@ -48,12 +49,12 @@ class CoreError(Exception):
     """Base class for domain-type construction errors."""
 
 
-class DraftValidationError(CoreError):
-    pass
-
-
 class ConfigError(Exception):
-    """A config, manifest or draft file given as input cannot be used."""
+    """Invalid input, raised where it is read; the CLI prints it and exits 1."""
+
+
+class DraftValidationError(CoreError, ConfigError):
+    pass
 
 
 class EmptySectionError(CoreError):
@@ -458,12 +459,19 @@ def dump_json(payload: dict, path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_json(path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+def read_input(path, what: str = "file", parse=str):
+    """parse applied to the UTF-8 text of the file at path. A fault in reading
+    or parsing it is a ConfigError naming what and path."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_json(path, what: str = "file"):
+    """The JSON value in the file at path; a ConfigError as read_input says."""
+    return read_input(path, what, json.loads)
 
 
 def load_draft(path) -> Draft:
-    try:
-        return draft_from_record(load_json(path))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read draft {path}: {exc}") from exc
+    return draft_from_record(load_json(path, "draft"))

@@ -25,12 +25,14 @@ from .core import (
     CANONICAL_QUESTIONS,
     COMPONENT_ROLES,
     SECTION_NAMES,
+    ConfigError,
     Draft,
     PatentDoc,
     draft_to_record,
     load_json,
     make_draft,
     patent_to_text,
+    read_input,
     render_draft,
     render_fields,
 )
@@ -47,7 +49,7 @@ DEFAULT_SPLIT_PROPORTIONS = (1500, 133, 300)
 SPLIT_NAMES = ("train", "valid", "test")
 
 
-class DatakitError(Exception):
+class DatakitError(ConfigError):
     pass
 
 
@@ -56,7 +58,7 @@ class InsufficientRecordsError(DatakitError):
         super().__init__(f"split sizes need {needed} records but only {available} accepted")
 
 
-class RecordSkipped(DatakitError):
+class RecordSkipped(Exception):
     """Raised internally when one record cannot continue through the build."""
 
     def __init__(self, record_id: str, stage: str, reason: str):
@@ -97,16 +99,18 @@ class IngestConfig:
 
 
 def load_field_map(path: Path | str) -> dict:
-    """A --field-map file: a JSON object whose values are strings, the source
-    records' key for each canonical field it names. Anything else is a
-    DatakitError naming the file and, for a bad value, its key."""
-    try:
-        field_map = load_json(Path(path))
-    except (OSError, ValueError) as exc:
-        raise DatakitError(f"cannot read field map {path}: {exc}") from exc
+    """A --field-map file: a JSON object whose keys are canonical fields
+    (record_id, decision_label or a section name) and whose values are
+    strings, the source records' key for each. Anything else is a
+    ConfigError naming the file and, for a bad key or value, the key."""
+    field_map = load_json(path, "field map")
     if not isinstance(field_map, dict):
         raise DatakitError(f"field map {path} must be a JSON object of strings")
+    fields = ("record_id", "decision_label", *SECTION_NAMES)
     for key, value in field_map.items():
+        if key not in fields:
+            raise DatakitError(f"field map {path}: {key!r} names no field; expected one of "
+                               f"{list(fields)}")
         if not isinstance(value, str):
             raise DatakitError(f"field map {path}: {key!r} must map to a string, got {value!r}")
     return field_map
@@ -132,9 +136,9 @@ def load_records(path: Path | str, cfg: IngestConfig | None = None):
     sources: list[tuple[str, str, str]] = []
     if path.is_dir():
         for file in sorted(path.glob("*.json")):
-            sources.append((file.stem, str(file), file.read_text("utf-8")))
+            sources.append((file.stem, str(file), read_input(file, "record")))
     elif path.suffix == ".jsonl":
-        for i, line in enumerate(path.read_text("utf-8").splitlines()):
+        for i, line in enumerate(read_input(path, "records file").splitlines()):
             if line.strip():
                 sources.append((f"line{i + 1}", f"{path} line {i + 1}", line))
     else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .core import CallEntry, ConfigError, RunRecord, content_hash
+from .core import CallEntry, ConfigError, RunRecord, content_hash, load_json
 
 SCHEMA_VERSION_PLAYBOOK = "mock-playbook-v1"
 
@@ -68,6 +68,15 @@ class _TransientFailure(Exception):
     def __init__(self, detail: str, retry_after: float | None = None):
         super().__init__(detail)
         self.retry_after = retry_after
+
+
+def _status_failure(status: int, detail: str,
+                    retry_after: float | None = None) -> _TransientFailure | BadStatusError:
+    """What a failing status means, for every backend: 429 and 5xx are
+    transient, to be retried; any other status is a BadStatusError."""
+    if status == 429 or status >= 500:
+        return _TransientFailure(f"status {status}", retry_after)
+    return BadStatusError(status, detail)
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,8 @@ class BackendConfig:
     """One backend entry of the run config file.
 
     kind is "http" or "mock". For http backends the API key is read from the
-    environment variable named by api_key_env and is never stored in config.
+    environment variable named by api_key_env when the backend is built (an
+    unset variable is a RequestError then), and is never stored in config.
     max_inflight bounds the requests sent to the backend at once; None means
     the kind's default in DEFAULT_MAX_INFLIGHT.
     """
@@ -233,7 +243,7 @@ class MockPlaybook:
 
     @staticmethod
     def load(path: Path | str) -> "MockPlaybook":
-        return MockPlaybook.from_record(json.loads(Path(path).read_text(encoding="utf-8")))
+        return MockPlaybook.from_record(load_json(path, "playbook"))
 
     def to_record(self) -> dict:
         return {
@@ -285,10 +295,7 @@ class MockBackend:
             if kind == "transport":
                 raise _TransientFailure("scripted transport failure")
             if kind == "status":
-                code = int(item.get("code", 500))
-                if code == 429 or code >= 500:
-                    raise _TransientFailure(f"scripted status {code}")
-                raise BadStatusError(code, "scripted")
+                raise _status_failure(int(item.get("code", 500)), "scripted")
             raise RequestError(f"bad playbook directive {item!r}")
         content = str(item)
         usage = {
@@ -333,7 +340,9 @@ class HttpBackend:
             raise RequestError(f"backend {config.name!r}: endpoint {url!r} is not an "
                                "http:// or https:// URL")
         self._target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
-        self._extra_headers = {} if _QUICKACK is not None else {"Connection": "close"}
+        self._headers = {"Content-Type": "application/json"}
+        if _QUICKACK is None:
+            self._headers["Connection"] = "close"
         self._tunnel = None
         address = (parts.hostname, parts.port)  # a bad port is a ValueError
         proxy = _proxy_for(parts)
@@ -341,27 +350,21 @@ class HttpBackend:
             proxy_address, auth = proxy
             if parts.scheme == "http":
                 self._target = url
-                self._extra_headers.update(auth)
+                self._headers.update(auth)
             else:
                 self._tunnel = (address, auth)
             address = proxy_address
+        if config.api_key_env:
+            key = os.environ.get(config.api_key_env)
+            if not key:
+                raise RequestError(f"backend {config.name!r}: env var {config.api_key_env} not set")
+            self._headers["Authorization"] = f"Bearer {key}"
         self._connection_class = (http.client.HTTPConnection if parts.scheme == "http"
                                   else http.client.HTTPSConnection)
         self._address = address
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
         weakref.finalize(self, _close_all, self._idle)
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json", **self._extra_headers}
-        if self.config.api_key_env:
-            key = os.environ.get(self.config.api_key_env)
-            if not key:
-                raise RequestError(
-                    f"backend {self.config.name!r}: env var {self.config.api_key_env} not set"
-                )
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
 
     def _connect(self) -> http.client.HTTPConnection:
         host, port = self._address
@@ -371,7 +374,7 @@ class HttpBackend:
             conn.set_tunnel(host, port, headers=auth)
         return conn
 
-    def _post(self, body: bytes, headers: dict) -> tuple[http.client.HTTPResponse, bytes]:
+    def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
         """The reply to one POST and its body, read in full.
 
         Only a connection whose reply was read in full, and did not ask to
@@ -389,7 +392,7 @@ class HttpBackend:
             conn = conn or self._connect()
             resp = None
             try:
-                conn.request("POST", self._target, body, headers)
+                conn.request("POST", self._target, body, self._headers)
                 sock = conn.sock  # getresponse() drops it for a Connection: close reply
                 _quickack(sock)
                 resp = conn.getresponse()
@@ -416,17 +419,14 @@ class HttpBackend:
             "top_p": req.top_p,
             "max_tokens": req.max_tokens,
         }
-        headers = self._headers()
         try:
-            resp, body = self._post(json.dumps(payload).encode("utf-8"), headers)
+            resp, body = self._post(json.dumps(payload).encode("utf-8"))
         except (OSError, http.client.HTTPException) as exc:
             raise _TransientFailure(str(exc)) from exc
         status = resp.status
-        if status == 429 or status >= 500:
-            raise _TransientFailure(f"status {status}",
-                                    retry_after_s(resp.getheader("Retry-After")))
         if status >= 400:
-            raise BadStatusError(status, body.decode("utf-8", "replace")[:200])
+            raise _status_failure(status, body.decode("utf-8", "replace")[:200],
+                                  retry_after_s(resp.getheader("Retry-After")))
         try:
             data = json.loads(body)
             choice = data["choices"][0]

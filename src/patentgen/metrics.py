@@ -19,6 +19,8 @@ from importlib import resources
 from itertools import chain
 from pathlib import Path
 
+from .core import read_input
+
 STOPWORD_LIST_ID = "en-v1"
 
 BLEU_SPEC = (
@@ -67,11 +69,16 @@ def tokenize_for_similarity(text: str) -> list[str]:
 class SentenceSet:
     sentences: tuple[str, ...]
     token_sets: tuple[frozenset[str], ...]
-    short_flags: tuple[bool, ...]
 
     @property
     def n(self) -> int:
         return len(self.sentences)
+
+    @property
+    def short_flags(self) -> tuple[bool, ...]:
+        """Per sentence, whether it has fewer than 3 tokens after stopword
+        removal. Computed when read, not at split time, as no metric uses it."""
+        return tuple(len(tokenize_for_similarity(s)) < 3 for s in self.sentences)
 
 
 # A terminator followed by whitespace or the end of the paragraph; `\s`
@@ -109,11 +116,9 @@ def split_sentences(text: str) -> SentenceSet:
     sentences: list[str] = []
     for block in re.split(r"\n\s*\n", text):
         sentences.extend(_split_block(block))
-    token_lists = [tokenize_for_similarity(s) for s in sentences]
     return SentenceSet(
         sentences=tuple(sentences),
-        token_sets=tuple(frozenset(tokens) for tokens in token_lists),
-        short_flags=tuple(len(tokens) < 3 for tokens in token_lists),
+        token_sets=tuple(frozenset(tokenize_for_similarity(s)) for s in sentences),
     )
 
 
@@ -401,7 +406,7 @@ class VocabCounter:
         path = Path(path)
         if not path.exists():
             raise CounterConfigError(f"vocabulary file not found: {path}")
-        entries = [line.rstrip("\n") for line in path.read_text("utf-8").splitlines()]
+        entries = [line.rstrip("\n") for line in read_input(path, "vocabulary file").splitlines()]
         entries = [e for e in entries if e]
         if not entries:
             raise CounterConfigError(f"vocabulary file is empty: {path}")

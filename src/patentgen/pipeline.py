@@ -142,10 +142,7 @@ def load_run_config(config_file: str | None, mock_playbook: str | None = None,
     with one scripted mock, and backend names the one used as "default"."""
     config: dict = {}
     if config_file:
-        try:
-            config = load_json(Path(config_file))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {config_file}: {exc}") from exc
+        config = load_json(config_file, "config")
     if not isinstance(config, dict):
         raise ConfigError(f"config {config_file} must be a JSON object")
     backends, agents = config.get("backends"), config.get("agents", {})
@@ -164,10 +161,13 @@ def load_run_config(config_file: str | None, mock_playbook: str | None = None,
         backend_cfg = config_record(BackendConfig(name=name), record, f"backends.{name}", ("name",))
         try:
             gateway = build_gateway(backend_cfg)
-        except (ConfigError, RequestError, OSError, ValueError) as exc:
+        except (ConfigError, RequestError, ValueError) as exc:  # a bad port or rpm: ValueError
             raise ConfigError(f"backends.{name}: {exc}") from exc
         if cache_dir:
-            gateway.cache = ResponseCache(Path(cache_dir) / name)
+            try:
+                gateway.cache = ResponseCache(Path(cache_dir) / name)
+            except OSError as exc:
+                raise ConfigError(f"cannot open cache_dir {cache_dir}: {exc}") from exc
         gateways[name] = gateway
     chosen = backend or ("default" if "default" in gateways else next(iter(gateways)))
     if chosen not in gateways:

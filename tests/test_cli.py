@@ -11,7 +11,7 @@ from patentgen.agents import AgentRuntime
 from patentgen.cli import main
 from patentgen.core import draft_to_record, load_json, make_draft
 from patentgen.datakit import SFT_KINDS
-from patentgen.gateway import MockBackend, MockPlaybook
+from patentgen.gateway import HttpBackend, MockBackend, MockPlaybook
 from helpers import (FAIL_QUALITY, MATCH_COLLECT, MATCH_EXPAND, MATCH_INVENTOR, MATCH_QUALITY,
                      PASS_QUALITY, pipeline_playbook, rule, tree_contents)
 
@@ -737,8 +737,9 @@ def test_build_dataset_d2w_without_trees_fails_before_any_model_call(tmp_path, m
         ({"title": 5}, "field map {map}: 'title' must map to a string, got 5"),
         ({"title": "t", "claims": None}, "field map {map}: 'claims' must map to a string"),
         ("{not json", "cannot read field map {map}"),
+        ({"titel": "invention_title"}, "field map {map}: 'titel' names no field"),
     ],
-    ids=["a_list", "int_value", "null_value", "not_json"],
+    ids=["a_list", "int_value", "null_value", "not_json", "unknown_key"],
 )
 def test_build_dataset_bad_field_map_fails_before_any_model_call(tmp_path, monkeypatch,
                                                                   field_map, named):
@@ -888,3 +889,104 @@ def test_missing_config_is_invalid_input(tmp_path):
     result = RUNNER.invoke(main, ["generate", str(draft_file)])
     assert result.exit_code == 1
     assert "no backends configured" in result.output
+
+
+@pytest.mark.parametrize("command", ["generate", "build-dataset"])
+def test_an_unset_api_key_fails_before_any_model_call(tmp_path, monkeypatch, command):
+    monkeypatch.delenv("PATENTGEN_TEST_UNSET_KEY", raising=False)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"backends": {"default": {
+        "kind": "http", "endpoint": "http://127.0.0.1:9/v1",
+        "api_key_env": "PATENTGEN_TEST_UNSET_KEY"}}}), "utf-8")
+    sent: list = []
+    send = HttpBackend.send
+    monkeypatch.setattr(HttpBackend, "send", lambda self, req: sent.append(req) or send(self, req))
+    out = tmp_path / "out"
+    if command == "generate":
+        source = _write_draft(tmp_path / "draft.json")
+    else:
+        source, _ = _one_record_corpus(tmp_path)
+    result = RUNNER.invoke(main, [command, str(source), "--config", str(config_file),
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert ("error: backends.default: backend 'default': env var PATENTGEN_TEST_UNSET_KEY "
+            "not set") in result.output
+    assert sent == []
+    assert not out.exists()
+
+
+def _input_files(tmp_path) -> dict:
+    """One valid input file of each kind, by name, and where a cache_dir would go."""
+    manifest, config, playbook = _bench_fixture(tmp_path, pipeline_playbook(), n_docs=1)
+    records = tmp_path / "records.jsonl"
+    record = {name: f"{name} of record 0." for name in
+              ("title", "abstract", "background", "summary", "claims", "description")}
+    records.write_text(json.dumps(dict(record, record_id="rec0", decision_label="ACCEPTED"))
+                       + "\n", "utf-8")
+    field_map = tmp_path / "map.json"
+    field_map.write_text(json.dumps({"title": "title"}), "utf-8")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"header": {}, "rows": []}), "utf-8")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("one\ntwo\n", "utf-8")
+    for side in ("gen", "ref"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "d1.txt").write_text("One sentence. Another one.", "utf-8")
+    return {"draft": tmp_path / "draft1.json", "config": config, "playbook": playbook,
+            "manifest": manifest, "report": report, "field_map": field_map, "records": records,
+            "vocab": vocab, "gen": tmp_path / "gen", "ref": tmp_path / "ref",
+            "document": tmp_path / "gen" / "d1.txt", "cache_dir": tmp_path / "cache"}
+
+
+_COMMANDS_BY_INPUT = [
+    ("draft", ["generate", "{draft}", "--config", "{config}", "--out", "{out}"]),
+    ("draft", ["baseline", "{draft}", "--config", "{config}", "--out", "{out}"]),
+    ("config", ["generate", "{draft}", "--config", "{config}", "--out", "{out}"]),
+    ("playbook", ["generate", "{draft}", "--mock-playbook", "{playbook}", "--out", "{out}"]),
+    ("manifest", ["bench", "{manifest}", "--config", "{config}", "--out", "{out}"]),
+    ("report", ["report", "{report}"]),
+    ("field_map", ["build-dataset", "{records}", "--mock-playbook", "{playbook}", "--out", "{out}",
+                   "--field-map", "{field_map}"]),
+    ("records", ["build-dataset", "{records}", "--mock-playbook", "{playbook}", "--out", "{out}"]),
+]
+
+
+_SCORE = ["score", "{gen}", "{ref}", "--vocab", "{vocab}", "--out", "{out}"]
+_UNREADABLE_INPUTS = [(name, spoil, args) for name, args in _COMMANDS_BY_INPUT
+                      for spoil in ("missing", "not_json")] + [
+    ("cache_dir", "a_file", _COMMANDS_BY_INPUT[0][1]),
+    ("vocab", "missing", _SCORE),
+    ("vocab", "not_utf8", _SCORE),
+    ("document", "a_directory", _SCORE),
+]
+
+
+@pytest.mark.parametrize("name, spoil, args", [
+    pytest.param(name, spoil, args, id=f"{args[0]}-{name}-{spoil}")
+    for name, spoil, args in _UNREADABLE_INPUTS])
+def test_an_unreadable_input_file_is_one_error_line_naming_it(tmp_path, monkeypatch, name, spoil,
+                                                              args):
+    files = _input_files(tmp_path)
+    bad = files[name]
+    if spoil in ("missing", "a_directory"):
+        bad.unlink()
+    if spoil == "a_directory":
+        bad.mkdir()
+    elif spoil == "not_json":
+        bad.write_text("{not json", "utf-8")
+    elif spoil == "not_utf8":
+        bad.write_bytes(b"\xff\xfe")
+    elif spoil == "a_file":
+        bad.write_text("", "utf-8")
+        config = load_json(files["config"])
+        config["cache_dir"] = str(bad)
+        files["config"].write_text(json.dumps(config), "utf-8")
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "out"
+    result = RUNNER.invoke(main, [a.format(out=out, **files) for a in args])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: ") and str(bad) in line, line
+    assert calls == []
+    assert not out.exists()

@@ -440,6 +440,8 @@ def test_readme_run_config_example_loads(tmp_path, monkeypatch):
     config_file.write_text(example, "utf-8")
     MockPlaybook([]).save(tmp_path / "playbook.json")
     monkeypatch.chdir(tmp_path)
+    # An http backend reads its API key when it is built.
+    monkeypatch.setenv("EXAMPLE_API_KEY", "unused")
     gateways, bindings, cfg = load_run_config(str(config_file))
     config = json.loads(example)
     assert set(gateways) == {"default", "scripted"}
