@@ -8,7 +8,9 @@ before/after comparison as a BENCH_*.json file.
 Each checkout runs its own perfbench/run.py with --trace 0, from its own
 directory. Pair k (k = 0, 1, ...) uses seed --first-seed + k; on odd seeds
 the parent runs first, on even seeds the change does. Every run must report
-`correct`; the script stops with exit 1 at the first run that does not.
+`correct`; the script stops with exit 1 at the first run that does not,
+after printing that run's `  FAIL ...` lines and the tail of its stderr,
+where perfbench prints each failed item's traceback.
 
 For each workload and each end-to-end metric named in the change's
 BENCHMARK.json, the file gives the parent's and the change's q1, median and
@@ -40,7 +42,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                          f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     if not result["correct"]:
-        raise SystemExit(f"{checkout}: {workload} seed {seed} is not correct: {lines[-1]}")
+        fails = [line for line in lines if line.startswith("  FAIL ")]
+        raise SystemExit("\n".join([f"{checkout}: {workload} seed {seed} is not correct: "
+                                    f"{lines[-1]}", *fails, proc.stderr[-4000:]]))
     return result
 
 

@@ -23,6 +23,8 @@ import itertools
 import re
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 from .core import (
     COMPONENT_ROLES,
@@ -50,6 +52,11 @@ class AgentError(Exception):
 class MalformedVerdictError(AgentError):
     def __init__(self, detail: str):
         super().__init__(f"examiner verdict unparseable after retries: {detail}")
+
+
+class TaskHalted(AgentError):
+    """A model call refused because a task before this one, in the task order
+    of an enclosing run_tasks, has failed; it never counts as the error."""
 
 
 class ParseRetryError(TagError):
@@ -117,6 +124,8 @@ class AgentRuntime:
     bindings: dict[str, AgentBinding] = field(default_factory=default_bindings)
     registry: PromptRegistry = field(default_factory=default_registry)
     recorder: RunRecord | None = None
+    # Whether this task must make no more model calls; run_tasks sets it.
+    halted: Callable[[], bool] = lambda: False
 
     @property
     def width(self) -> int:
@@ -139,13 +148,18 @@ class AgentRuntime:
         reply whose parse raises TagError (ParseRetryError included) is
         re-asked with the bad reply and the format reminder appended, up to the
         binding's parse_retry_max extra calls; then the last parse error
-        propagates. Any other exception from parse propagates at once.
+        propagates. Any other exception from parse propagates at once. Once
+        the runtime is halted, the next call, first or re-ask, raises
+        TaskHalted instead of being rendered or sent.
         """
         binding = self.bindings[role]
-        prompt = self.registry.render(template_id, **slots)
         gateway = self.gateway_for(binding)
-        messages = [ChatMessage("user", prompt)]
+        messages = []
         for attempt in itertools.count():
+            if self.halted():
+                raise TaskHalted("an earlier task failed; this one makes no more model calls")
+            if not messages:
+                messages = [ChatMessage("user", self.registry.render(template_id, **slots))]
             request = ChatRequest(
                 model_id=binding.model_id or gateway.config.model_id,
                 messages=tuple(messages),
@@ -271,27 +285,33 @@ class AgentRuntime:
             raise MalformedVerdictError(str(exc)) from exc
 
 
-def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> list:
+def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None,
+              runners: int | None = None) -> list:
     """The results of tasks, each fn(runtime), in task order; the first error
     in task order is raised instead.
 
     after maps a task's index to the indices of the earlier tasks whose
     results it reads, and that task starts only once they have finished; an
     entry naming a later or unknown index raises ValueError before any task
-    runs. The caller is one of up to runtime.width runners, beside helper
-    threads that live only for this call. Each runner takes the first task
-    not yet started, in task order, whose dependencies have finished. So at
-    width 1 the caller runs every task in task order and no thread starts.
+    runs. The caller is one of up to `runners` runners (runtime.width by
+    default), beside helper threads that live only for this call. Each
+    runner takes the first task not yet started, in task order, whose
+    dependencies have finished. At width 1 runners is ignored: the caller
+    runs every task in task order and no thread starts. Above it, runners
+    may exceed the width, so that a task waiting on its gateway holds no
+    other task back; the gateways still bound the sends.
 
     Each task logs its model calls and warnings into a record of its own.
     The records are merged into the runtime's recorder (when one is set) in
     task order, which is the order a sequential run makes them in, so what a
     run records does not depend on how calls interleave. Once a task fails,
-    the tasks after it in task order that have not started are skipped, while
-    earlier ones still start once their dependencies have finished; so the
+    the tasks after it in task order make no further model call: those not
+    started are skipped, and those running are halted, so their next
+    AgentRuntime.ask raises TaskHalted, in any fan-out nested in them too.
+    Earlier tasks still start once their dependencies have finished; so the
     first error in task order is the same at every width. An interrupt while
-    the caller runs or waits skips every task not started. A skipped task
-    never counts as the error.
+    the caller runs or waits skips every task not started and halts those
+    running. A skipped or halted task never counts as the error.
     """
     after = after or {}
     for index, deps in after.items():
@@ -304,6 +324,9 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> 
     failed = len(tasks)  # the first failed task's index; no later task starts
     stopped = False  # set by an interrupt: no task starts
     cond = threading.Condition()
+
+    def halted(index):
+        return failed < index or stopped or runtime.halted()
 
     def take():
         """The next task to start, or None once none before the first failure
@@ -322,7 +345,9 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> 
         try:
             while (index := take()) is not None:
                 try:
-                    outcomes[index] = tasks[index](replace(runtime, recorder=records[index])), None
+                    task_runtime = replace(runtime, recorder=records[index],
+                                           halted=partial(halted, index))
+                    outcomes[index] = tasks[index](task_runtime), None
                 except Exception as exc:
                     outcomes[index] = None, exc
                 with cond:
@@ -345,7 +370,8 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> 
         except BaseException as exc:
             escaped.append(exc)
 
-    helpers = [threading.Thread(target=helper) for _ in range(min(runtime.width, len(tasks)) - 1)]
+    count = min(runners or runtime.width, len(tasks)) if runtime.width > 1 else 1
+    helpers = [threading.Thread(target=helper) for _ in range(count - 1)]
     for thread in helpers:
         thread.start()
     try:
@@ -358,8 +384,8 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None) -> 
     if runtime.recorder is not None:
         for record in records:
             runtime.recorder.extend(record)
-    # A task is skipped only once an earlier one has failed, so a skipped
-    # task's None is never returned as a result.
+    # A task is skipped or halted only once an earlier one has failed, so
+    # neither a skipped task's None nor TaskHalted is returned or raised.
     error = next((error for _, error in outcomes if error is not None), None)
     if error is not None:
         raise error

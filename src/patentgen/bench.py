@@ -276,7 +276,8 @@ def _manifest_file(entry: dict, key: str) -> Path:
 def _reusable(run_dir: Path, config_record: dict) -> bool:
     """Whether run_dir holds a complete document made under config_record."""
     try:
-        complete = load_json(run_dir / "status.json").get("status") == "complete"
+        status = load_json(run_dir / "status.json")
+        complete = isinstance(status, dict) and status.get("status") == "complete"
         return complete and load_json(run_dir / "config.json") == config_record
     except ConfigError:
         return False

@@ -157,6 +157,10 @@ def build_dataset_cmd(records_path, config_file, mock_playbook, out_dir, sizes, 
     ingest_cfg = IngestConfig(accept_label=accept_label, field_map=field_map)
     records, ingest_skips = load_records(records_path, ingest_cfg)
     size_tuple = _parse_sizes(sizes) if sizes else None
+    if size_tuple and sum(size_tuple) > len(records):
+        # Only ingested records can pass the gate, so the splits cannot fill.
+        raise ConfigError(f"split sizes need {sum(size_tuple)} records, more than the "
+                          f"{len(records)} ingested from {records_path}")
     if kinds is None:
         kind_list = [k for k in SFT_KINDS if not (skip_trees and k == "D2W")]
     else:

@@ -10,10 +10,14 @@ The calls of a run have a fixed shape: the five component writers and the
 planner read only the draft; each section expansion reads the draft and its
 section's overview; each node's retrieve/write/review/refine chain reads its
 own node, the tree overview, the draft and the reference, never a sibling's
-text. So a run is two agents.run_tasks calls, as wide as the largest
-max_inflight among the gateways: the five components beside one plan task,
-which runs its sections' expansions as tasks of its own, then one task per
-guideline node. The output is the same at any width.
+text. So a run is two agents.run_tasks calls. The first is two tasks, each
+a fan-out as wide as the largest max_inflight among the gateways: the five
+component writers, and beside them the plan, which runs its sections'
+expansions as tasks of its own. So the planner, which heads the longest
+chain, does not wait for a component to finish. The second is one task per
+guideline node, each on a runner of its own, so one node's chain holds no
+other node back and the gateways alone bound the sends. The output is the
+same at any width.
 """
 
 from __future__ import annotations
@@ -251,6 +255,9 @@ class PatentPipeline:
         def write(role, rt):
             components[role] = rt.write_component(role, draft)
 
+        def write_components(rt):
+            run_tasks(rt, [partial(write, role) for role in COMPONENT_ROLES])
+
         def plan(rt):
             nonlocal tree
             sections = run_tasks(rt, [partial(_expand_section, index, overview, draft, cfg)
@@ -261,10 +268,11 @@ class PatentPipeline:
             subs[node.node_id] = self._one_subsection(node, reference, tree, draft, cfg, rt)
 
         try:
-            run_tasks(runtime, [partial(write, role) for role in COMPONENT_ROLES] + [plan])
+            run_tasks(runtime, [write_components, plan])
             reference = Reference(**components, draft=draft)
             nodes = tree.nodes()
-            run_tasks(runtime, [partial(write_node, node, reference) for node in nodes])
+            run_tasks(runtime, [partial(write_node, node, reference) for node in nodes],
+                      runners=len(nodes))
             doc = PatentDoc(**components,
                             description="\n\n".join(subs[node.node_id].text for node in nodes),
                             section_order=cfg.section_order, generation_meta=record)

@@ -12,6 +12,7 @@ from patentgen.agents import (
     AgentError,
     MalformedVerdictError,
     ParseRetryError,
+    TaskHalted,
     run_tasks,
     strip_leading_filler,
 )
@@ -395,6 +396,48 @@ def test_a_failure_skips_only_later_tasks_so_the_outcome_is_the_same_at_every_wi
     with pytest.raises(AgentError, match="task 2"):
         run_tasks(runtime, tasks, after={1: (0,)})
     assert started == [1]
+
+
+def test_a_failure_halts_the_later_tasks_running_and_the_fan_outs_nested_in_them():
+    runtime = runtime_for(MockPlaybook([]), max_inflight=2)
+    later_started, halted = threading.Event(), []
+
+    def fail(rt):
+        later_started.wait(5)
+        raise AgentError("task 0")
+
+    def ask(rt):
+        # No such template and no playbook rule: only TaskHalted shows that
+        # the call was refused before it was rendered or sent.
+        try:
+            rt.ask("abstract", "no_such_template", {}, "abstract", str)
+        except TaskHalted:
+            halted.append(threading.get_ident())
+
+    def later(rt):
+        later_started.set()
+        deadline = time.monotonic() + 5
+        while not rt.halted() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        run_tasks(rt, [ask, ask])
+
+    with pytest.raises(AgentError, match="task 0"):
+        run_tasks(runtime, [fail, later])
+    assert len(halted) == 2
+
+
+def test_run_tasks_starts_the_runners_asked_for_above_width_1_and_none_at_width_1():
+    barrier = threading.Barrier(5, timeout=5)
+
+    def meet(rt):
+        barrier.wait()
+        return threading.get_ident()
+
+    wide = runtime_for(MockPlaybook([]), max_inflight=2)
+    assert len(set(run_tasks(wide, [meet] * 5, runners=5))) == 5
+    narrow = runtime_for(MockPlaybook([]))
+    tasks = [lambda rt: threading.get_ident()] * 3
+    assert run_tasks(narrow, tasks, runners=5) == [threading.get_ident()] * 3
 
 
 def test_an_interrupt_while_the_caller_waits_on_a_dependency_skips_the_tasks_not_started():

@@ -646,6 +646,24 @@ def test_bench_resume_regenerates_docs_made_under_another_pipeline_config(tmp_pa
     assert load_json(out / "report.json")["counts"] == {"scored": 0, "failed": 3}
 
 
+@pytest.mark.parametrize("status", ["[]", '"complete"', "null"])
+def test_bench_resume_regenerates_a_doc_whose_status_is_not_an_object(tmp_path, monkeypatch,
+                                                                      status):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+    out = tmp_path / "bench"
+    args = ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
+    assert RUNNER.invoke(main, args).exit_code == 0
+    (out / "runs" / "doc2" / "status.json").write_text(status, "utf-8")
+    calls = _backend_calls(monkeypatch)
+    second = RUNNER.invoke(main, args)
+    assert second.exit_code == 0, second.output
+    prompts = [req.rendered_prompt() for req in calls]
+    assert any("MARKDOC2" in p for p in prompts)
+    assert not any("MARKDOC1" in p or "MARKDOC3" in p for p in prompts)
+    assert load_json(out / "runs" / "doc2" / "status.json")["status"] == "complete"
+    assert load_json(out / "report.json")["counts"] == {"scored": 3, "failed": 0}
+
+
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize(
     "spoil, named",
@@ -752,6 +770,22 @@ def test_build_dataset_bad_field_map_fails_before_any_model_call(tmp_path, monke
                                   "--out", str(out), "--field-map", str(map_file)])
     assert result.exit_code == 1, result.output
     assert "error: " + named.format(map=map_file) in result.output
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", ["2,0,0", "0,1,1", "100,0,0"])
+def test_build_dataset_sizes_beyond_the_ingested_records_fail_before_any_model_call(
+        tmp_path, monkeypatch, sizes):
+    records, playbook = _one_record_corpus(tmp_path)
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "build"
+    result = RUNNER.invoke(main, ["build-dataset", str(records), "--mock-playbook", str(playbook),
+                                  "--out", str(out), "--sizes", sizes])
+    assert result.exit_code == 1, result.output
+    needed = sum(int(n) for n in sizes.split(","))
+    assert (f"error: split sizes need {needed} records, more than the 1 ingested from {records}"
+            in result.output)
     assert calls == []
     assert not out.exists()
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -21,18 +22,23 @@ from patentgen.pipeline import (
     plan_section,
     run_zero_shot,
 )
-from patentgen.prompts import default_registry
+from patentgen.prompts import PromptRegistry, default_registry
 from helpers import (
     COMPONENT_MATCHERS,
     COMPONENT_RESPONSES,
     FAIL_REVIEW,
+    MATCH_EXPAND,
+    MATCH_PLANNER,
     MATCH_RETRIEVE,
+    MATCH_REVIEW,
     MATCH_WRITE,
     PASS_REVIEW,
     PromptFunctionBackend,
+    expansion_response,
     function_gateways,
     mock_gateways,
     pipeline_playbook,
+    planner_response,
     rule,
     tree_contents,
 )
@@ -421,6 +427,117 @@ def test_first_error_in_node_order_is_raised_at_any_width(draft, tmp_path):
                 draft, PipelineConfig())
         assert guidelines[1] in str(info.value) and guidelines[3] not in str(info.value)
         assert guidelines[1] in load_json(run_dir / "status.json")["error"]
+
+
+class _FixedTreeBackend(PromptFunctionBackend):
+    """A PromptFunctionBackend whose tree is three sections of two nodes each,
+    guided by _FIXED_GUIDELINES, and whose examiner fails every subsection."""
+
+    @staticmethod
+    def reply(prompt: str) -> str:
+        if MATCH_PLANNER in prompt:
+            return planner_response(3)
+        if MATCH_EXPAND in prompt:
+            return expansion_response(2, "part" + re.search(r"Overview of part (\d)", prompt)[1])
+        if MATCH_REVIEW in prompt:
+            return FAIL_REVIEW
+        return PromptFunctionBackend.reply(prompt)
+
+
+_FIXED_GUIDELINES = [f"Write about part{i} {j}" for i in (1, 2, 3) for j in (1, 2)]
+
+
+def _guideline_of(prompt: str) -> str | None:
+    """The guideline of the node a retrieval, write, review or refine prompt
+    is for; the tree overview in a write or refine prompt names them all."""
+    return next((g for g in _FIXED_GUIDELINES for lead in
+                 ("Writing Plan: ", "Subsection Writing Guideline: ", "<WritingGuideline> ")
+                 if lead + g in prompt), None)
+
+
+class _RenderSpy(PromptRegistry):
+    """A registry that calls on_render(template_id) after each render."""
+
+    def __init__(self, on_render):
+        super().__init__()
+        self.on_render = on_render
+
+    def render(self, template_id: str, **bindings: str) -> str:
+        text = super().render(template_id, **bindings)
+        self.on_render(template_id)
+        return text
+
+
+def test_the_planner_is_asked_before_any_component_writer_answers(draft):
+    planner_rendered, waits = threading.Event(), []
+
+    def on_render(template_id):
+        if template_id == "planner":
+            planner_rendered.set()
+
+    def hold(prompt):
+        if any(matcher in prompt for matcher in COMPONENT_MATCHERS.values()):
+            waits.append(planner_rendered.wait(5))
+
+    backend = PromptFunctionBackend(fail_when=hold)
+    PatentPipeline(function_gateways(backend, 4), registry=_RenderSpy(on_render)).run(
+        draft, PipelineConfig())
+    assert len(waits) >= 5 and all(waits)
+    assert backend.peak <= 4
+
+
+def test_every_node_asks_for_its_retrieval_before_any_retrieval_is_answered(draft):
+    nodes = len(_FIXED_GUIDELINES)
+    retrievals, all_asked, lock = [], threading.Event(), threading.Lock()
+    threads, waits = threading.active_count(), []
+
+    def on_render(template_id):
+        if template_id == "retrieval":
+            with lock:
+                retrievals.append(threading.active_count())
+                if len(retrievals) == nodes:
+                    all_asked.set()
+
+    def hold(prompt):
+        if MATCH_RETRIEVE in prompt:
+            waits.append(all_asked.wait(5))
+
+    backend = _FixedTreeBackend(fail_when=hold)
+    PatentPipeline(function_gateways(backend, 2), registry=_RenderSpy(on_render)).run(
+        draft, PipelineConfig())
+    assert len(retrievals) == nodes and len(waits) == nodes and all(waits)
+    # The node stage runs one runner per node: the caller and a thread for
+    # each other node, and no more.
+    assert max(retrievals) - threads <= nodes - 1
+    assert backend.peak <= 2
+
+
+def test_a_failed_node_stops_the_nodes_after_it_at_their_next_call(draft):
+    node2, node3 = _FIXED_GUIDELINES[1:3]
+    node3_reviewing, node2_failed = threading.Event(), threading.Event()
+    waits, sent_after_failure = [], []
+
+    def hold(prompt):
+        node = _guideline_of(prompt)
+        if node == node3 and node2_failed.is_set():
+            sent_after_failure.append(prompt)
+        if node == node3 and MATCH_REVIEW in prompt and not node3_reviewing.is_set():
+            # Node 3 is partway through its chain: its first review is in
+            # flight when node 2 fails, and the examiner fails it.
+            node3_reviewing.set()
+            waits.append(node2_failed.wait(5))
+            time.sleep(0.2)  # time for node 2's failure to reach run_tasks
+        elif node == node2 and MATCH_REVIEW in prompt:
+            waits.append(node3_reviewing.wait(5))
+            node2_failed.set()
+            return "the review of node 2 fails"
+        return None
+
+    backend = _FixedTreeBackend(fail_when=hold)
+    with pytest.raises(PipelineAborted, match="the review of node 2 fails"):
+        PatentPipeline(function_gateways(backend, 3)).run(draft, PipelineConfig())
+    assert waits == [True, True]
+    assert sent_after_failure == []
 
 
 def test_pipeline_config_validation():
