@@ -55,8 +55,8 @@ class MalformedVerdictError(AgentError):
 
 
 class TaskHalted(AgentError):
-    """A model call refused because a task before this one, in the task order
-    of an enclosing run_tasks, has failed; it never counts as the error."""
+    """A model call refused because an earlier task of an enclosing run_tasks
+    failed, or the run was interrupted; it never counts as the error."""
 
 
 class ParseRetryError(TagError):
@@ -133,14 +133,6 @@ class AgentRuntime:
         gateways, as each gateway bounds its own sends."""
         return max(gateway.max_inflight for gateway in self.gateways.values())
 
-    def gateway_for(self, binding: AgentBinding) -> LlmGateway:
-        try:
-            return self.gateways[binding.backend]
-        except KeyError:
-            raise AgentError(
-                f"role {binding.role!r} names unknown backend {binding.backend!r}"
-            ) from None
-
     def ask(self, role: str, template_id: str, slots: dict, tag: str, parse, reminder: str = ""):
         """Render the prompt, call the model as `role` and return parse(reply).
 
@@ -153,11 +145,11 @@ class AgentRuntime:
         TaskHalted instead of being rendered or sent.
         """
         binding = self.bindings[role]
-        gateway = self.gateway_for(binding)
+        gateway = self.gateways[binding.backend]
         messages = []
         for attempt in itertools.count():
             if self.halted():
-                raise TaskHalted("an earlier task failed; this one makes no more model calls")
+                raise TaskHalted("an earlier task failed or the run was interrupted")
             if not messages:
                 messages = [ChatMessage("user", self.registry.render(template_id, **slots))]
             request = ChatRequest(
@@ -285,6 +277,10 @@ class AgentRuntime:
             raise MalformedVerdictError(str(exc)) from exc
 
 
+# Per thread, in .stops, the stop of each run_tasks call open on it, outermost first.
+_open = threading.local()
+
+
 def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None,
               runners: int | None = None) -> list:
     """The results of tasks, each fn(runtime), in task order; the first error
@@ -309,9 +305,11 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None,
     started are skipped, and those running are halted, so their next
     AgentRuntime.ask raises TaskHalted, in any fan-out nested in them too.
     Earlier tasks still start once their dependencies have finished; so the
-    first error in task order is the same at every width. An interrupt while
-    the caller runs or waits skips every task not started and halts those
-    running. A skipped or halted task never counts as the error.
+    first error in task order is the same at every width. A skipped or
+    halted task never counts as the error. An interrupt anywhere in the call
+    does the same for every task, in each run_tasks call that encloses this
+    one on the caller's thread too; the helpers are waited for and the
+    records merged before it is raised, so then no task makes another call.
     """
     after = after or {}
     for index, deps in after.items():
@@ -322,7 +320,7 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None,
     waiting = list(range(len(tasks)))  # not started, in task order
     finished = set()
     failed = len(tasks)  # the first failed task's index; no later task starts
-    stopped = False  # set by an interrupt: no task starts
+    stopped = False  # set by an interrupt: no task starts, and running ones halt
     cond = threading.Condition()
 
     def halted(index):
@@ -340,27 +338,26 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None,
                 cond.wait()
             return None
 
+    def stop():
+        nonlocal stopped
+        with cond:
+            stopped = True
+            cond.notify_all()
+
     def runner():
-        nonlocal failed, stopped
-        try:
-            while (index := take()) is not None:
-                try:
-                    task_runtime = replace(runtime, recorder=records[index],
-                                           halted=partial(halted, index))
-                    outcomes[index] = tasks[index](task_runtime), None
-                except Exception as exc:
-                    outcomes[index] = None, exc
-                with cond:
-                    finished.add(index)
-                    if outcomes[index][1] is not None:
-                        failed = min(failed, index)
-                    cond.notify_all()
-        except BaseException:
-            # An interrupt, or an exit from inside a task: start nothing more.
+        nonlocal failed
+        while (index := take()) is not None:
+            try:
+                task_runtime = replace(runtime, recorder=records[index],
+                                       halted=partial(halted, index))
+                outcomes[index] = tasks[index](task_runtime), None
+            except Exception as exc:
+                outcomes[index] = None, exc
             with cond:
-                stopped = True
+                finished.add(index)
+                if outcomes[index][1] is not None:
+                    failed = min(failed, index)
                 cond.notify_all()
-            raise
 
     escaped = []  # what ended a helper thread, raised again on the caller's
 
@@ -368,22 +365,37 @@ def run_tasks(runtime: AgentRuntime, tasks: list, after: dict | None = None,
         try:
             runner()
         except BaseException as exc:
+            # An exit from inside a task: start nothing more.
             escaped.append(exc)
+            stop()
 
     count = min(runners or runtime.width, len(tasks)) if runtime.width > 1 else 1
     helpers = [threading.Thread(target=helper) for _ in range(count - 1)]
-    for thread in helpers:
-        thread.start()
+    stops = vars(_open).setdefault("stops", [])
+    stops.append(stop)
     try:
+        for thread in helpers:
+            thread.start()
         runner()
-    finally:
         for thread in helpers:
             thread.join()
+    except BaseException as exc:
+        # An interrupt, or a helper that would not start. An interrupt or an
+        # exit leaves each enclosing call on this thread too, so their tasks
+        # halt now; a helper not yet alive will find no task to take.
+        for enclosing in [stop] if isinstance(exc, Exception) else stops:
+            enclosing()
+        for thread in helpers:
+            if thread.is_alive():
+                thread.join()
+        raise
+    finally:
+        stops.pop()
+        if runtime.recorder is not None:
+            for record in records:
+                runtime.recorder.extend(record)
     if escaped:
         raise escaped[0]
-    if runtime.recorder is not None:
-        for record in records:
-            runtime.recorder.extend(record)
     # A task is skipped or halted only once an earlier one has failed, so
     # neither a skipped task's None nor TaskHalted is returned or raised.
     error = next((error for _, error in outcomes if error is not None), None)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-from .agents import AgentRuntime, run_tasks
+from .agents import run_tasks
 from .core import ConfigError, load_draft, load_json, patent_to_text
 from .metrics import (
     BLEU_SPEC,
@@ -295,7 +295,7 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
     generated_dir.mkdir(parents=True, exist_ok=True)
     config_record = pipeline_cfg.to_record()
 
-    def run_one(entry: dict, runtime: AgentRuntime) -> str | None:
+    def run_one(entry: dict, runtime: PatentPipeline) -> str | None:
         """Generate entry's document; its failure, or None."""
         doc_id = entry["doc_id"]
         run_dir = out / "runs" / doc_id
@@ -304,15 +304,14 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
             return None
         try:
             draft = load_draft(_manifest_file(entry, "draft_file"))
-            pipeline = PatentPipeline(runtime.gateways, bindings=runtime.bindings, run_dir=run_dir)
-            doc = pipeline.run(draft, pipeline_cfg)
+            doc = replace(runtime, run_dir=run_dir).run(draft, pipeline_cfg)
         except (ConfigError, PipelineAborted) as exc:
             return str(exc)
         generated_path.write_text(patent_to_text(doc, headers=False), "utf-8")
         return None
 
-    runtime = AgentRuntime(gateways=gateways, bindings=bindings)
-    failures = run_tasks(runtime, [partial(run_one, entry) for entry in docs])
+    failures = run_tasks(PatentPipeline(gateways, bindings),
+                         [partial(run_one, entry) for entry in docs])
     report = BenchReport(header=metric_cfg.header())
     for entry, failure in zip(docs, failures):
         doc_id = entry["doc_id"]

@@ -100,11 +100,10 @@ def generate(draft_file, config_file, mock_playbook, backend, out_dir):
     draft = load_draft(Path(draft_file))
     gateways, bindings, cfg = load_run_config(config_file, mock_playbook, backend)
     run_dir = Path(out_dir) if out_dir else Path("runs") / Path(draft_file).stem
-    pipeline = PatentPipeline(gateways, bindings=bindings, run_dir=run_dir)
     try:
-        doc = pipeline.run(draft, cfg)
+        doc = PatentPipeline(gateways, bindings, run_dir=run_dir).run(draft, cfg)
     except PipelineAborted as exc:
-        click.echo(f"run aborted: {exc.cause}; partial artifacts in {run_dir}", err=True)
+        click.echo(f"run aborted: {exc.__cause__}; partial artifacts in {run_dir}", err=True)
         sys.exit(EXIT_PARTIAL)
     click.echo(f"complete patent written to {run_dir} "
                f"({len(patent_to_text(doc).split())} words)")

@@ -3,8 +3,12 @@ retrieve/write/review/refine loop per subsection, and final assembly.
 
 The examiner loop is bounded by max_refine_rounds; a subsection that keeps
 failing (or whose verdicts stay unparseable) is accepted with a warning so a
-long run never dies on one stubborn node. Aborts persist everything finished
-so far into the run directory.
+long run never dies on one stubborn node.
+
+A PatentPipeline is an AgentRuntime with a run directory, so a run obeys the
+runtime it is given, a bench's stop rule included. A run cut short by any
+exception, an interrupt too, persists what finished with status partial; an
+agent error is raised as PipelineAborted, anything else unchanged.
 
 The calls of a run have a fixed shape: the five component writers and the
 planner read only the draft; each section expansion reads the draft and its
@@ -62,7 +66,6 @@ from .core import (
 )
 from .gateway import (BackendConfig, GatewayError, LlmGateway, RequestError, ResponseCache,
                       build_gateway)
-from .prompts import PromptRegistry, default_registry
 from .tags import TagError, extract_tag
 
 SCHEMA_VERSION_PIPELINE_CONFIG = "pipeline-config-v1"
@@ -76,12 +79,7 @@ class PipelineError(Exception):
 
 
 class PipelineAborted(PipelineError):
-    """An agent hard error stopped the run; partial artifacts were persisted."""
-
-    def __init__(self, cause: Exception, run_dir: Path | None):
-        self.cause = cause
-        self.run_dir = run_dir
-        super().__init__(f"pipeline aborted: {cause}")
+    """An agent error, its __cause__, stopped the run; what finished was persisted."""
 
 
 @dataclass(frozen=True)
@@ -229,23 +227,15 @@ def plan_section(
     return SectionPlan(section_index=index, section_overview=overview, subsections=(node,))
 
 
-class PatentPipeline:
-    def __init__(
-        self,
-        gateways: dict[str, LlmGateway],
-        bindings: dict[str, AgentBinding] | None = None,
-        registry: PromptRegistry | None = None,
-        run_dir: Path | str | None = None,
-    ):
-        self.gateways = gateways
-        self.bindings = bindings or default_bindings()
-        self.registry = registry or default_registry()
-        self.run_dir = Path(run_dir) if run_dir is not None else None
+@dataclass
+class PatentPipeline(AgentRuntime):
+    """An AgentRuntime that drafts whole patents into run_dir, when one is set."""
+
+    run_dir: Path | None = None
 
     def run(self, draft: Draft, cfg: PipelineConfig) -> PatentDoc:
         record = new_run_record(model_id=self.gateways["default"].config.model_id)
-        runtime = AgentRuntime(gateways=self.gateways, bindings=self.bindings,
-                               registry=self.registry, recorder=record)
+        runtime = replace(self, recorder=record)
         # Each task stores its result as it finishes, so an abort persists
         # whatever finished.
         components: dict[str, str] = {}
@@ -258,14 +248,18 @@ class PatentPipeline:
         def write_components(rt):
             run_tasks(rt, [partial(write, role) for role in COMPONENT_ROLES])
 
+        def expand(index, overview, rt):
+            return plan_section(index, overview, cfg, partial(rt.expand_section, draft),
+                                rt.recorder.warn)
+
         def plan(rt):
             nonlocal tree
-            sections = run_tasks(rt, [partial(_expand_section, index, overview, draft, cfg)
+            sections = run_tasks(rt, [partial(expand, index, overview)
                                       for index, overview in rt.plan_first_level(draft)])
             tree = PGTree(sections=tuple(sections))
 
         def write_node(node, reference, rt):
-            subs[node.node_id] = self._one_subsection(node, reference, tree, draft, cfg, rt)
+            subs[node.node_id] = rt._one_subsection(node, reference, tree, draft, cfg)
 
         try:
             run_tasks(runtime, [write_components, plan])
@@ -276,27 +270,29 @@ class PatentPipeline:
             doc = PatentDoc(**components,
                             description="\n\n".join(subs[node.node_id].text for node in nodes),
                             section_order=cfg.section_order, generation_meta=record)
-        except (AgentError, CoreError, GatewayError, TagError) as exc:
+        except BaseException as exc:
             self._persist(draft, cfg, record, components, tree, subs, error=exc)
-            raise PipelineAborted(exc, self.run_dir) from exc
+            if isinstance(exc, (AgentError, CoreError, GatewayError, TagError)):
+                raise PipelineAborted(f"pipeline aborted: {exc}") from exc
+            raise
         self._persist(draft, cfg, record, components, tree, subs, doc=doc)
         return doc
 
-    def _one_subsection(self, node, reference, tree, draft, cfg, runtime):
-        warn = runtime.recorder.warn
-        retrieved = runtime.retrieve(node, reference)
+    def _one_subsection(self, node, reference, tree, draft, cfg):
+        warn = self.recorder.warn
+        retrieved = self.retrieve(node, reference)
         if not retrieved:
             warn(f"node {node.node_id}: empty retrieval")
-        text = runtime.write_subsection(node, retrieved, tree, draft)
-        verdict, malformed = self._review(runtime, node, text, draft)
+        text = self.write_subsection(node, retrieved, tree, draft)
+        verdict, malformed = self._review(node, text, draft)
         history = [RefinementRound(text=text, verdict=verdict)]
         while not malformed and not verdict.passed and len(history) <= cfg.max_refine_rounds:
-            revised = runtime.refine(node, text, verdict.advice, tree)
+            revised = self.refine(node, text, verdict.advice, tree)
             no_change = revised == text
             if no_change:
                 warn(f"node {node.node_id}: refinement round {len(history)} unchanged")
             text = revised
-            verdict, malformed = self._review(runtime, node, text, draft)
+            verdict, malformed = self._review(node, text, draft)
             history.append(RefinementRound(text=text, verdict=verdict, no_change=no_change))
         sub = SubsectionDraft(node=node.node_id, history=tuple(history))
         if sub.accepted_with_warning:
@@ -304,13 +300,12 @@ class PatentPipeline:
                  f"{sub.rounds_used} refinement rounds")
         return sub
 
-    @staticmethod
-    def _review(runtime, node, text, draft):
+    def _review(self, node, text, draft):
         """Review once; an unparseable verdict fails only this subsection."""
         try:
-            return runtime.review(node, text, draft), False
+            return self.review(node, text, draft), False
         except MalformedVerdictError as exc:
-            runtime.recorder.warn(f"node {node.node_id}: {exc}")
+            self.recorder.warn(f"node {node.node_id}: {exc}")
             return ReviewVerdict(result="Fail", advice="unparseable verdict after retries"), True
 
     def _persist(self, draft, cfg, record, components, tree, subs, doc=None, error=None):
@@ -342,7 +337,7 @@ class PatentPipeline:
             )
         dump_json(
             {"status": "complete" if doc is not None else "partial",
-             "error": None if error is None else str(error)},
+             "error": None if error is None else str(error) or type(error).__name__},
             run_dir / "status.json",
         )
 
@@ -352,11 +347,6 @@ def write_patent(doc: PatentDoc, run_dir: Path) -> None:
     the zero-shot baseline alike."""
     (run_dir / "patent.txt").write_text(patent_to_text(doc), encoding="utf-8")
     dump_json(patent_to_record(doc), run_dir / "patent.json")
-
-
-def _expand_section(index, overview, draft, cfg, runtime):
-    return plan_section(index, overview, cfg,
-                        lambda text: runtime.expand_section(draft, text), runtime.recorder.warn)
 
 
 def subsection_to_record(sub: SubsectionDraft) -> dict:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import re
+import signal
 import threading
 import time
 from importlib import resources
@@ -189,6 +190,19 @@ def function_gateways(backend, max_inflight: int) -> dict[str, LlmGateway]:
     config = BackendConfig(name="default", model_id="mock-model", max_inflight=max_inflight,
                            retry_max=0, backoff_s=0.0)
     return {"default": LlmGateway(backend, config=config, sleep_fn=lambda s: None)}
+
+
+def interrupt_when(ready, timeout_s: float = 5.0) -> None:
+    """Send SIGINT to the main thread, from a thread of its own, once ready()
+    holds or timeout_s has passed."""
+
+    def interrupt():
+        deadline = time.monotonic() + timeout_s
+        while not ready() and time.monotonic() < deadline:
+            time.sleep(0.0005)
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+    threading.Thread(target=interrupt).start()
 
 
 def tree_contents(root: Path) -> dict[str, bytes]:

@@ -10,6 +10,7 @@ import pytest
 
 from patentgen.agents import (
     AgentError,
+    AgentRuntime,
     MalformedVerdictError,
     ParseRetryError,
     TaskHalted,
@@ -36,6 +37,9 @@ from helpers import (
     MATCH_REFINE,
     MATCH_PLANNER,
     PASS_REVIEW,
+    PromptFunctionBackend,
+    function_gateways,
+    interrupt_when,
     rule,
     runtime_for,
 )
@@ -492,3 +496,73 @@ def test_run_tasks_under_stress_runs_each_task_once_after_its_dependencies():
     assert not thread.is_alive()
     assert results == [list(range(n))] and runs == [1] * n
     assert record.warnings == [str(i) for i in range(n)]
+
+
+def _call_until_halted(draft, halted, rt):
+    """Ask for a title again and again until the runtime is halted; give up
+    after 2 s, so that a runner nobody halts still ends."""
+    deadline = time.monotonic() + 2
+    while time.monotonic() < deadline:
+        try:
+            rt.write_component("title", draft)
+        except TaskHalted:
+            halted.append(threading.get_ident())
+            return
+        time.sleep(0.002)
+
+
+def test_an_interrupt_while_the_caller_joins_a_helper_halts_the_helpers_task(draft):
+    backend = PromptFunctionBackend()
+    runtime = AgentRuntime(gateways=function_gateways(backend, 2))
+    caller_done, halted = [], []
+
+    def task(rt):
+        if threading.current_thread() is not threading.main_thread():
+            _call_until_halted(draft, halted, rt)
+            return
+        # The caller ends its own task once the helper is calling; then it
+        # joins the helper, and the interrupt lands there.
+        deadline = time.monotonic() + 2
+        while not backend.calls and time.monotonic() < deadline:
+            time.sleep(0.001)
+        caller_done.append(time.monotonic())
+
+    threads = threading.active_count()
+    interrupt_when(lambda: caller_done and time.monotonic() > caller_done[0] + 0.05)
+    with pytest.raises(KeyboardInterrupt):
+        run_tasks(runtime, [task, task])
+    calls = backend.calls
+    time.sleep(0.05)
+    assert backend.calls == calls > 0
+    assert len(halted) == 1
+    deadline = time.monotonic() + 1
+    while threading.active_count() > threads and time.monotonic() < deadline:
+        time.sleep(0.001)  # the interrupter thread ends just after its kill
+    assert threading.active_count() == threads
+
+
+def test_a_helper_that_will_not_start_stops_and_joins_the_helpers_started(draft, monkeypatch):
+    backend = PromptFunctionBackend()
+    runtime = AgentRuntime(gateways=function_gateways(backend, 3))
+    started, halted = [], []
+    start = threading.Thread.start
+
+    def start_once(thread):
+        if started:
+            # Fail the second start once the first helper is calling.
+            deadline = time.monotonic() + 2
+            while not backend.calls and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    tasks = [partial(_call_until_halted, draft, halted)] + [lambda rt: None] * 2
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run_tasks(runtime, tasks)
+    calls = backend.calls
+    assert not started[0].is_alive()
+    assert len(halted) == 1 and calls > 0
+    time.sleep(0.05)
+    assert backend.calls == calls

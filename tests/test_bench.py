@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 import threading
+import time
 
 import pytest
 
@@ -23,8 +25,9 @@ from patentgen.bench import (
 from patentgen.core import draft_to_record, load_json, make_draft
 from patentgen.metrics import IrrConfig, IrrUndefinedError, bleu, irr_of_text, rouge_f1
 from patentgen.pipeline import PipelineConfig
-from helpers import (MATCH_PLANNER, PromptFunctionBackend, function_gateways, mock_gateway,
-                     oracle_irr, pipeline_playbook, planner_response, rule, tree_contents)
+from helpers import (MATCH_PLANNER, PromptFunctionBackend, function_gateways, interrupt_when,
+                     mock_gateway, oracle_irr, pipeline_playbook, planner_response, rule,
+                     tree_contents)
 
 
 def test_irr_labels_match_report_columns():
@@ -273,3 +276,47 @@ def test_backend_never_sees_more_than_max_inflight(tmp_path, width):
     finally:
         sys.setswitchinterval(interval)
     assert peak == width
+
+
+def _interrupted_bench(tmp_path, manifest, width: int = 4):
+    """Run manifest's bench at width and interrupt it once 8 calls have gone
+    out: the backend, its call count when run_bench raised, and the ids of
+    the documents that sent a call. Every call after 10 s fails, so a bench
+    that nothing halts still ends soon."""
+    deadline = time.monotonic() + 10
+    seen, lock = set(), threading.Lock()
+
+    def note_document(prompt):
+        with lock:
+            seen.update(f"doc{i}" for i in re.findall(r"of document (\d+)", prompt))
+        return "past the test's deadline" if time.monotonic() > deadline else None
+
+    backend = PromptFunctionBackend(delay_s=0.01, fail_when=note_document)
+    interrupt_when(lambda: backend.calls >= 8)
+    with pytest.raises(KeyboardInterrupt):
+        run_bench(manifest, function_gateways(backend, width), default_bindings(),
+                  PipelineConfig(), MetricConfig(), tmp_path / "interrupted")
+    return backend, backend.calls, seen
+
+
+def test_an_interrupted_bench_halts_every_document_and_sends_nothing_once_stopped(tmp_path):
+    manifest = _manifest(tmp_path, n_docs=4)
+    whole = PromptFunctionBackend()
+    run_bench(manifest, function_gateways(whole, 1), default_bindings(), PipelineConfig(),
+              MetricConfig(), tmp_path / "whole")
+    threads = threading.active_count()
+    backend, calls, _ = _interrupted_bench(tmp_path, manifest)
+    time.sleep(0.05)
+    assert backend.calls == calls
+    # Each document stops at its next call, so the interrupted bench sends
+    # only what it sent before the interrupt and what was then in flight or
+    # waiting for a gateway slot, well short of a whole bench.
+    assert calls < whole.calls / 2
+    assert threading.active_count() == threads
+
+
+def test_an_interrupted_bench_leaves_a_partial_run_dir_for_each_document_it_cut_short(tmp_path):
+    backend, _, seen = _interrupted_bench(tmp_path, _manifest(tmp_path, n_docs=4))
+    runs = tmp_path / "interrupted" / "runs"
+    statuses = {path.name: load_json(path / "status.json")["status"] for path in runs.iterdir()}
+    assert seen and statuses == {doc_id: "partial" for doc_id in seen}

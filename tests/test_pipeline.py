@@ -36,6 +36,7 @@ from helpers import (
     PromptFunctionBackend,
     expansion_response,
     function_gateways,
+    interrupt_when,
     mock_gateways,
     pipeline_playbook,
     planner_response,
@@ -222,6 +223,38 @@ def test_abort_persists_partial_artifacts(draft, tmp_path):
     assert (run_dir / "pgtree.json").exists()
     assert (run_dir / "calls.jsonl").exists()
     assert not (run_dir / "patent.txt").exists()
+
+
+def test_an_interrupted_run_persists_a_partial_run_and_sends_nothing_after(draft, tmp_path):
+    backend = PromptFunctionBackend(delay_s=0.002)
+    run_dir = tmp_path / "run"
+    interrupt_when(lambda: backend.calls >= 8)
+    with pytest.raises(KeyboardInterrupt):
+        PatentPipeline(function_gateways(backend, 4), run_dir=run_dir).run(draft, PipelineConfig())
+    calls = backend.calls
+    time.sleep(0.05)
+    assert backend.calls == calls
+    assert load_json(run_dir / "status.json") == {"status": "partial", "error": "KeyboardInterrupt"}
+    # A call may have been sent but not yet logged when the interrupt landed.
+    logged = (run_dir / "calls.jsonl").read_text("utf-8").splitlines()
+    assert 0 < len(logged) <= calls
+    assert not (run_dir / "patent.txt").exists()
+
+
+def test_a_backend_that_raises_an_unexpected_error_leaves_a_partial_run(draft, tmp_path):
+    class BrokenWriter(PromptFunctionBackend):
+        def send(self, req):
+            if MATCH_WRITE in req.rendered_prompt():
+                raise RuntimeError("backend bug")
+            return super().send(req)
+
+    run_dir = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="backend bug"):
+        PatentPipeline(function_gateways(BrokenWriter(), 1), run_dir=run_dir).run(
+            draft, PipelineConfig())
+    assert load_json(run_dir / "status.json") == {"status": "partial", "error": "backend bug"}
+    assert set(load_json(run_dir / "components.json")) == set(COMPONENT_MATCHERS)
+    assert (run_dir / "pgtree.json").exists()
 
 
 def test_abort_keeps_completed_subsection_histories(draft, tmp_path):
