@@ -28,6 +28,7 @@ counted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import statistics
@@ -44,11 +45,16 @@ WARMUP_CALLS = 20
 
 
 def chat_request(prompt: str, tag: str):
-    """A one-message request with the agents' default sampling, spelled out."""
+    """A one-message request with the agents' default sampling, spelled out.
+    The tag is passed only to a tree whose ChatRequest still declares a
+    request_tag, so that trees before and after its removal time the same
+    requests."""
     from patentgen.gateway import ChatMessage, ChatRequest
 
-    return ChatRequest(model_id="bench-model", messages=(ChatMessage("user", prompt),),
-                       temperature=0.5, top_p=0.9, max_tokens=4096, request_tag=tag)
+    spelled = dict(model_id="bench-model", messages=(ChatMessage("user", prompt),),
+                   temperature=0.5, top_p=0.9, max_tokens=4096, request_tag=tag)
+    declared = {f.name for f in dataclasses.fields(ChatRequest)}
+    return ChatRequest(**{name: value for name, value in spelled.items() if name in declared})
 
 
 def make_requests(n: int, seed: int):

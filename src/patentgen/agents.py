@@ -29,18 +29,20 @@ from typing import Callable
 from .core import (
     COMPONENT_ROLES,
     SECTION_TAGS,
+    CallEntry,
     Draft,
     GuidelineNode,
     PGTree,
     Reference,
     ReviewVerdict,
     RunRecord,
+    content_hash,
     new_run_record,
     render_draft,
     render_pgtree,
     render_reference,
 )
-from .gateway import ChatMessage, ChatRequest, LlmGateway, check_sampling
+from .gateway import CallHalted, ChatMessage, ChatRequest, LlmGateway, check_sampling
 from .prompts import PromptRegistry, default_registry
 from .tags import TagError, extract_sections, extract_tag
 
@@ -136,13 +138,15 @@ class AgentRuntime:
     def ask(self, role: str, template_id: str, slots: dict, tag: str, parse, reminder: str = ""):
         """Render the prompt, call the model as `role` and return parse(reply).
 
-        Every model call goes through here, the zero-shot baseline's too. A
-        reply whose parse raises TagError (ParseRetryError included) is
-        re-asked with the bad reply and the format reminder appended, up to the
-        binding's parse_retry_max extra calls; then the last parse error
-        propagates. Any other exception from parse propagates at once. Once
-        the runtime is halted, the next call, first or re-ask, raises
-        TaskHalted instead of being rendered or sent.
+        Every model call goes through here, the zero-shot baseline's too, and
+        each reply is logged into the recorder here, under `tag`, before it
+        is parsed. A reply whose parse raises TagError (ParseRetryError
+        included) is re-asked with the bad reply and the format reminder
+        appended, up to the binding's parse_retry_max extra calls; then the
+        last parse error propagates. Any other exception from parse propagates
+        at once. Once the runtime is halted, the next call, first or re-ask,
+        raises TaskHalted instead of being rendered or sent, even from the
+        queue for a gateway slot; a call that raises logs nothing.
         """
         binding = self.bindings[role]
         gateway = self.gateways[binding.backend]
@@ -158,9 +162,16 @@ class AgentRuntime:
                 temperature=binding.temperature,
                 top_p=binding.top_p,
                 max_tokens=binding.max_tokens,
-                request_tag=tag,
             )
-            resp = gateway.complete(request, recorder=self.recorder)
+            try:
+                resp = gateway.complete(request, self.halted)
+            except CallHalted as exc:
+                raise TaskHalted(str(exc)) from None
+            if self.recorder is not None:
+                self.recorder.log_call(CallEntry(
+                    agent_role=tag, prompt_hash=content_hash(request.rendered_prompt()),
+                    response_hash=content_hash(resp.content), latency_ms=resp.latency_ms,
+                    retries=resp.retries, cached=resp.cached))
             try:
                 return parse(resp.content)
             except TagError:

@@ -2,8 +2,8 @@
 report.
 
 Exit codes are a stable contract for CI: 0 complete, 1 invalid input (usage
-errors included), 2 partial or degraded output (aborted runs, missing
-sections, failed bench documents).
+errors included), 2 partial or degraded output (aborted or interrupted runs,
+missing sections, failed bench documents).
 """
 
 from __future__ import annotations
@@ -63,10 +63,11 @@ def _parse_sizes(raw: str) -> tuple[int, int, int]:
         raise ConfigError(f"split sizes must be three non-negative integers, got {raw!r}") from exc
 
 
-def _invalid_input_exits_1(method):
+def _exit_codes(method):
     """Invalid input exits 1: a ConfigError, raised wherever an input is read,
     is printed as `error: <message>`. Click exits 2 on a usage error, but
-    here 2 means partial output, so a usage error exits 1 too."""
+    here 2 means partial output, so a usage error exits 1 too. An interrupt
+    exits 2: a run it cuts short has persisted its output as partial."""
 
     def wrapper(*args, **kwargs):
         try:
@@ -77,12 +78,15 @@ def _invalid_input_exits_1(method):
         except ConfigError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INVALID)
+        except KeyboardInterrupt:
+            click.echo("interrupted", err=True)
+            sys.exit(EXIT_PARTIAL)
     return wrapper
 
 
 class _Cli(click.Group):
-    make_context = _invalid_input_exits_1(click.Group.make_context)
-    invoke = _invalid_input_exits_1(click.Group.invoke)
+    make_context = _exit_codes(click.Group.make_context)
+    invoke = _exit_codes(click.Group.invoke)
 
 
 @click.group(cls=_Cli)

@@ -118,9 +118,6 @@ class Draft:
         if ids != sorted(ids) or len(ids) != 5:
             raise DraftValidationError(f"draft must contain questions 1..5 in order, got {ids}")
 
-    def answers(self) -> tuple[str, ...]:
-        return tuple(q.answer_text for q in self.qa)
-
 
 def make_draft(answers: dict[int, str] | list[str], source_id: str = "") -> Draft:
     """Build a Draft from answers keyed (or ordered) by question id."""

@@ -3,12 +3,12 @@
 One gateway fronts either a real HTTP backend (the de-facto chat-completions
 wire shape) or a fully scripted mock backend, adding retries with jittered
 exponential backoff, an on-disk response cache (one append-only log per cache
-directory, indexed in memory by offset), a token-bucket rate limit, a bound on
-requests in flight, and per-call logging into a RunRecord. The HTTP backend
-speaks HTTP/1.1 through http.client and reuses its connections (see
-HttpBackend for the delayed-ACK stall that this has to avoid). Tests run
-against the mock and a loopback HTTP server; the HTTP path is the same code
-minus the playbook.
+directory, indexed in memory by offset), a token-bucket rate limit and a bound
+on requests in flight; it logs nothing, but each response reports its retries,
+latency and cache flag. The HTTP backend speaks HTTP/1.1 through http.client
+and reuses its connections (see HttpBackend for the delayed-ACK stall that
+this has to avoid). Tests run against the mock and a loopback HTTP server; the
+HTTP path is the same code minus the playbook.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .core import CallEntry, ConfigError, RunRecord, content_hash, load_json
+from .core import ConfigError, content_hash, load_json
 
 SCHEMA_VERSION_PLAYBOOK = "mock-playbook-v1"
 
@@ -59,6 +59,10 @@ class BadStatusError(GatewayError):
 
 class PlaybookMissError(GatewayError):
     """No playbook rule matched and no default response is configured."""
+
+
+class CallHalted(GatewayError):
+    """The caller halted while its call waited for a slot; nothing was sent."""
 
 
 class _TransientFailure(Exception):
@@ -106,7 +110,6 @@ class ChatRequest:
     temperature: float
     top_p: float
     max_tokens: int
-    request_tag: str
 
     def __post_init__(self):
         if not any(m.role == "user" for m in self.messages):
@@ -123,6 +126,8 @@ class ChatResponse:
     finish_reason: str
     usage: dict = field(default_factory=dict)
     cached: bool = False
+    retries: int = 0
+    latency_ms: int = 0
 
     def __post_init__(self):
         if not self.content and self.finish_reason != FINISH_ERROR:
@@ -130,10 +135,7 @@ class ChatResponse:
 
 
 def cache_key(req: ChatRequest) -> str:
-    """Stable hash over everything that affects the completion.
-
-    request_tag is excluded: it only labels the call in logs.
-    """
+    """Stable hash over everything that affects the completion."""
     payload = json.dumps(
         {
             "model_id": req.model_id,
@@ -290,9 +292,7 @@ class MockBackend:
             else:
                 if self.playbook.default_response is None:
                     raise PlaybookMissError(
-                        f"no playbook rule matched request tagged {req.request_tag!r} "
-                        f"(prompt head: {prompt[:80]!r})"
-                    )
+                        f"no playbook rule matched the request (prompt head: {prompt[:80]!r})")
                 item = self.playbook.default_response
         if isinstance(item, dict):
             kind = item.get("error")
@@ -621,27 +621,26 @@ class LlmGateway:
         self._sleep = sleep_fn
         self._jitter = random.Random()
 
-    def complete(self, req: ChatRequest, recorder: RunRecord | None = None) -> ChatResponse:
+    def complete(self, req: ChatRequest, halted=None) -> ChatResponse:
+        """The reply to req. A call for which halted() holds once it has a
+        slot gives the slot back unsent and raises CallHalted."""
         if req.max_tokens > self.config.max_tokens_limit:
             raise RequestError(
                 f"max_tokens {req.max_tokens} exceeds the backend limit "
                 f"{self.config.max_tokens_limit} for {self.config.name!r}"
             )
-        prompt = req.rendered_prompt()
 
         key = None
         if self.cache is not None:
             key = cache_key(req)
             hit = self.cache.get(key)
             if hit is not None:
-                resp = ChatResponse(
+                return ChatResponse(
                     content=hit["content"],
                     finish_reason=hit["finish_reason"],
                     usage=hit.get("usage", {}),
                     cached=True,
                 )
-                self._record(recorder, req, prompt, resp.content, 0, 0, cached=True)
-                return resp
 
         retries = 0
         start = time.monotonic()
@@ -652,6 +651,8 @@ class LlmGateway:
                 # Only the send holds a slot: cache reads and writes and
                 # backoff sleeps do not count against max_inflight.
                 with self._inflight:
+                    if halted is not None and halted():
+                        raise CallHalted("halted while waiting for a gateway slot")
                     content, finish, usage = self.backend.send(req)
                 break
             except _TransientFailure as exc:
@@ -668,26 +669,10 @@ class LlmGateway:
 
         if not content:
             finish = FINISH_ERROR
-        resp = ChatResponse(content=content, finish_reason=finish, usage=usage)
         if self.cache is not None and finish != FINISH_ERROR:
             self.cache.put(key, {"content": content, "finish_reason": finish, "usage": usage})
-        self._record(recorder, req, prompt, content, latency_ms, retries)
-        return resp
-
-    @staticmethod
-    def _record(recorder, req, prompt, content, latency_ms, retries, cached=False):
-        if recorder is None:
-            return
-        recorder.log_call(
-            CallEntry(
-                agent_role=req.request_tag,
-                prompt_hash=content_hash(prompt),
-                response_hash=content_hash(content),
-                latency_ms=latency_ms,
-                retries=retries,
-                cached=cached,
-            )
-        )
+        return ChatResponse(content=content, finish_reason=finish, usage=usage,
+                            retries=retries, latency_ms=latency_ms)
 
 
 def build_gateway(config: BackendConfig, sleep_fn=time.sleep) -> LlmGateway:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import signal
 import sys
 import threading
@@ -23,9 +24,12 @@ from patentgen.core import (
     PGTree,
     Reference,
     SectionPlan,
+    content_hash,
     new_run_record,
+    render_draft,
 )
-from patentgen.gateway import MockPlaybook
+from patentgen.gateway import MockPlaybook, ResponseCache
+from patentgen.prompts import default_registry
 from patentgen.tags import NonContiguousIndicesError, TagMissingError
 from helpers import (
     COMPONENT_MATCHERS,
@@ -40,6 +44,7 @@ from helpers import (
     PromptFunctionBackend,
     function_gateways,
     interrupt_when,
+    mock_gateway,
     rule,
     runtime_for,
 )
@@ -566,3 +571,111 @@ def test_a_helper_that_will_not_start_stops_and_joins_the_helpers_started(draft,
     assert len(halted) == 1 and calls > 0
     time.sleep(0.05)
     assert backend.calls == calls
+
+
+def test_a_call_queued_for_a_gateway_slot_is_not_sent_once_its_task_is_halted():
+    # Tasks 1 and 2 hold both slots; task 3 has rendered its prompt and waits
+    # for one when task 0 fails. The held sends end only once task 3 is halted.
+    class Backend:
+        def __init__(self):
+            self.sent, self.lock = [], threading.Lock()
+            self.both_held, self.release = threading.Event(), threading.Event()
+
+        def send(self, req):
+            task = re.search(r"guideline for task (\d)", req.rendered_prompt()).group(1)
+            with self.lock:
+                self.sent.append(task)
+                if len(self.sent) == 2:
+                    self.both_held.set()
+            if task in "12":
+                self.release.wait(5)
+            return f"reply {task}", "stop", {}
+
+    backend = Backend()
+    record = new_run_record()
+    runtime = AgentRuntime(gateways=function_gateways(backend, 2), recorder=record)
+    gateway = runtime.gateways["default"]
+    complete, queued, halts = gateway.complete, threading.Event(), {}
+
+    def entering(req, *args, **kwargs):
+        if "guideline for task 3" in req.rendered_prompt():
+            queued.set()
+        return complete(req, *args, **kwargs)
+
+    gateway.complete = entering
+
+    def fail(rt):
+        if not (queued.wait(5) and backend.both_held.wait(5)):
+            raise AssertionError("tasks 1-3 never reached the gateway")
+        raise AgentError("task 0")
+
+    def ask(i, rt):
+        halts[i] = rt.halted
+        try:
+            return rt.ask("description", "retrieval",
+                          {"reference": "r", "guideline": f"guideline for task {i}"}, str(i), str)
+        except TaskHalted:
+            return "halted"
+
+    def release_once_task_3_is_halted():
+        deadline = time.monotonic() + 5
+        while not (3 in halts and halts[3]()) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        backend.release.set()
+
+    releaser = threading.Thread(target=release_once_task_3_is_halted)
+    releaser.start()
+    outcome = []
+
+    def call():
+        try:
+            run_tasks(runtime, [fail] + [partial(ask, i) for i in (1, 2, 3)], runners=4)
+        except AgentError as exc:
+            outcome.append(str(exc))
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(10)
+    releaser.join(10)
+    assert not caller.is_alive() and outcome == ["task 0"]
+    assert sorted(backend.sent) == ["1", "2"]
+    assert sorted(e.agent_role for e in record.entries) == ["1", "2"]
+
+
+def test_ask_logs_each_reply_with_what_the_gateway_measured(draft, tmp_path):
+    record = new_run_record()
+    gateway, _ = mock_gateway(
+        MockPlaybook([rule("patent title", {"error": "transport"}, "<Title>X</Title>")]))
+    gateway.cache = ResponseCache(tmp_path)
+    runtime = AgentRuntime(gateways={"default": gateway}, recorder=record)
+    assert [runtime.write_component("title", draft) for _ in range(2)] == ["X", "X"]
+    prompt = content_hash(default_registry().render("title_writer", draft=render_draft(draft)))
+    reply = content_hash("<Title>X</Title>")
+    assert [(e.agent_role, e.prompt_hash, e.response_hash, e.retries, e.cached)
+            for e in record.entries] == [("title", prompt, reply, 1, False),
+                                         ("title", prompt, reply, 0, True)]
+    assert record.entries[1].latency_ms == 0
+
+
+def test_an_exit_on_a_helper_thread_stops_the_call_joins_it_and_merges_the_records():
+    record = new_run_record()
+    runtime = runtime_for(MockPlaybook([]), recorder=record, max_inflight=2)
+    caller, both_started, started = threading.get_ident(), threading.Barrier(2, timeout=5), []
+    threads = threading.active_count()
+
+    def exit_or_wait(i, rt):
+        both_started.wait()
+        rt.recorder.warn(f"task {i}")
+        if threading.get_ident() != caller:
+            raise SystemExit(3)
+        deadline = time.monotonic() + 5
+        while not rt.halted() and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    tasks = [partial(exit_or_wait, 0), partial(exit_or_wait, 1)]
+    tasks += [lambda rt, i=i: started.append(i) for i in range(2, 5)]
+    with pytest.raises(SystemExit) as exited:
+        run_tasks(runtime, tasks, runners=2)
+    assert exited.value.code == 3
+    assert started == [] and threading.active_count() == threads
+    assert record.warnings == ["task 0", "task 1"]

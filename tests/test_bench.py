@@ -319,4 +319,6 @@ def test_an_interrupted_bench_leaves_a_partial_run_dir_for_each_document_it_cut_
     backend, _, seen = _interrupted_bench(tmp_path, _manifest(tmp_path, n_docs=4))
     runs = tmp_path / "interrupted" / "runs"
     statuses = {path.name: load_json(path / "status.json")["status"] for path in runs.iterdir()}
-    assert seen and statuses == {doc_id: "partial" for doc_id in seen}
+    # A document may start and be halted before its first call is sent, so
+    # every document that sent a call is partial, and so is any other that started.
+    assert seen and seen <= statuses.keys() and set(statuses.values()) == {"partial"}

@@ -1024,3 +1024,57 @@ def test_an_unreadable_input_file_is_one_error_line_naming_it(tmp_path, monkeypa
     assert line.startswith("error: ") and str(bad) in line, line
     assert calls == []
     assert not out.exists()
+
+
+def test_an_interrupted_command_exits_2_and_leaves_its_run_partial(tmp_path, monkeypatch):
+    def interrupt(self, node, ref):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(AgentRuntime, "retrieve", interrupt)
+    draft_file, config_file = _setup_generate(tmp_path, pipeline_playbook())
+    out = tmp_path / "run"
+    result = RUNNER.invoke(
+        main, ["generate", str(draft_file), "--config", str(config_file), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output == "interrupted\n"
+    assert load_json(out / "status.json")["status"] == "partial"
+
+
+def test_a_baseline_gateway_error_exits_2_and_writes_only_its_report(tmp_path):
+    draft_file = _write_draft(tmp_path / "draft.json")
+    playbook_path = tmp_path / "pb.json"
+    MockPlaybook([rule("write a complete patent document",
+                       {"error": "status", "code": 500})]).save(playbook_path)
+    config_file = _write_config(tmp_path / "config.json", playbook_path, retry_max=0)
+    out = tmp_path / "baseline"
+    result = RUNNER.invoke(main, ["baseline", str(draft_file), "--config", str(config_file),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    error = "backend 'default' failed after 1 attempts: status 500"
+    assert result.output == f"baseline call failed: {error}\n"
+    assert [p.name for p in out.iterdir()] == ["parse_report.json"]
+    assert load_json(out / "parse_report.json") == {"error": error}
+
+
+def test_build_dataset_reads_renamed_keys_through_a_field_map(tmp_path):
+    records, playbook = _one_record_corpus(tmp_path)
+    renamed = tmp_path / "renamed"
+    renamed.mkdir()
+    source = {"title": "invention_title", "claims": "claim_text", "record_id": "id",
+              "decision_label": "decision"}
+    record = load_json(records / "rec0.json")
+    (renamed / "rec0.json").write_text(json.dumps(
+        {source.get(key, key): value for key, value in record.items()}))
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(source))
+    builds = {}
+    for name, extra in (("canonical", [str(records)]),
+                        ("mapped", [str(renamed), "--field-map", str(map_file)])):
+        out = tmp_path / name
+        result = RUNNER.invoke(main, ["build-dataset", *extra, "--mock-playbook", str(playbook),
+                                      "--out", str(out), "--sizes", "1,0,0"])
+        assert result.exit_code == 0, result.output
+        builds[name] = (result.output.replace(str(out), "OUT"), tree_contents(out))
+    assert builds["mapped"] == builds["canonical"]
+    assert "accepted 1/1 records" in builds["mapped"][0]

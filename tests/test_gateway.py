@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import email.utils
 import gc
+import inspect
 import json
 import os
 import socket
@@ -9,7 +10,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -33,15 +34,14 @@ from patentgen.gateway import (
     cache_key,
     retry_after_s,
 )
-from helpers import mock_gateway, rule
+from helpers import mock_gateway, rule, runtime_for
 
 
 def _req(prompt="write the patent title", **kwargs):
     """A one-message request; a ChatRequest has no defaults, so every field
     not given here is spelled out."""
-    fields = dict(model_id="mock-model", temperature=0.5, top_p=0.9, max_tokens=4096,
-                  request_tag="untagged")
-    return ChatRequest(messages=(ChatMessage("user", prompt),), **{**fields, **kwargs})
+    spelled = dict(model_id="mock-model", temperature=0.5, top_p=0.9, max_tokens=4096)
+    return ChatRequest(messages=(ChatMessage("user", prompt),), **{**spelled, **kwargs})
 
 
 def test_playbook_rule_answers_uncached():
@@ -232,12 +232,6 @@ def test_dropped_caches_do_not_leak_file_descriptors(tmp_path):
     assert open_fds() <= before
 
 
-def test_cache_key_ignores_request_tag():
-    a = _req(request_tag="title")
-    b = _req(request_tag="claims")
-    assert cache_key(a) == cache_key(b)
-
-
 def test_cache_key_sensitive_to_sampling():
     assert cache_key(_req(temperature=0.5)) != cache_key(_req(temperature=0.6))
 
@@ -266,13 +260,12 @@ def test_scripted_429_is_retried():
 
 
 def test_transient_then_success_records_retries():
-    record = RunRecord(model_id="m")
     gateway, _ = mock_gateway(
         MockPlaybook([rule("title", {"error": "transport"}, "recovered")]), retry_max=2
     )
-    resp = gateway.complete(_req(), recorder=record)
+    resp = gateway.complete(_req())
     assert resp.content == "recovered"
-    assert [e.retries for e in record.entries] == [1]
+    assert resp.retries == 1
 
 
 def test_rpm_limiter_is_acquired_before_every_attempt():
@@ -323,12 +316,21 @@ def test_max_tokens_limit_enforced_by_gateway():
 
 def test_run_record_logs_each_call_once():
     record = RunRecord(model_id="m")
-    gateway, _ = mock_gateway(MockPlaybook([rule("title", "one"), rule("other", "two")]))
-    gateway.complete(_req(request_tag="title"), recorder=record)
-    gateway.complete(_req("other prompt", request_tag="other"), recorder=record)
+    runtime = runtime_for(MockPlaybook([rule("title", "one"), rule("other", "two")]),
+                          recorder=record)
+    for tag, guideline in (("title", "the title"), ("other", "other text")):
+        runtime.ask("description", "retrieval", {"reference": "r", "guideline": guideline},
+                    tag, str)
     assert record.role_counts() == {"title": 1, "other": 1}
     hashes = [e.prompt_hash for e in record.entries]
     assert len(set(hashes)) == 2
+
+
+def test_a_request_carries_only_what_is_sent():
+    assert [f.name for f in fields(ChatRequest)] == [
+        "model_id", "messages", "temperature", "top_p", "max_tokens"]
+    assert "recorder" not in inspect.signature(LlmGateway.complete).parameters
+    assert not hasattr(gateway_module, "CallEntry") and not hasattr(gateway_module, "RunRecord")
 
 
 def test_token_bucket_spaces_requests():
@@ -491,21 +493,20 @@ def test_http_backend_parses_wire_shape(loopback, monkeypatch):
 
 def test_http_server_error_is_retried(loopback):
     loopback.script += [(500, {"error": "busy"}), (200, _reply("second try"))]
-    record = RunRecord(model_id="m")
-    resp = _http_gateway(_url(loopback)).complete(_req(), recorder=record)
+    resp = _http_gateway(_url(loopback)).complete(_req())
     assert resp.content == "second try"
     assert len(loopback.seen) == 2
-    assert [e.retries for e in record.entries] == [1]
+    assert resp.retries == 1
 
 
 def test_http_429_honours_retry_after_seconds(loopback):
     loopback.script += [(429, {"error": "slow down"}, 0.0, {"Retry-After": "0"}),
                         (200, _reply("after the wait"))]
-    record, sleeps = RunRecord(model_id="m"), []
-    resp = _http_gateway(_url(loopback), sleeps).complete(_req(), recorder=record)
+    sleeps = []
+    resp = _http_gateway(_url(loopback), sleeps).complete(_req())
     assert resp.content == "after the wait"
     assert len(loopback.seen) == 2
-    assert [e.retries for e in record.entries] == [1]
+    assert resp.retries == 1
     assert sleeps == [0.0]
 
 
@@ -622,12 +623,11 @@ def test_reply_with_connection_close_is_not_pooled(keepalive):
 
 def test_connection_closed_by_the_server_is_replaced_without_a_retry(silent_close):
     silent_close.script.append((200, _reply("fresh")))
-    record = RunRecord(model_id="m")
     gateway = _http_gateway(_url(silent_close), retry_max=0)
     for i in range(3):
-        assert gateway.complete(_req(f"call {i}"), recorder=record).content == "fresh"
+        resp = gateway.complete(_req(f"call {i}"))
+        assert (resp.content, resp.retries) == ("fresh", 0)
         assert len(silent_close.seen) == i + 1
-    assert [e.retries for e in record.entries] == [0, 0, 0]
     assert len(silent_close.connections) == 3
 
 
@@ -671,12 +671,14 @@ def test_concurrent_sends_never_share_a_connection(keepalive):
 
     keepalive.script.append((200, echo))
     gateway = _http_gateway(_url(keepalive), max_inflight=8)
-    record, wrong = RunRecord(model_id="m"), []
+    wrong, retries = [], []
 
     def worker(w):
         for i in range(10):
             prompt = f"worker {w} call {i}"
-            if gateway.complete(_req(prompt), recorder=record).content != prompt:
+            resp = gateway.complete(_req(prompt))
+            retries.append(resp.retries)
+            if resp.content != prompt:
                 wrong.append(prompt)
 
     interval = sys.getswitchinterval()
@@ -691,7 +693,7 @@ def test_concurrent_sends_never_share_a_connection(keepalive):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert [e.retries for e in record.entries] == [0] * 80
+    assert retries == [0] * 80
     assert len(keepalive.seen) == 80
     idle = gateway.backend._idle
     assert len({id(c) for c in idle}) == len(idle) == len(keepalive.connections) <= 8
@@ -726,9 +728,9 @@ def test_mock_backend_is_deterministic_per_playbook():
             MockPlaybook([rule("title", "a", "b"), rule("claims", "c")])
         )
         return [
-            gateway.complete(_req(request_tag="title")).content,
-            gateway.complete(_req("claims here", request_tag="claims")).content,
-            gateway.complete(_req(request_tag="title")).content,
+            gateway.complete(_req()).content,
+            gateway.complete(_req("claims here")).content,
+            gateway.complete(_req()).content,
         ]
 
     assert run() == run() == ["a", "c", "b"]

@@ -644,7 +644,7 @@ def _zero_shot_request(draft, max_tokens: int) -> ChatRequest:
     """The baseline's request, field by field."""
     prompt = default_registry().render("zero_shot_full", draft=render_draft(draft))
     return ChatRequest(model_id="pinned-model", messages=(ChatMessage("user", prompt),),
-                       temperature=0.5, top_p=0.9, max_tokens=max_tokens, request_tag="zero_shot")
+                       temperature=0.5, top_p=0.9, max_tokens=max_tokens)
 
 
 def test_zero_shot_sends_one_pinned_request_and_never_re_asks(draft):

@@ -91,11 +91,12 @@ class Log:
 
 
 class TagBackend:
-    """Replies to each request with its tag, the path of the task that sent it."""
+    """Replies to each request with its prompt, which names the path of the
+    task that sent it."""
 
     @staticmethod
     def send(req):
-        return f"reply to {req.request_tag}", "stop", {}
+        return f"reply to {req.rendered_prompt()}", "stop", {}
 
 
 def run_task(path, task, log, rt):
