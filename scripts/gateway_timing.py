@@ -1,8 +1,8 @@
-"""Time the gateway's cache and hashing steps, and its HTTP transport, on
-seeded chat requests.
+"""Time the gateway's cache and hashing steps, its limiter and its HTTP
+transport, on seeded chat requests.
 
     python3 scripts/gateway_timing.py --src src --calls 500 --repeats 5 \
-        --transport-calls 2000
+        --limiter-calls 20000 --transport-calls 2000
 
 Builds --calls requests of about a generation prompt's size (1,000 words)
 and replies of about 150 words from the benchmark's synthetic vocabulary
@@ -14,6 +14,12 @@ cache_key of every request and content_hash of every rendered prompt. Prints
 one JSON object with the median of the repeats in microseconds per call, and
 the hit and miss counts, so that two source trees (--src) can be compared on
 the same inputs.
+
+The limiter section times LlmGateway.complete through a backend that
+answers at once, with no cache and max_inflight 8, so that little but the
+limiter and the retry loop is left: --limiter-calls calls from 1 thread, and the
+same number split over 8 threads. It reports the median of the repeats in
+microseconds of wall time per call.
 
 The transport section starts the benchmark's fake endpoint
 (perfbench/endpoint.py) with no added latency and sends --transport-calls
@@ -35,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -120,6 +127,37 @@ def time_transport(n: int, seed: int) -> dict:
             "reply_wait": summary_ms(wait_ms[WARMUP_CALLS:])}
 
 
+def time_limiter(calls: int, threads: int) -> float:
+    """Wall-clock microseconds per LlmGateway.complete, calls in all, split
+    over threads threads, through a backend that answers at once."""
+    from patentgen.gateway import BackendConfig, LlmGateway
+
+    class Instant:
+        def send(self, req):
+            return "ok", "stop", {}
+
+    config = BackendConfig(name="timing", kind="http", endpoint="http://127.0.0.1:9",
+                           max_inflight=8)
+    gateway = LlmGateway(Instant(), config=config)
+    req = chat_request("Time the limiter.", "limiter")
+    each = calls // threads
+    start_line = threading.Barrier(threads + 1)
+
+    def worker():
+        start_line.wait()
+        for _ in range(each):
+            gateway.complete(req)
+
+    workers = [threading.Thread(target=worker) for _ in range(threads)]
+    for w in workers:
+        w.start()
+    start_line.wait()
+    start = time.perf_counter()
+    for w in workers:
+        w.join()
+    return (time.perf_counter() - start) / (each * threads) * 1e6
+
+
 def per_call_us(fn, items) -> tuple[float, list]:
     start = time.perf_counter()
     results = [fn(item) for item in items]
@@ -133,6 +171,8 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dir", default=None, help="where the cache directories go")
+    parser.add_argument("--limiter-calls", type=int, default=0,
+                        help="time the limiter over this many calls (0: skip it)")
     parser.add_argument("--transport-calls", type=int, default=0,
                         help="time this many HTTP calls as well (0: skip the transport)")
     args = parser.parse_args()
@@ -165,6 +205,11 @@ def main() -> int:
            "prompt_chars_mean": round(statistics.mean(map(len, prompts))),
            "hits": hits, "misses": misses}
     out.update({name: round(statistics.median(v), 2) for name, v in runs.items()})
+    if args.limiter_calls > 0:
+        out["limiter"] = {"calls": args.limiter_calls, **{
+            f"complete_us_threads_{threads}": round(statistics.median(
+                time_limiter(args.limiter_calls, threads) for _ in range(args.repeats)), 2)
+            for threads in (1, 8)}}
     if args.transport_calls > 0:
         out["transport"] = time_transport(args.transport_calls, args.seed)
     print(json.dumps(out, indent=2))

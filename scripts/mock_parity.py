@@ -16,6 +16,8 @@ scenarios, run in this order with the tree's own code, one subprocess each:
 - abort_planner, abort_expand, abort_write: generate with the demo's playbook
   changed so that the planner's reply has no sections, the second section
   expansion, or the second subsection write, gets HTTP 400;
+- throttled: generate with the demo's playbook changed so that the first
+  subsection write gets HTTP 429 twice before its reply (two retries);
 - bench: a 3-document bench on the demo's playbook;
 - baseline: the zero-shot baseline on the demo's draft and playbook, whose
   reply lacks the description (exit 2);
@@ -59,7 +61,7 @@ SCENARIOS = [
 ] + [
     (name, CLI + ["generate", "inputs/draft1.json", "--mock-playbook", f"inputs/{name}.json",
                   "--out", name])
-    for name in ("abort_planner", "abort_expand", "abort_write")
+    for name in ("abort_planner", "abort_expand", "abort_write", "throttled")
 ] + [
     ("bench", CLI + ["bench", "inputs/manifest.json", "--mock-playbook", "inputs/playbook.json",
                      "--out", "bench"]),
@@ -78,6 +80,7 @@ SCENARIOS = [
 UNSET_KEY = "PATENTGEN_PARITY_UNSET_KEY"
 
 HTTP_400 = {"error": "status", "code": 400}
+HTTP_429 = {"error": "status", "code": 429}
 FULL_PATENT = ("<Patent><Title> Self-Tuning Conveyor Drive </Title>"
                "<Abstract> A load-aware drive. </Abstract>"
                "<Background> Fixed drives overheat. </Background>"
@@ -91,6 +94,7 @@ PLAYBOOK_EDITS = {
     "abort_planner": ("detailed writing guide", ["No sections in this reply."]),
     "abort_expand": ("split this section", [0, HTTP_400]),
     "abort_write": ("Just output this subsection", [0, HTTP_400]),
+    "throttled": ("Just output this subsection", [HTTP_429, HTTP_429, 0]),
     "baseline_full": ("write a complete patent document", [FULL_PATENT]),
 }
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from patentgen.agents import AgentRuntime
 from patentgen.core import DEFAULT_SECTION_ORDER, SECTION_NAMES, PatentDoc
 from patentgen.gateway import (BackendConfig, BadStatusError, LlmGateway, MockBackend,
-                               MockPlaybook, PlaybookRule)
+                               MockPlaybook, PlaybookRule, _status_failure)
 from patentgen.metrics import MetricsError
 
 
@@ -127,18 +127,25 @@ class PromptFunctionBackend:
     reviewer's verdicts, some malformed first answers that force a re-ask,
     and some empty retrievals. A prompt for which fail_when gives a text is
     answered with status 400 and that text. It counts the sends in flight
-    and keeps the peak."""
+    and keeps the peak. With a capacity, it serves at most that many sends
+    at once, as a server with a concurrency cap does: a send beyond it is
+    answered at once with a 429 and `Retry-After: 0`, counted in refused,
+    and never counts as in flight."""
 
-    def __init__(self, delay_s: float = 0.0, fail_when=None):
+    def __init__(self, delay_s: float = 0.0, fail_when=None, capacity: int | None = None):
         self.delay_s = delay_s
         self.fail_when = fail_when
-        self.calls = self.inflight = self.peak = 0
+        self.capacity = capacity
+        self.calls = self.inflight = self.peak = self.refused = 0
         self._lock = threading.Lock()
 
     def send(self, req):
         prompt = req.rendered_prompt()
         with self._lock:
             self.calls += 1
+            if self.capacity is not None and self.inflight >= self.capacity:
+                self.refused += 1
+                raise _status_failure(429, "over capacity", retry_after=0.0)
             self.inflight += 1
             self.peak = max(self.peak, self.inflight)
         try:
@@ -205,15 +212,17 @@ def interrupt_when(ready, timeout_s: float = 5.0) -> None:
     threading.Thread(target=interrupt).start()
 
 
-def tree_contents(root: Path) -> dict[str, bytes]:
-    """Every file under root by relative path. latency_ms in calls.jsonl is a
-    wall-clock reading, so it is zeroed; every other byte counts."""
+def tree_contents(root: Path, zeroed: tuple[str, ...] = ("latency_ms",)) -> dict[str, bytes]:
+    """Every file under root by relative path. The zeroed fields of each
+    calls.jsonl entry are set to 0 (by default latency_ms, a wall-clock
+    reading); every other byte counts."""
     files = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if path.name == "calls.jsonl":
             lines = [json.loads(line) for line in data.decode("utf-8").splitlines()]
-            data = "".join(json.dumps({**e, "latency_ms": 0}) + "\n" for e in lines).encode()
+            data = "".join(json.dumps({**e, **dict.fromkeys(zeroed, 0)}) + "\n"
+                           for e in lines).encode()
         files[str(path.relative_to(root))] = data
     return files
 

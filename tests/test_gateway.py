@@ -523,13 +523,172 @@ def test_http_429_honours_retry_after_http_date(loopback):
 
 
 def test_http_429_without_retry_after_backs_off_with_jitter(loopback):
+    # At width 1 the limit cannot halve, so every 429 spends a retry.
     loopback.script.append((429, {"error": "slow down"}))
     sleeps: list[float] = []
-    gateway = _http_gateway(_url(loopback), sleeps, retry_max=3, backoff_s=0.5)
+    gateway = _http_gateway(_url(loopback), sleeps, retry_max=3, backoff_s=0.5, max_inflight=1)
     with pytest.raises(TransportError, match="failed after 4 attempts: status 429"):
         gateway.complete(_req())
     assert len(loopback.seen) == 4
     assert [0.5 * 2 ** i / 2 <= s <= 0.5 * 2 ** i for i, s in enumerate(sleeps)] == [True] * 3
+
+
+@pytest.mark.parametrize("ceiling", [2, 4, 8])
+def test_an_exhausted_quota_fails_once_the_limit_is_one_and_retry_max_is_spent(loopback,
+                                                                                 ceiling):
+    # Each 429 sent while the limit was above 1 halves it and is sent again
+    # without spending a retry, after the shortest wait; once the limit is 1,
+    # each 429 spends one. So log2(ceiling) free sends come before today's.
+    # A send past those gets a reply, so a gateway that goes on sending
+    # returns instead of raising.
+    free = ceiling.bit_length() - 1
+    loopback.script += [(429, {"error": "slow down"})] * (free + 4) + [(200, _reply("too many"))]
+    sleeps: list[float] = []
+    gateway = _http_gateway(_url(loopback), sleeps, retry_max=3, backoff_s=0.5,
+                            max_inflight=ceiling)
+    with pytest.raises(TransportError, match=f"failed after {free + 4} attempts: status 429"):
+        gateway.complete(_req())
+    assert len(loopback.seen) == free + 4
+    spent = [0] * free + [0, 1, 2]
+    assert len(sleeps) == len(spent)
+    assert [0.5 * 2 ** k / 2 <= s <= 0.5 * 2 ** k for k, s in zip(spent, sleeps)] == [True] * len(spent)
+    assert (gateway.window.limit, gateway.window.generation) == (1, free)
+
+
+def test_the_default_http_ceiling_is_eight_and_the_mock_stays_at_one():
+    assert gateway_module.DEFAULT_MAX_INFLIGHT == {"mock": 1, "http": 8}
+    http = LlmGateway(object(), config=BackendConfig(kind="http", endpoint="http://x"))
+    assert (http.max_inflight, http.window.limit, http.window.ceiling) == (8, 8, 8)
+
+
+def test_a_burst_of_429s_halves_the_limit_once_and_each_is_sent_again_for_free():
+    # Eight sends go out at limit 8 and all get a 429: they belong to one
+    # generation, so only the first 429 halves the limit. retry_max is 0,
+    # so a call that spent a retry would fail.
+    barrier = threading.Barrier(8, timeout=10)
+    sends, lock = [], threading.Lock()
+
+    class Burst:
+        def send(self, req):
+            with lock:
+                sends.append(req)
+                first = len(sends) <= 8
+            if first:
+                barrier.wait()
+                raise _TransientFailure("status 429", 0.0, throttled=True)
+            return "fine", "stop", {}
+
+    gateway = LlmGateway(Burst(), config=BackendConfig(max_inflight=8, retry_max=0),
+                         sleep_fn=lambda s: None)
+    replies = []
+    threads = [threading.Thread(target=lambda: replies.append(gateway.complete(_req())))
+               for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert [(r.content, r.retries) for r in replies] == [("fine", 1)] * 8
+    assert len(sends) == 16
+    assert gateway.window.generation == 1
+    assert 4 <= gateway.window.limit <= 5  # eight replies regrow it by at most one
+    assert gateway.window.inflight == 0
+
+
+def test_many_threads_against_a_capped_server_keep_the_window_within_its_ceiling():
+    # 16 threads share a gateway of ceiling 8 against a server that admits
+    # 3 sends at once; frequent thread switches make a lost update likely to
+    # show, as a send beyond the ceiling, a failed call or a slot not given back.
+    lock = threading.Lock()
+    state = {"sends": 0, "inflight": 0, "peak": 0}
+
+    class Capped:
+        def send(self, req):
+            with lock:
+                state["sends"] += 1
+                state["inflight"] += 1
+                state["peak"] = max(state["peak"], state["inflight"])
+                refused = state["inflight"] > 3
+            try:
+                if refused:
+                    raise _TransientFailure("status 429", 0.0, throttled=True)
+                time.sleep(0.0002)
+                return "fine", "stop", {}
+            finally:
+                with lock:
+                    state["inflight"] -= 1
+
+    gateway = LlmGateway(Capped(), config=BackendConfig(max_inflight=8, retry_max=0),
+                         sleep_fn=lambda s: None)
+    retries, errors = [], []
+
+    def worker():
+        for _ in range(40):
+            try:
+                retries.append(gateway.complete(_req()).retries)
+            except TransportError as exc:
+                errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(retries) == 640
+    assert state["sends"] == sum(1 + r for r in retries)
+    assert state["peak"] <= 8
+    assert gateway.window.inflight == 0 and 1 <= gateway.window.limit <= 8
+
+
+def test_the_limit_climbs_back_to_the_ceiling_once_the_throttling_stops():
+    # Three 429s halve 8 to 1 for free; then the limit grows by one after as
+    # many replies in a row as the limit: 1 + 2 + ... + 7 = 28 replies.
+    playbook = MockPlaybook([rule("throttled", *[{"error": "status", "code": 429}] * 3, "ok"),
+                             rule("title", "<Title>X</Title>")])
+    gateway, backend = mock_gateway(playbook, retry_max=0, max_inflight=8)
+    assert gateway.complete(_req("throttled")).retries == 3
+    assert (gateway.window.limit, gateway.window.generation) == (2, 3)
+    for replies, limit in ((20, 7), (6, 7), (1, 8), (20, 8)):
+        for _ in range(replies):
+            gateway.complete(_req())
+        assert gateway.window.limit == limit
+    assert gateway.window.generation == 3
+    assert backend.calls == 4 + 47
+
+
+def test_a_scripted_429_at_width_one_spends_a_retry_as_before():
+    playbook = MockPlaybook([rule("title", *[{"error": "status", "code": 429}] * 2, "late")])
+    sleeps: list[float] = []
+    config = BackendConfig(kind="mock", retry_max=2, backoff_s=0.5)
+    gateway = LlmGateway(gateway_module.MockBackend(playbook, config), config=config,
+                         sleep_fn=sleeps.append)
+    resp = gateway.complete(_req())
+    assert (resp.content, resp.retries) == ("late", 2)
+    assert [0.5 * 2 ** k / 2 <= s <= 0.5 * 2 ** k for k, s in enumerate(sleeps)] == [True] * 2
+    assert (gateway.window.limit, gateway.window.generation) == (1, 0)
+    playbook.rules[0]._cursor = 0
+    strict = replace(config, retry_max=1)
+    gateway = LlmGateway(gateway_module.MockBackend(playbook, strict), config=strict,
+                         sleep_fn=lambda s: None)
+    with pytest.raises(TransportError, match="failed after 2 attempts: status 429"):
+        gateway.complete(_req())
+
+
+def test_a_server_error_leaves_the_limit_alone():
+    playbook = MockPlaybook([rule("title", {"error": "status", "code": 503},
+                                  {"error": "transport"}, "ok")])
+    gateway, _ = mock_gateway(playbook, retry_max=2, max_inflight=8)
+    assert gateway.complete(_req()).retries == 2
+    assert (gateway.window.limit, gateway.window.generation) == (8, 0)
+    with pytest.raises(TransportError, match="failed after 1 attempts"):
+        mock_gateway(MockPlaybook([rule("title", {"error": "status", "code": 503})]),
+                     retry_max=0, max_inflight=8)[0].complete(_req())
 
 
 def test_inflight_slot_is_free_during_backoff():
@@ -544,8 +703,7 @@ def test_inflight_slot_is_free_during_backoff():
             return "fine", "stop", {}
 
     def sleep(seconds):
-        assert gateway._inflight.acquire(blocking=False)
-        gateway._inflight.release()
+        assert (gateway.window.inflight, gateway.window.limit) == (0, 1)
 
     gateway = LlmGateway(Flaky(), config=BackendConfig(max_inflight=1), sleep_fn=sleep)
     assert gateway.complete(_req()).content == "fine"

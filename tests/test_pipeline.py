@@ -374,6 +374,34 @@ def test_run_dir_is_the_same_at_every_width(draft, tmp_path, expansion):
         assert len(json.loads(runs[1]["warnings.json"])["warnings"]) > 1
 
 
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+def test_a_capped_server_narrows_the_limit_and_the_run_dir_stays_the_same(draft, tmp_path,
+                                                                          capacity):
+    # The server answers every send beyond its capacity with a 429, and
+    # retry_max is 0: a run wider than the server completes only because a
+    # 429 halves the gateway's limit and its call is sent again for free.
+    def run(width, **backend_kwargs):
+        backend = PromptFunctionBackend(delay_s=0.001, **backend_kwargs)
+        gateways = function_gateways(backend, width)
+        run_dir = tmp_path / f"c{capacity}-width{width}"
+        PatentPipeline(gateways, run_dir=run_dir).run(draft, PipelineConfig())
+        return backend, gateways["default"].window, run_dir
+
+    _, _, narrow = run(1)
+    want = tree_contents(narrow, zeroed=("latency_ms", "retries"))
+    for width in (2, 4, 8):
+        backend, window, run_dir = run(width, capacity=capacity)
+        assert tree_contents(run_dir, zeroed=("latency_ms", "retries")) == want
+        retries = [json.loads(line)["retries"]
+                   for line in (run_dir / "calls.jsonl").read_text().splitlines()]
+        assert backend.calls == sum(1 + r for r in retries)
+        assert backend.refused == sum(retries)
+        assert backend.peak <= capacity
+        if width <= capacity:
+            assert (backend.refused, window.generation) == (0, 0)
+        assert window.inflight == 0
+
+
 def test_a_width_one_run_starts_no_thread(draft, monkeypatch):
     def start(thread):
         raise AssertionError(f"a width-1 run started thread {thread.name}")
