@@ -18,6 +18,9 @@ scenarios, run in this order with the tree's own code, one subprocess each:
   expansion, or the second subsection write, gets HTTP 400;
 - throttled: generate with the demo's playbook changed so that the first
   subsection write gets HTTP 429 twice before its reply (two retries);
+- cached, cached_rerun: generate with a config whose one backend is the
+  demo's playbook and whose cache_dir is cached/cache, first over the fresh
+  cache (into cached/run), then over the warm one;
 - bench: a 3-document bench on the demo's playbook;
 - baseline: the zero-shot baseline on the demo's draft and playbook, whose
   reply lacks the description (exit 2);
@@ -62,6 +65,9 @@ SCENARIOS = [
     (name, CLI + ["generate", "inputs/draft1.json", "--mock-playbook", f"inputs/{name}.json",
                   "--out", name])
     for name in ("abort_planner", "abort_expand", "abort_write", "throttled")
+] + [
+    (name, CLI + ["generate", "inputs/draft1.json", "--config", "inputs/cached.json", "--out", out])
+    for name, out in (("cached", "cached/run"), ("cached_rerun", "cached_rerun"))
 ] + [
     ("bench", CLI + ["bench", "inputs/manifest.json", "--mock-playbook", "inputs/playbook.json",
                      "--out", "bench"]),
@@ -127,6 +133,9 @@ def write_inputs(tree: Path, out: Path) -> None:
                              for r in responses]
         (out / f"{name}.json").write_text(json.dumps(record), "utf-8")
     (out / "bad.json").write_text("{not json", "utf-8")
+    (out / "cached.json").write_text(json.dumps({
+        "backends": {"default": {"kind": "mock", "playbook_path": "inputs/playbook.json"}},
+        "cache_dir": "cached/cache"}), "utf-8")
     # Port 9 on the loopback: the key is checked before anything is sent.
     (out / "unset_key.json").write_text(json.dumps({"backends": {"default": {
         "kind": "http", "endpoint": "http://127.0.0.1:9/v1", "api_key_env": UNSET_KEY}}}),

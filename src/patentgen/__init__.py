@@ -10,7 +10,6 @@ from .core import (
     GuidelineNode,
     PatentDoc,
     PGTree,
-    Reference,
     ReviewVerdict,
     RunRecord,
     make_draft,
@@ -28,7 +27,6 @@ __all__ = [
     "PatentDoc",
     "PatentPipeline",
     "PipelineConfig",
-    "Reference",
     "ReviewVerdict",
     "RunRecord",
     "make_draft",

@@ -30,17 +30,11 @@ from .core import (
     COMPONENT_ROLES,
     SECTION_TAGS,
     CallEntry,
-    Draft,
     GuidelineNode,
-    PGTree,
-    Reference,
     ReviewVerdict,
     RunRecord,
     content_hash,
     new_run_record,
-    render_draft,
-    render_pgtree,
-    render_reference,
 )
 from .gateway import CallHalted, ChatMessage, ChatRequest, LlmGateway, check_sampling
 from .prompts import PromptRegistry, default_registry
@@ -96,7 +90,6 @@ def strip_leading_filler(text: str) -> str:
 
 @dataclass(frozen=True)
 class AgentBinding:
-    role: str
     backend: str = "default"
     model_id: str | None = None
     temperature: float = 0.5
@@ -114,7 +107,7 @@ def default_bindings() -> dict[str, AgentBinding]:
     """The binding of every agent role; a run config may override fields of
     these and of nothing else. Every role emits short texts except the
     description writer, whose subsections get twice the room."""
-    return {role: AgentBinding(role, max_tokens=8192 if role == "description" else 4096)
+    return {role: AgentBinding(max_tokens=8192 if role == "description" else 4096)
             for role in AGENT_ROLES}
 
 
@@ -128,6 +121,9 @@ class AgentRuntime:
     recorder: RunRecord | None = None
     # Whether this task must make no more model calls; run_tasks sets it.
     halted: Callable[[], bool] = lambda: False
+    # How many times this runtime has asked for each (role, prompt hash).
+    # Every copy, and so each task of run_tasks, starts from none.
+    _asked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def width(self) -> int:
@@ -147,6 +143,12 @@ class AgentRuntime:
         at once. Once the runtime is halted, the next call, first or re-ask,
         raises TaskHalted instead of being rendered or sent, even from the
         queue for a gateway slot; a call that raises logs nothing.
+
+        The gateway gets the number of identical requests (same role, same
+        prompt) this runtime made before, so that a response cache replays
+        the k-th reply to the k-th of them: an unchanged refinement is
+        reviewed afresh, as it is without a cache. The count is the task's
+        own, so it does not depend on the width.
         """
         binding = self.bindings[role]
         gateway = self.gateways[binding.backend]
@@ -163,13 +165,16 @@ class AgentRuntime:
                 top_p=binding.top_p,
                 max_tokens=binding.max_tokens,
             )
+            prompt_hash = content_hash(request.rendered_prompt())
+            occurrence = self._asked.get((role, prompt_hash), 0)
+            self._asked[role, prompt_hash] = occurrence + 1
             try:
-                resp = gateway.complete(request, self.halted)
+                resp = gateway.complete(request, self.halted, occurrence)
             except CallHalted as exc:
                 raise TaskHalted(str(exc)) from None
             if self.recorder is not None:
                 self.recorder.log_call(CallEntry(
-                    agent_role=tag, prompt_hash=content_hash(request.rendered_prompt()),
+                    agent_role=tag, prompt_hash=prompt_hash,
                     response_hash=content_hash(resp.content), latency_ms=resp.latency_ms,
                     retries=resp.retries, cached=resp.cached))
             try:
@@ -181,7 +186,11 @@ class AgentRuntime:
 
     # --- short components ---------------------------------------------
 
-    def write_component(self, role: str, draft: Draft) -> str:
+    # Each method below takes its prompt's slot texts: draft, tree and
+    # reference are the rendered draft, guideline tree and reference, which a
+    # run renders once.
+
+    def write_component(self, role: str, draft: str) -> str:
         if role not in COMPONENT_ROLES:
             raise AgentError(f"{role!r} is not a short-component role")
         tag = SECTION_TAGS[role]
@@ -197,59 +206,58 @@ class AgentRuntime:
             f"Respond again and wrap the {role} exactly as: <{tag}>...</{tag}>"
         )
         return self.ask(
-            role, f"{role}_writer", {"draft": render_draft(draft)}, role, parse, reminder
+            role, f"{role}_writer", {"draft": draft}, role, parse, reminder
         )
 
     # --- planning --------------------------------------------------------
 
-    def plan_first_level(self, draft: Draft) -> list[tuple[int, str]]:
+    def plan_first_level(self, draft: str) -> list[tuple[int, str]]:
         reminder = (
             "Your previous response did not follow the required format. Respond again "
             "using <Section-1> ... </Section-1>, <Section-2> ... </Section-2> blocks "
             "numbered consecutively from 1."
         )
         return self.ask(
-            "planner", "planner", {"draft": render_draft(draft)}, TAG_PLAN,
+            "planner", "planner", {"draft": draft}, TAG_PLAN,
             lambda c: extract_sections(c), reminder,
         )
 
-    def expand_section(self, draft: Draft, section_overview: str) -> list[tuple[int, str]]:
+    def expand_section(self, draft: str, section_overview: str) -> list[tuple[int, str]]:
         reminder = (
             "Your previous response did not follow the required format. Respond again "
             "using <Subsection-1> ... </Subsection-1> blocks numbered consecutively from 1."
         )
         return self.ask(
             "planner", "section_expand",
-            {"draft": render_draft(draft), "section_overview": section_overview},
+            {"draft": draft, "section_overview": section_overview},
             TAG_EXPAND, lambda c: extract_sections(c, "Subsection"), reminder,
         )
 
     # --- description writing ------------------------------------------
 
-    def retrieve(self, node: GuidelineNode, ref: Reference) -> str:
+    def retrieve(self, node: GuidelineNode, reference: str) -> str:
         """What the model copied out of the reference for node, stripped; it
         may be empty."""
         return self.ask(
             "description", "retrieval",
-            {"reference": render_reference(ref), "guideline": node.guideline_text},
+            {"reference": reference, "guideline": node.guideline_text},
             TAG_RETRIEVE, str.strip,
         )
 
-    def write_subsection(self, node: GuidelineNode, retrieved: str, tree: PGTree,
-                         draft: Draft) -> str:
+    def write_subsection(self, node: GuidelineNode, retrieved: str, tree: str) -> str:
         slots = {
             "retrieved": retrieved,
-            "tree_overview": render_pgtree(tree),
+            "tree_overview": tree,
             "guideline": node.guideline_text,
         }
         return self.ask("description", "description_write", slots, TAG_WRITE, _description_text,
                         _DESCRIPTION_REMINDER)
 
-    def refine(self, node: GuidelineNode, subsection: str, feedback: str, tree: PGTree) -> str:
+    def refine(self, node: GuidelineNode, subsection: str, feedback: str, tree: str) -> str:
         if not feedback.strip():
             raise AgentError("refine requires non-empty feedback")
         slots = {
-            "tree_overview": render_pgtree(tree),
+            "tree_overview": tree,
             "guideline": node.guideline_text,
             "subsection": subsection,
             "feedback": feedback,
@@ -259,11 +267,11 @@ class AgentRuntime:
 
     # --- review ----------------------------------------------------------
 
-    def review(self, node: GuidelineNode, subsection: str, draft: Draft) -> ReviewVerdict:
+    def review(self, node: GuidelineNode, subsection: str, draft: str) -> ReviewVerdict:
         if not subsection.strip():
             raise AgentError("review requires a non-empty subsection")
         slots = {
-            "draft": render_draft(draft),
+            "draft": draft,
             "guideline": node.guideline_text,
             "subsection": subsection,
         }

@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from .agents import run_tasks
-from .core import ConfigError, load_draft, load_json, patent_to_text
+from .core import ConfigError, load_draft, load_json, make_dir, patent_to_text
 from .metrics import (
     BLEU_SPEC,
     IrrConfig,
@@ -182,8 +182,7 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
     def save(self, out_dir: Path | str) -> None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_dir(out_dir)
         (out_dir / "report.json").write_text(
             json.dumps(self.to_record(), indent=2, sort_keys=True) + "\n", "utf-8"
         )
@@ -291,8 +290,7 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
     order, on a mock. With resume, a complete run dir made under pipeline_cfg
     is reused. A document that fails is a failed row."""
     docs = _check_manifest(manifest)
-    generated_dir = out / "generated"
-    generated_dir.mkdir(parents=True, exist_ok=True)
+    generated_dir = make_dir(out / "generated")
     config_record = pipeline_cfg.to_record()
 
     def run_one(entry: dict, runtime: PatentPipeline) -> str | None:

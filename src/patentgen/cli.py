@@ -16,10 +16,9 @@ import click
 
 from .agents import AgentRuntime
 from .bench import MetricConfig, report_from_record, run_bench, score_directories
-from .core import ConfigError, load_draft, load_json, patent_to_text
-from .datakit import (DatasetBuilder, IngestConfig, SFT_KINDS, build_dataset, check_split_sizes,
-                      export_sft, load_field_map, load_records, make_splits,
-                      write_build_artifacts)
+from .core import ConfigError, load_draft, load_json, make_dir, patent_to_text
+from .datakit import (DatasetBuilder, SFT_KINDS, build_dataset, check_split_sizes, export_sft,
+                      load_field_map, load_records, make_splits, write_build_artifacts)
 from .gateway import GatewayError
 from .pipeline import PatentPipeline, PipelineAborted, load_run_config, run_zero_shot
 
@@ -157,8 +156,7 @@ def build_dataset_cmd(records_path, config_file, mock_playbook, out_dir, sizes, 
     """Build drafts + quality gate + splits + SFT exports from RECORDS_PATH."""
     gateways, bindings, _ = load_run_config(config_file, mock_playbook)
     field_map = load_field_map(field_map_file) if field_map_file else {}
-    ingest_cfg = IngestConfig(accept_label=accept_label, field_map=field_map)
-    records, ingest_skips = load_records(records_path, ingest_cfg)
+    records, ingest_skips = load_records(records_path, accept_label, field_map)
     size_tuple = _parse_sizes(sizes) if sizes else None
     if size_tuple and sum(size_tuple) > len(records):
         # Only ingested records can pass the gate, so the splits cannot fill.
@@ -173,15 +171,13 @@ def build_dataset_cmd(records_path, config_file, mock_playbook, out_dir, sizes, 
         raise ConfigError(f"unknown export kinds {bad_kinds}; expected {list(SFT_KINDS)}")
     if skip_trees and "D2W" in kind_list:
         raise ConfigError("D2W exports guideline trees, which --skip-trees does not collect")
+    workdir = make_dir(out_dir)
 
     runtime = AgentRuntime(gateways=gateways, bindings=bindings)
     builder = DatasetBuilder(runtime, corrected_reviewer_mapping=corrected_reviewer_mapping)
     build = build_dataset(builder, records, collect_trees=not skip_trees)
     build.skips = ingest_skips + build.skips
     manifest = make_splits(build.accepted_ids, sizes=size_tuple, seed=seed)
-
-    workdir = Path(out_dir)
-    workdir.mkdir(parents=True, exist_ok=True)
     write_build_artifacts(build, manifest, workdir)
     for kind in kind_list:
         report = export_sft(kind, manifest, build, workdir / "exports")

@@ -249,35 +249,16 @@ def render_pgtree(tree: PGTree) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Reference:
-    """Bundle of the five short components plus the draft, consulted during
-    description writing. Every component must be non-empty."""
-
-    title: str
-    abstract: str
-    background: str
-    summary: str
-    claims: str
-    draft: Draft
-
-    def __post_init__(self):
-        _reject_empty(self, COMPONENT_ROLES)
-
-
-def render_fields(obj, names) -> str:
-    """obj's named text fields as `Name: text` blocks joined by blank lines;
+def render_fields(fields: dict[str, str]) -> str:
+    """fields as `Name: text` blocks joined by blank lines, in the dict's order;
     the reference and dataset records render through it, so it is byte-stable."""
-    return "\n\n".join(f"{name.capitalize()}: {getattr(obj, name)}" for name in names)
+    return "\n\n".join(f"{name.capitalize()}: {text}" for name, text in fields.items())
 
 
-def render_reference(ref: Reference) -> str:
-    return f"{render_fields(ref, COMPONENT_ROLES)}\n\nDraft:\n{render_draft(ref.draft)}"
-
-
-class VerdictResult:
-    PASS = "Pass"
-    FAIL = "Fail"
+def render_reference(components: dict[str, str], draft: str) -> str:
+    """The reference slot: the five short components, then the rendered draft."""
+    fields = render_fields({role: components[role] for role in COMPONENT_ROLES})
+    return f"{fields}\n\nDraft:\n{draft}"
 
 
 @dataclass(frozen=True)
@@ -286,14 +267,14 @@ class ReviewVerdict:
     advice: str
 
     def __post_init__(self):
-        if self.result not in (VerdictResult.PASS, VerdictResult.FAIL):
+        if self.result not in ("Pass", "Fail"):
             raise CoreError(f"verdict result must be Pass or Fail, got {self.result!r}")
         if not self.advice.strip():
             raise CoreError("verdict advice must be non-empty")
 
     @property
     def passed(self) -> bool:
-        return self.result == VerdictResult.PASS
+        return self.result == "Pass"
 
 
 @dataclass(frozen=True)
@@ -417,9 +398,6 @@ class PatentDoc:
     def section(self, name: str) -> str:
         return getattr(self, name)
 
-    def sections_in_order(self) -> list[tuple[str, str]]:
-        return [(name, self.section(name)) for name in self.section_order]
-
 
 def patent_to_text(doc: PatentDoc, headers: bool = True) -> str:
     """Plain-text serialization.
@@ -429,7 +407,8 @@ def patent_to_text(doc: PatentDoc, headers: bool = True) -> str:
     used for scoring against reference patents).
     """
     blocks = []
-    for name, text in doc.sections_in_order():
+    for name in doc.section_order:
+        text = doc.section(name)
         if headers:
             blocks.append(f"# {name.upper()}\n\n{text}")
         else:
@@ -452,8 +431,20 @@ def patent_to_record(doc: PatentDoc) -> dict:
     }
 
 
-def dump_json(payload: dict, path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def json_text(payload: dict) -> str:
+    """payload as the text of a run dir's JSON file: indented, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def make_dir(path) -> Path:
+    """path as a directory, made with its parents if missing. A path that
+    cannot be one, such as an existing file, is a ConfigError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc}") from exc
+    return path
 
 
 def read_input(path, what: str = "file", parse=str):

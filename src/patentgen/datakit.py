@@ -85,17 +85,7 @@ class PatentRecord:
 
 def render_record(rec: PatentRecord) -> str:
     """Full record text used to condition the simulated inventor."""
-    return render_fields(rec, SECTION_NAMES)
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    accept_label: str = "ACCEPTED"
-    # canonical field -> key in the source records; identity when omitted
-    field_map: dict = field(default_factory=dict)
-
-    def source_key(self, name: str) -> str:
-        return self.field_map.get(name, name)
+    return render_fields({name: rec.section(name) for name in SECTION_NAMES})
 
 
 def load_field_map(path: Path | str) -> dict:
@@ -116,21 +106,26 @@ def load_field_map(path: Path | str) -> dict:
     return field_map
 
 
-def _record_from_raw(raw: dict, cfg: IngestConfig, fallback_id: str) -> PatentRecord:
+def _record_from_raw(raw: dict, field_map: dict, fallback_id: str) -> PatentRecord:
+    def value(name, default=""):
+        return str(raw.get(field_map.get(name, name), default))
+
     return PatentRecord(
-        record_id=str(raw.get(cfg.source_key("record_id"), fallback_id)),
-        decision_label=str(raw.get(cfg.source_key("decision_label"), "")),
-        **{name: str(raw.get(cfg.source_key(name), "")) for name in SECTION_NAMES},
+        record_id=value("record_id", fallback_id),
+        decision_label=value("decision_label"),
+        **{name: value(name) for name in SECTION_NAMES},
     )
 
 
-def load_records(path: Path | str, cfg: IngestConfig | None = None):
+def load_records(path: Path | str, accept_label: str = "ACCEPTED", field_map: dict | None = None):
     """Read records from a directory of .json files or one .jsonl file.
+    field_map maps a canonical field to the source records' key for it; a
+    field it omits keeps its own name.
 
     Returns (records, skips); only records with the accept label and all six
     sections non-empty are kept.
     """
-    cfg = cfg or IngestConfig()
+    field_map = field_map or {}
     path = Path(path)
     # (fallback record id, where the record is, its JSON text)
     sources: list[tuple[str, str, str]] = []
@@ -153,11 +148,11 @@ def load_records(path: Path | str, cfg: IngestConfig | None = None):
             raise DatakitError(f"{where}: {exc}") from None
         if not isinstance(raw, dict):
             raise DatakitError(f"{where}: record is not a JSON object")
-        rec = _record_from_raw(raw, cfg, fallback_id)
-        if rec.decision_label != cfg.accept_label:
+        rec = _record_from_raw(raw, field_map, fallback_id)
+        if rec.decision_label != accept_label:
             skips.append(
                 {"record_id": rec.record_id, "stage": "ingest",
-                 "reason": f"decision label {rec.decision_label!r} != {cfg.accept_label!r}"}
+                 "reason": f"decision label {rec.decision_label!r} != {accept_label!r}"}
             )
             continue
         empty = [name for name in SECTION_NAMES if not rec.section(name).strip()]

@@ -137,8 +137,10 @@ class ChatResponse:
             raise GatewayError("empty content must carry finish_reason=error")
 
 
-def cache_key(req: ChatRequest) -> str:
-    """Stable hash over everything that affects the completion."""
+def cache_key(req: ChatRequest, occurrence: int = 0) -> str:
+    """Stable hash over everything that affects the completion. occurrence
+    counts the identical requests made before this one in the same task;
+    each has a key of its own, and the first is keyed by the hash alone."""
     payload = json.dumps(
         {
             "model_id": req.model_id,
@@ -150,7 +152,8 @@ def cache_key(req: ChatRequest) -> str:
         sort_keys=True,
         ensure_ascii=False,
     )
-    return content_hash(payload)
+    key = content_hash(payload)
+    return f"{key}#{occurrence}" if occurrence else key
 
 
 # --- backend configuration ------------------------------------------------
@@ -230,7 +233,9 @@ class MockPlaybook:
 
     @staticmethod
     def from_record(record: dict) -> "MockPlaybook":
-        """A playbook from its JSON object; ConfigError names the first bad rule."""
+        """A playbook from its JSON object; ConfigError names the first bad
+        rule or response. A response is a reply text, {"error": "transport"}
+        or {"error": "status", "code": <an int from 100 to 599>}."""
         rules = record.get("rules", []) if isinstance(record, dict) else None
         if not isinstance(rules, list):
             raise ConfigError("a playbook must be a JSON object with a list of rules")
@@ -245,10 +250,15 @@ class MockPlaybook:
                 except re.error as exc:
                     raise ConfigError(
                         f"playbook rule {i}: bad regex {r['match']!r}: {exc}") from exc
+            for response in r["responses"]:
+                _check_response(response, f"playbook rule {i}")
+        default = record.get("default_response")
+        if default is not None:
+            _check_response(default, "playbook default_response")
         return MockPlaybook(
             [PlaybookRule(r["match"], list(r["responses"]), bool(r.get("regex", False)))
              for r in rules],
-            record.get("default_response"),
+            default,
         )
 
     @staticmethod
@@ -269,6 +279,18 @@ class MockPlaybook:
         Path(path).write_text(
             json.dumps(self.to_record(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
         )
+
+
+def _check_response(response, where: str) -> None:
+    """ConfigError naming where unless response is one a playbook may hold."""
+    if isinstance(response, str) or response == {"error": "transport"}:
+        return
+    if isinstance(response, dict) and response.keys() == {"error", "code"}:
+        code = response["code"]
+        if response["error"] == "status" and type(code) is int and 100 <= code <= 599:
+            return
+    raise ConfigError(f"{where}: bad response {response!r}; expected a string, "
+                      '{"error": "transport"} or {"error": "status", "code": <100-599>}')
 
 
 class MockBackend:
@@ -299,13 +321,10 @@ class MockBackend:
                         f"no playbook rule matched the request (prompt head: {prompt[:80]!r})")
                 item = self.playbook.default_response
         if isinstance(item, dict):
-            kind = item.get("error")
-            if kind == "transport":
+            if item["error"] == "transport":
                 raise _TransientFailure("scripted transport failure")
-            if kind == "status":
-                raise _status_failure(int(item.get("code", 500)), "scripted")
-            raise RequestError(f"bad playbook directive {item!r}")
-        content = str(item)
+            raise _status_failure(item["code"], "scripted")
+        content = item
         usage = {
             "prompt_tokens": len(prompt.split()),
             "completion_tokens": len(content.split()),
@@ -681,9 +700,10 @@ class LlmGateway:
         self._sleep = sleep_fn
         self._jitter = random.Random()
 
-    def complete(self, req: ChatRequest, halted=None) -> ChatResponse:
-        """The reply to req. A call for which halted() holds once it has a
-        slot gives the slot back unsent and raises CallHalted."""
+    def complete(self, req: ChatRequest, halted=None, occurrence: int = 0) -> ChatResponse:
+        """The reply to req, from the cache under cache_key(req, occurrence)
+        when it holds one. A call for which halted() holds once it has a slot
+        gives the slot back unsent and raises CallHalted."""
         if req.max_tokens > self.config.max_tokens_limit:
             raise RequestError(
                 f"max_tokens {req.max_tokens} exceeds the backend limit "
@@ -692,7 +712,7 @@ class LlmGateway:
 
         key = None
         if self.cache is not None:
-            key = cache_key(req)
+            key = cache_key(req, occurrence)
             hit = self.cache.get(key)
             if hit is not None:
                 return ChatResponse(

@@ -74,12 +74,6 @@ class SentenceSet:
     def n(self) -> int:
         return len(self.sentences)
 
-    @property
-    def short_flags(self) -> tuple[bool, ...]:
-        """Per sentence, whether it has fewer than 3 tokens after stopword
-        removal. Computed when read, not at split time, as no metric uses it."""
-        return tuple(len(tokenize_for_similarity(s)) < 3 for s in self.sentences)
-
 
 # A terminator followed by whitespace or the end of the paragraph; `\s`
 # matches exactly the characters for which str.isspace() is true.
@@ -112,7 +106,7 @@ def _split_block(block: str) -> list[str]:
 def split_sentences(text: str) -> SentenceSet:
     """Sentence segmentation: terminator-plus-whitespace within paragraphs,
     plus blank-line boundaries. Short segments (< 3 tokens after stopword
-    removal) are kept but flagged."""
+    removal) are kept."""
     sentences: list[str] = []
     for block in re.split(r"\n\s*\n", text):
         sentences.extend(_split_block(block))
@@ -144,7 +138,6 @@ class IrrResult:
     value: float
     pair_sum: int
     total_pairs: int
-    config: IrrConfig
 
 
 def _pair_sum(token_sets: tuple[frozenset[str], ...],
@@ -197,22 +190,12 @@ def _irr_results(ss: SentenceSet, cfgs: tuple[IrrConfig, ...]) -> tuple[IrrResul
         value = total_pairs / (pair_sum + cfg.epsilon)
         if cfg.cap is not None:
             value = min(value, cfg.cap)
-        results.append(
-            IrrResult(value=value, pair_sum=pair_sum, total_pairs=total_pairs, config=cfg)
-        )
+        results.append(IrrResult(value=value, pair_sum=pair_sum, total_pairs=total_pairs))
     return tuple(results)
 
 
-def irr_report(ss: SentenceSet, cfg: IrrConfig) -> IrrResult:
-    return _irr_results(ss, (cfg,))[0]
-
-
-def irr(ss: SentenceSet, cfg: IrrConfig) -> float:
-    return irr_report(ss, cfg).value
-
-
 def irr_of_text(text: str, cfg: IrrConfig) -> IrrResult:
-    return irr_report(split_sentences(text), cfg)
+    return _irr_results(split_sentences(text), (cfg,))[0]
 
 
 # --- ROUGE -------------------------------------------------------------------

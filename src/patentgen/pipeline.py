@@ -50,19 +50,21 @@ from .core import (
     GuidelineNode,
     PatentDoc,
     PGTree,
-    Reference,
     RefinementRound,
     ReviewVerdict,
     SectionPlan,
     SubsectionDraft,
     check_section_order,
     draft_to_record,
-    dump_json,
+    json_text,
     load_json,
+    make_dir,
     new_run_record,
     patent_to_record,
     patent_to_text,
     render_draft,
+    render_pgtree,
+    render_reference,
 )
 from .gateway import (BackendConfig, GatewayError, LlmGateway, RequestError, ResponseCache,
                       build_gateway)
@@ -180,7 +182,7 @@ def load_run_config(config_file: str | None, mock_playbook: str | None = None,
     for role, record in agents.items():
         if role not in bindings:
             raise ConfigError(f"unknown agent role {role!r}; expected one of {list(bindings)}")
-        bindings[role] = config_record(bindings[role], record, f"agents.{role}", ("role",))
+        bindings[role] = config_record(bindings[role], record, f"agents.{role}")
     for role, binding in bindings.items():
         check_binding(binding, gateways, f"agents.{role}")
 
@@ -234,8 +236,14 @@ class PatentPipeline(AgentRuntime):
     run_dir: Path | None = None
 
     def run(self, draft: Draft, cfg: PipelineConfig) -> PatentDoc:
+        """The patent drafted from draft. A run_dir that cannot be a
+        directory is a ConfigError before any call."""
+        if self.run_dir is not None:
+            make_dir(self.run_dir)
         record = new_run_record(model_id=self.gateways["default"].config.model_id)
         runtime = replace(self, recorder=record)
+        # Each prompt slot's text is rendered once per run.
+        draft_text = render_draft(draft)
         # Each task stores its result as it finishes, so an abort persists
         # whatever finished.
         components: dict[str, str] = {}
@@ -243,39 +251,39 @@ class PatentPipeline(AgentRuntime):
         subs: dict[tuple[int, int], SubsectionDraft] = {}
 
         def write(role, rt):
-            components[role] = rt.write_component(role, draft)
+            components[role] = rt.write_component(role, draft_text)
 
         def write_components(rt):
             run_tasks(rt, [partial(write, role) for role in COMPONENT_ROLES])
 
         def expand(index, overview, rt):
-            return plan_section(index, overview, cfg, partial(rt.expand_section, draft),
+            return plan_section(index, overview, cfg, partial(rt.expand_section, draft_text),
                                 rt.recorder.warn)
 
         def plan(rt):
             nonlocal tree
             sections = run_tasks(rt, [partial(expand, index, overview)
-                                      for index, overview in rt.plan_first_level(draft)])
+                                      for index, overview in rt.plan_first_level(draft_text)])
             tree = PGTree(sections=tuple(sections))
 
-        def write_node(node, reference, rt):
-            subs[node.node_id] = rt._one_subsection(node, reference, tree, draft, cfg)
+        def write_node(node, rt):
+            subs[node.node_id] = rt._one_subsection(node, reference, tree_text, draft_text, cfg)
 
         try:
             run_tasks(runtime, [write_components, plan])
-            reference = Reference(**components, draft=draft)
+            reference = render_reference(components, draft_text)
+            tree_text = render_pgtree(tree)
             nodes = tree.nodes()
-            run_tasks(runtime, [partial(write_node, node, reference) for node in nodes],
-                      runners=len(nodes))
+            run_tasks(runtime, [partial(write_node, node) for node in nodes], runners=len(nodes))
             doc = PatentDoc(**components,
                             description="\n\n".join(subs[node.node_id].text for node in nodes),
                             section_order=cfg.section_order, generation_meta=record)
         except BaseException as exc:
-            self._persist(draft, cfg, record, components, tree, subs, error=exc)
+            self._persist(draft, draft_text, cfg, record, components, tree, subs, error=exc)
             if isinstance(exc, (AgentError, CoreError, GatewayError, TagError)):
                 raise PipelineAborted(f"pipeline aborted: {exc}") from exc
             raise
-        self._persist(draft, cfg, record, components, tree, subs, doc=doc)
+        self._persist(draft, draft_text, cfg, record, components, tree, subs, doc=doc)
         return doc
 
     def _one_subsection(self, node, reference, tree, draft, cfg):
@@ -283,7 +291,7 @@ class PatentPipeline(AgentRuntime):
         retrieved = self.retrieve(node, reference)
         if not retrieved:
             warn(f"node {node.node_id}: empty retrieval")
-        text = self.write_subsection(node, retrieved, tree, draft)
+        text = self.write_subsection(node, retrieved, tree)
         verdict, malformed = self._review(node, text, draft)
         history = [RefinementRound(text=text, verdict=verdict)]
         while not malformed and not verdict.passed and len(history) <= cfg.max_refine_rounds:
@@ -308,45 +316,58 @@ class PatentPipeline(AgentRuntime):
             self.recorder.warn(f"node {node.node_id}: {exc}")
             return ReviewVerdict(result="Fail", advice="unparseable verdict after retries"), True
 
-    def _persist(self, draft, cfg, record, components, tree, subs, doc=None, error=None):
+    def _persist(self, draft, draft_text, cfg, record, components, tree, subs, doc=None,
+                 error=None):
         if self.run_dir is None:
             return
-        run_dir = self.run_dir
-        run_dir.mkdir(parents=True, exist_ok=True)
-        dump_json(cfg.to_record(), run_dir / "config.json")
-        dump_json(draft_to_record(draft), run_dir / "draft.json")
-        (run_dir / "draft.txt").write_text(render_draft(draft) + "\n", encoding="utf-8")
-        with (run_dir / "calls.jsonl").open("w", encoding="utf-8") as fh:
-            for entry in record.to_records():
-                fh.write(json.dumps(entry) + "\n")
+        files = {
+            "config.json": json_text(cfg.to_record()),
+            "draft.json": json_text(draft_to_record(draft)),
+            "draft.txt": draft_text + "\n",
+            "calls.jsonl": "".join(json.dumps(entry) + "\n" for entry in record.to_records()),
+            "warnings.json": json_text({"warnings": record.warnings}),
+        }
         if components:
-            dump_json(components, run_dir / "components.json")
+            files["components.json"] = json_text(components)
         if tree is not None:
-            dump_json(asdict(tree), run_dir / "pgtree.json")
-        if subs:
-            sub_dir = run_dir / "subsections"
-            sub_dir.mkdir(exist_ok=True)
-            for sub in subs.values():
-                i, j = sub.node
-                dump_json(subsection_to_record(sub), sub_dir / f"sec{i:02d}_sub{j:02d}.json")
-        dump_json({"warnings": record.warnings}, run_dir / "warnings.json")
+            files["pgtree.json"] = json_text(asdict(tree))
+        for sub in subs.values():
+            i, j = sub.node
+            files[f"subsections/sec{i:02d}_sub{j:02d}.json"] = json_text(subsection_to_record(sub))
         if doc is not None:
-            write_patent(doc, run_dir)
-            (run_dir / "patent_body.txt").write_text(
-                patent_to_text(doc, headers=False), encoding="utf-8"
-            )
-        dump_json(
+            files.update(patent_files(doc))
+            files["patent_body.txt"] = patent_to_text(doc, headers=False)
+        files["status.json"] = json_text(
             {"status": "complete" if doc is not None else "partial",
-             "error": None if error is None else str(error) or type(error).__name__},
-            run_dir / "status.json",
-        )
+             "error": None if error is None else str(error) or type(error).__name__})
+        _write_run_files(self.run_dir, files, _RUN_FILES)
 
 
-def write_patent(doc: PatentDoc, run_dir: Path) -> None:
+# What a pipeline run writes only once it gets that far, and the zero-shot
+# baseline only when it gets a reply: globs under the run dir.
+_RUN_FILES = ("components.json", "pgtree.json", "subsections/sec*_sub*.json", "patent.txt",
+              "patent.json", "patent_body.txt")
+_ZERO_SHOT_FILES = ("raw_response.txt", "sections/*.txt", "patent.txt", "patent.json")
+
+
+def _write_run_files(run_dir: Path, files: dict[str, str], owned: tuple[str, ...]) -> None:
+    """Write each text of files to its path under run_dir, once every file
+    that matches a glob of owned and that files does not name is removed, so
+    that a reused run dir holds only its last run's files."""
+    for pattern in owned:
+        for path in run_dir.glob(pattern):
+            if path.relative_to(run_dir).as_posix() not in files:
+                path.unlink()
+    for parent in {(run_dir / name).parent for name in files}:
+        parent.mkdir(exist_ok=True)
+    for name, text in files.items():
+        (run_dir / name).write_text(text, encoding="utf-8")
+
+
+def patent_files(doc: PatentDoc) -> dict[str, str]:
     """A finished patent's patent.txt and patent.json, for a pipeline run and
     the zero-shot baseline alike."""
-    (run_dir / "patent.txt").write_text(patent_to_text(doc), encoding="utf-8")
-    dump_json(patent_to_record(doc), run_dir / "patent.json")
+    return {"patent.txt": patent_to_text(doc), "patent.json": json_text(patent_to_record(doc))}
 
 
 def subsection_to_record(sub: SubsectionDraft) -> dict:
@@ -409,36 +430,31 @@ def run_zero_shot(gateway: LlmGateway, draft: Draft, max_tokens: int = 16384,
     """The one-call baseline: the whole patent asked for in one request, sent
     through AgentRuntime.ask with the gateway's model, the default sampling,
     max_tokens, no re-ask and the tag zero_shot. A max_tokens over the
-    backend's limit is a ConfigError before any call. With run_dir, the
-    reply and its sections are written there; a gateway error writes only
-    parse_report.json, naming the error, and propagates."""
+    backend's limit, or a run_dir that cannot be a directory, is a
+    ConfigError before any call. With run_dir, the reply and its sections are
+    written there; a gateway error writes only parse_report.json, naming the
+    error, and propagates."""
     gateways = {"default": gateway}
-    binding = AgentBinding(ZERO_SHOT, max_tokens=max_tokens, parse_retry_max=0)
+    binding = AgentBinding(max_tokens=max_tokens, parse_retry_max=0)
     check_binding(binding, gateways, ZERO_SHOT)
+    if run_dir is not None:
+        make_dir(run_dir)
     runtime = AgentRuntime(gateways=gateways, bindings={ZERO_SHOT: binding})
     try:
         result = runtime.ask(ZERO_SHOT, "zero_shot_full", {"draft": render_draft(draft)},
                              ZERO_SHOT, parse_zero_shot_output)
     except GatewayError as exc:
         if run_dir is not None:
-            run_dir.mkdir(parents=True, exist_ok=True)
-            dump_json({"error": str(exc)}, run_dir / "parse_report.json")
+            _write_run_files(run_dir, {"parse_report.json": json_text({"error": str(exc)})},
+                            _ZERO_SHOT_FILES)
         raise
     if run_dir is not None:
-        _persist_zero_shot(result, run_dir)
+        files = {"raw_response.txt": result.raw,
+                 "parse_report.json": json_text({"sections_found": sorted(result.sections),
+                                                 "missing": list(result.missing)})}
+        for name, text in result.sections.items():
+            files[f"sections/{name}.txt"] = text + "\n"
+        if result.complete:
+            files.update(patent_files(PatentDoc(**result.sections)))
+        _write_run_files(run_dir, files, _ZERO_SHOT_FILES)
     return result
-
-
-def _persist_zero_shot(result: ZeroShotResult, run_dir: Path) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "raw_response.txt").write_text(result.raw, "utf-8")
-    dump_json(
-        {"sections_found": sorted(result.sections), "missing": list(result.missing)},
-        run_dir / "parse_report.json",
-    )
-    sections_dir = run_dir / "sections"
-    sections_dir.mkdir(exist_ok=True)
-    for name, text in result.sections.items():
-        (sections_dir / f"{name}.txt").write_text(text + "\n", "utf-8")
-    if result.complete:
-        write_patent(PatentDoc(**result.sections), run_dir)

@@ -19,7 +19,7 @@ import pytest
 from patentgen.core import load_json, patent_to_record, patent_to_text
 from patentgen.datakit import DatasetBuilder, build_dataset, make_splits, proportional_sizes
 from patentgen.gateway import MockPlaybook
-from patentgen.metrics import IrrConfig, bleu, irr_report, rouge_f1, split_sentences
+from patentgen.metrics import IrrConfig, bleu, irr_of_text, rouge_f1
 from patentgen.pipeline import PatentPipeline, PipelineConfig
 from patentgen.tags import (
     NonContiguousIndicesError,
@@ -47,19 +47,17 @@ def test_criterion_1_metric_exactness():
     start = time.perf_counter()
 
     cfg = IrrConfig(t=0.2, epsilon=1e-6)
-    two_identical = split_sentences(_doc(["adaptive gain loop", "adaptive gain loop"]))
-    assert irr_report(two_identical, cfg).value == pytest.approx(1 / (1 + 1e-6), abs=1e-9)
+    two_identical = _doc(["adaptive gain loop", "adaptive gain loop"])
+    assert irr_of_text(two_identical, cfg).value == pytest.approx(1 / (1 + 1e-6), abs=1e-9)
 
-    three_disjoint = split_sentences(
-        _doc(["alpha beta gamma", "delta epsilon zeta", "eta theta iota"])
-    )
-    assert irr_report(three_disjoint, cfg).value == pytest.approx(3 / 1e-6, abs=1e-9 * 3e6)
-    assert irr_report(three_disjoint, cfg).value == 3 / 1e-6
+    three_disjoint = _doc(["alpha beta gamma", "delta epsilon zeta", "eta theta iota"])
+    assert irr_of_text(three_disjoint, cfg).value == pytest.approx(3 / 1e-6, abs=1e-9 * 3e6)
+    assert irr_of_text(three_disjoint, cfg).value == 3 / 1e-6
 
-    four_two_repeats = split_sentences(
-        _doc(["alpha beta gamma", "alpha beta gamma", "delta epsilon zeta", "delta epsilon zeta"])
+    four_two_repeats = _doc(
+        ["alpha beta gamma", "alpha beta gamma", "delta epsilon zeta", "delta epsilon zeta"]
     )
-    assert irr_report(four_two_repeats, cfg).value == pytest.approx(6 / (2 + 1e-6), abs=1e-9)
+    assert irr_of_text(four_two_repeats, cfg).value == pytest.approx(6 / (2 + 1e-6), abs=1e-9)
 
     assert rouge_f1("the cat sat", "the cat", "r1") == 0.8
 
@@ -86,7 +84,7 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(200):
         sentences = _random_sentences(rng, max_n=50)
         t = rng.choice([0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0])
-        production = irr_report(split_sentences(_doc(sentences)), IrrConfig(t=t)).value
+        production = irr_of_text(_doc(sentences), IrrConfig(t=t)).value
         assert production == oracle_irr(sentences, t, 1e-6)
     assert time.perf_counter() - start < 10.0
 
@@ -96,8 +94,8 @@ def test_criterion_3_irr_monotone_in_threshold():
     rng = random.Random(555)
     grid = [round(0.1 * k, 1) for k in range(1, 10)]
     for _ in range(100):
-        ss = split_sentences(_doc(_random_sentences(rng, max_n=25)))
-        values = [irr_report(ss, IrrConfig(t=t)).value for t in grid]
+        text = _doc(_random_sentences(rng, max_n=25))
+        values = [irr_of_text(text, IrrConfig(t=t)).value for t in grid]
         assert all(a <= b for a, b in zip(values, values[1:]))
     assert time.perf_counter() - start < 10.0
 

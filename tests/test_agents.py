@@ -19,14 +19,14 @@ from patentgen.agents import (
     strip_leading_filler,
 )
 from patentgen.core import (
-    EmptySectionError,
     GuidelineNode,
     PGTree,
-    Reference,
     SectionPlan,
     content_hash,
     new_run_record,
     render_draft,
+    render_pgtree,
+    render_reference,
 )
 from patentgen.gateway import MockPlaybook, ResponseCache
 from patentgen.prompts import default_registry
@@ -50,33 +50,39 @@ from helpers import (
 )
 
 
+@pytest.fixture
+def draft_text(draft):
+    """The rendered draft: the agent methods take their prompt slots' texts."""
+    return render_draft(draft)
+
+
 def _tree_one_node():
+    """A one-node guideline tree's rendered text, and the node."""
     node = GuidelineNode(1, 1, "Describe the adaptive controller.")
-    return PGTree(sections=(SectionPlan(1, "Controller section", (node,)),)), node
+    return render_pgtree(PGTree(sections=(SectionPlan(1, "Controller section", (node,)),))), node
 
 
-def _reference(draft):
-    return Reference(
-        title="T", abstract="A", background="B", summary="S",
-        claims="1. A method.", draft=draft,
-    )
+def _reference(draft_text):
+    components = {"title": "T", "abstract": "A", "background": "B", "summary": "S",
+                  "claims": "1. A method."}
+    return render_reference(components, draft_text)
 
 
-def test_write_component_extracts_tag(draft):
+def test_write_component_extracts_tag(draft_text):
     runtime = runtime_for(MockPlaybook([rule("patent abstract", COMPONENT_RESPONSES["abstract"])]))
-    out = runtime.write_component("abstract", draft)
+    out = runtime.write_component("abstract", draft_text)
     assert out == "An apparatus for adaptive widget control."
 
 
-def test_write_component_retries_after_missing_tag(draft):
+def test_write_component_retries_after_missing_tag(draft_text):
     playbook = MockPlaybook([rule("patent title", "no tag at all", "<Title>Fixed</Title>")])
     runtime = runtime_for(playbook)
     backend = runtime.gateways["default"].backend
-    assert runtime.write_component("title", draft) == "Fixed"
+    assert runtime.write_component("title", draft_text) == "Fixed"
     assert backend.calls == 2
 
 
-def test_write_component_retry_prompt_carries_reminder(draft):
+def test_write_component_retry_prompt_carries_reminder(draft_text):
     playbook = MockPlaybook(
         [
             rule("did not follow the required format", "<Title>From Reminder</Title>"),
@@ -84,24 +90,24 @@ def test_write_component_retry_prompt_carries_reminder(draft):
         ]
     )
     runtime = runtime_for(playbook)
-    assert runtime.write_component("title", draft) == "From Reminder"
+    assert runtime.write_component("title", draft_text) == "From Reminder"
 
 
-def test_write_component_parse_failure_propagates_after_retries(draft):
+def test_write_component_parse_failure_propagates_after_retries(draft_text):
     runtime = runtime_for(MockPlaybook([rule("patent title", "never tagged")]))
     backend = runtime.gateways["default"].backend
     with pytest.raises(TagMissingError):
-        runtime.write_component("title", draft)
+        runtime.write_component("title", draft_text)
     assert backend.calls == 3  # parse_retry_max=2 means three attempts
 
 
-def test_claims_multiline_preserved_verbatim(draft):
+def test_claims_multiline_preserved_verbatim(draft_text):
     runtime = runtime_for(MockPlaybook([rule("patent claims", COMPONENT_RESPONSES["claims"])]))
-    out = runtime.write_component("claims", draft)
+    out = runtime.write_component("claims", draft_text)
     assert out == "1. A method for adaptive control.\n2. The method of claim 1, with sensors."
 
 
-def test_component_roles_map_to_distinct_templates(draft):
+def test_component_roles_map_to_distinct_templates(draft_text):
     from patentgen.agents import COMPONENT_ROLES
 
     # Each rule answers only its own role's prompt, with that role's tag, so a
@@ -110,160 +116,161 @@ def test_component_roles_map_to_distinct_templates(draft):
     record = new_run_record()
     runtime = runtime_for(MockPlaybook(rules), recorder=record)
     for role in COMPONENT_ROLES:
-        runtime.write_component(role, draft)
+        runtime.write_component(role, draft_text)
     assert [e.agent_role for e in record.entries] == list(COMPONENT_ROLES)
     assert len({e.prompt_hash for e in record.entries}) == 5
 
 
-def test_plan_first_level(draft):
+def test_plan_first_level(draft_text):
     runtime = runtime_for(
         MockPlaybook([rule(MATCH_PLANNER, "<Section-1> A </Section-1><Section-2> B </Section-2>")])
     )
-    assert runtime.plan_first_level(draft) == [(1, "A"), (2, "B")]
+    assert runtime.plan_first_level(draft_text) == [(1, "A"), (2, "B")]
 
 
-def test_plan_surfaces_non_contiguous_after_retries(draft):
+def test_plan_surfaces_non_contiguous_after_retries(draft_text):
     runtime = runtime_for(
         MockPlaybook([rule(MATCH_PLANNER, "<Section-1> A </Section-1><Section-3> C </Section-3>")])
     )
     with pytest.raises(NonContiguousIndicesError) as err:
-        runtime.plan_first_level(draft)
+        runtime.plan_first_level(draft_text)
     assert err.value.found == [1, 3]
 
 
-def test_plan_re_asks_after_an_empty_section(draft):
+def test_plan_re_asks_after_an_empty_section(draft_text):
     runtime = runtime_for(MockPlaybook([
         rule(MATCH_PLANNER, "<Section-1> A </Section-1><Section-2> </Section-2>",
              "<Section-1> A </Section-1><Section-2> B </Section-2>"),
     ]))
-    assert runtime.plan_first_level(draft) == [(1, "A"), (2, "B")]
+    assert runtime.plan_first_level(draft_text) == [(1, "A"), (2, "B")]
 
 
-def test_expand_section_uses_subsection_grammar(draft):
+def test_expand_section_uses_subsection_grammar(draft_text):
     runtime = runtime_for(
         MockPlaybook([rule("split this section", "<Subsection-1> g1 </Subsection-1>")])
     )
-    assert runtime.expand_section(draft, "overview") == [(1, "g1")]
+    assert runtime.expand_section(draft_text, "overview") == [(1, "g1")]
 
 
-def test_retrieve_returns_scripted_copy(draft):
-    ref = _reference(draft)
+def test_retrieve_returns_scripted_copy(draft_text):
     runtime = runtime_for(MockPlaybook([rule(MATCH_RETRIEVE, "1. A method.")]))
     node = GuidelineNode(1, 1, "Cover the claims.")
-    assert runtime.retrieve(node, ref) == ref.claims
+    assert runtime.retrieve(node, _reference(draft_text)) == "1. A method."
 
 
-def test_retrieve_flags_empty(draft):
+def test_retrieve_flags_empty(draft_text):
     runtime = runtime_for(MockPlaybook([rule(MATCH_RETRIEVE, "")]))
-    assert runtime.retrieve(GuidelineNode(1, 1, "g"), _reference(draft)) == ""
+    assert runtime.retrieve(GuidelineNode(1, 1, "g"), _reference(draft_text)) == ""
 
 
-def test_reference_rejects_empty_component(draft):
-    with pytest.raises(EmptySectionError) as err:
-        Reference(title="T", abstract="A", background="B", summary="", claims="C", draft=draft)
-    assert err.value.section == "summary"
-
-
-def test_write_subsection_passthrough(draft):
+def test_write_subsection_passthrough(draft_text):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_WRITE, "Subsection body text.")]))
-    out = runtime.write_subsection(node, "facts", tree, draft)
+    out = runtime.write_subsection(node, "facts", tree)
     assert out == "Subsection body text."
 
 
-def test_write_subsection_strips_leading_filler(draft):
+def test_write_subsection_strips_leading_filler(draft_text):
     tree, node = _tree_one_node()
     runtime = runtime_for(
         MockPlaybook([rule(MATCH_WRITE, "Sure, here is the subsection:\n\nActual body.")])
     )
-    out = runtime.write_subsection(node, "facts", tree, draft)
+    out = runtime.write_subsection(node, "facts", tree)
     assert out == "Actual body."
 
 
-def test_write_subsection_empty_is_an_error(draft):
+def test_write_subsection_empty_is_an_error(draft_text):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_WRITE, "")]))
     backend = runtime.gateways["default"].backend
     with pytest.raises(ParseRetryError, match="empty output"):
-        runtime.write_subsection(node, "facts", tree, draft)
+        runtime.write_subsection(node, "facts", tree)
     assert backend.calls == 3  # asked, then re-asked parse_retry_max=2 times
 
 
-def test_write_subsection_re_asks_an_empty_reply_with_a_reminder(draft):
+def test_write_subsection_re_asks_an_empty_reply_with_a_reminder(draft_text):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([
         rule("previous response was empty", "Second body."),
         rule(MATCH_WRITE, " \n "),
     ]))
-    assert runtime.write_subsection(node, "facts", tree, draft) == "Second body."
+    assert runtime.write_subsection(node, "facts", tree) == "Second body."
     assert runtime.gateways["default"].backend.calls == 2
 
 
-def test_write_component_re_asks_a_blank_component(draft):
+def test_write_component_re_asks_a_blank_component(draft_text):
     runtime = runtime_for(
         MockPlaybook([rule("patent title", "<Title> </Title>", "<Title>Second try</Title>")])
     )
-    assert runtime.write_component("title", draft) == "Second try"
+    assert runtime.write_component("title", draft_text) == "Second try"
     assert runtime.gateways["default"].backend.calls == 2
 
 
-def test_review_parses_verdict_and_advice(draft):
+def test_review_parses_verdict_and_advice(draft_text):
     _, node = _tree_one_node()
     runtime = runtime_for(
         MockPlaybook([rule(MATCH_REVIEW, "<Result>Pass</Result><Advice>tighten terminology</Advice>")])
     )
-    verdict = runtime.review(node, "some subsection", draft)
+    verdict = runtime.review(node, "some subsection", draft_text)
     assert verdict.passed and verdict.advice == "tighten terminology"
 
 
-def test_review_tolerates_padded_result(draft):
+def test_review_tolerates_padded_result(draft_text):
     _, node = _tree_one_node()
     runtime = runtime_for(
         MockPlaybook([rule(MATCH_REVIEW, "<Result> Pass </Result><Advice> ok </Advice>")])
     )
-    assert runtime.review(node, "text", draft).result == "Pass"
+    assert runtime.review(node, "text", draft_text).result == "Pass"
 
 
-def test_review_without_advice_becomes_malformed_after_retries(draft):
+def test_review_without_advice_becomes_malformed_after_retries(draft_text):
     _, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_REVIEW, "<Result>Fail</Result>")]))
     backend = runtime.gateways["default"].backend
     with pytest.raises(MalformedVerdictError):
-        runtime.review(node, "text", draft)
+        runtime.review(node, "text", draft_text)
     assert backend.calls == 3
 
 
-def test_review_rejects_odd_verdict_text(draft):
+def test_review_rejects_odd_verdict_text(draft_text):
     _, node = _tree_one_node()
     runtime = runtime_for(
         MockPlaybook([rule(MATCH_REVIEW, "<Result>Maybe</Result><Advice>a</Advice>")])
     )
     with pytest.raises(MalformedVerdictError):
-        runtime.review(node, "text", draft)
+        runtime.review(node, "text", draft_text)
 
 
-def test_review_recovers_on_retry(draft):
+def test_review_re_asks_an_empty_advice(draft_text):
+    _, node = _tree_one_node()
+    empty_advice = "<Result>Pass</Result><Advice> </Advice>"
+    runtime = runtime_for(MockPlaybook([rule(MATCH_REVIEW, empty_advice, FAIL_REVIEW)]))
+    assert runtime.review(node, "text", draft_text).advice == "add implementation detail"
+    assert runtime.gateways["default"].backend.calls == 2
+
+
+def test_review_recovers_on_retry(draft_text):
     _, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_REVIEW, "<Result>Fail</Result>", FAIL_REVIEW)]))
-    verdict = runtime.review(node, "text", draft)
+    verdict = runtime.review(node, "text", draft_text)
     assert not verdict.passed
     assert verdict.advice == "add implementation detail"
 
 
-def test_refine_returns_revision(draft):
+def test_refine_returns_revision(draft_text):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_REFINE, "Revised body.")]))
     assert runtime.refine(node, "old body", "add detail", tree) == "Revised body."
 
 
-def test_refine_requires_feedback(draft):
+def test_refine_requires_feedback(draft_text):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([]))
     with pytest.raises(AgentError, match="feedback"):
         runtime.refine(node, "old", "  ", tree)
 
 
-def test_refine_empty_revision_is_an_error(draft):
+def test_refine_empty_revision_is_an_error(draft_text):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_REFINE, "  ")]))
     backend = runtime.gateways["default"].backend
@@ -272,11 +279,11 @@ def test_refine_empty_revision_is_an_error(draft):
     assert backend.calls == 3
 
 
-def test_review_requires_non_empty_subsection(draft):
+def test_review_requires_non_empty_subsection(draft_text):
     _, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_REVIEW, PASS_REVIEW)]))
     with pytest.raises(AgentError):
-        runtime.review(node, "  ", draft)
+        runtime.review(node, "  ", draft_text)
 
 
 @pytest.mark.parametrize(
@@ -503,27 +510,27 @@ def test_run_tasks_under_stress_runs_each_task_once_after_its_dependencies():
     assert record.warnings == [str(i) for i in range(n)]
 
 
-def _call_until_halted(draft, halted, rt):
+def _call_until_halted(draft_text, halted, rt):
     """Ask for a title again and again until the runtime is halted; give up
     after 2 s, so that a runner nobody halts still ends."""
     deadline = time.monotonic() + 2
     while time.monotonic() < deadline:
         try:
-            rt.write_component("title", draft)
+            rt.write_component("title", draft_text)
         except TaskHalted:
             halted.append(threading.get_ident())
             return
         time.sleep(0.002)
 
 
-def test_an_interrupt_while_the_caller_joins_a_helper_halts_the_helpers_task(draft):
+def test_an_interrupt_while_the_caller_joins_a_helper_halts_the_helpers_task(draft_text):
     backend = PromptFunctionBackend()
     runtime = AgentRuntime(gateways=function_gateways(backend, 2))
     caller_done, halted = [], []
 
     def task(rt):
         if threading.current_thread() is not threading.main_thread():
-            _call_until_halted(draft, halted, rt)
+            _call_until_halted(draft_text, halted, rt)
             return
         # The caller ends its own task once the helper is calling; then it
         # joins the helper, and the interrupt lands there.
@@ -546,7 +553,8 @@ def test_an_interrupt_while_the_caller_joins_a_helper_halts_the_helpers_task(dra
     assert threading.active_count() == threads
 
 
-def test_a_helper_that_will_not_start_stops_and_joins_the_helpers_started(draft, monkeypatch):
+def test_a_helper_that_will_not_start_stops_and_joins_the_helpers_started(draft_text,
+                                                                         monkeypatch):
     backend = PromptFunctionBackend()
     runtime = AgentRuntime(gateways=function_gateways(backend, 3))
     started, halted = [], []
@@ -563,7 +571,7 @@ def test_a_helper_that_will_not_start_stops_and_joins_the_helpers_started(draft,
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", start_once)
-    tasks = [partial(_call_until_halted, draft, halted)] + [lambda rt: None] * 2
+    tasks = [partial(_call_until_halted, draft_text, halted)] + [lambda rt: None] * 2
     with pytest.raises(RuntimeError, match="can't start new thread"):
         run_tasks(runtime, tasks)
     calls = backend.calls
@@ -642,14 +650,16 @@ def test_a_call_queued_for_a_gateway_slot_is_not_sent_once_its_task_is_halted():
     assert sorted(e.agent_role for e in record.entries) == ["1", "2"]
 
 
-def test_ask_logs_each_reply_with_what_the_gateway_measured(draft, tmp_path):
+def test_ask_logs_each_reply_with_what_the_gateway_measured(draft_text, tmp_path):
     record = new_run_record()
     gateway, _ = mock_gateway(
         MockPlaybook([rule("patent title", {"error": "transport"}, "<Title>X</Title>")]))
     gateway.cache = ResponseCache(tmp_path)
     runtime = AgentRuntime(gateways={"default": gateway}, recorder=record)
-    assert [runtime.write_component("title", draft) for _ in range(2)] == ["X", "X"]
-    prompt = content_hash(default_registry().render("title_writer", draft=render_draft(draft)))
+    # Two tasks, so the second's request is its first and the cache answers it.
+    assert run_tasks(runtime, [lambda rt: rt.write_component("title", draft_text)] * 2) == [
+        "X", "X"]
+    prompt = content_hash(default_registry().render("title_writer", draft=draft_text))
     reply = content_hash("<Title>X</Title>")
     assert [(e.agent_role, e.prompt_hash, e.response_hash, e.retries, e.cached)
             for e in record.entries] == [("title", prompt, reply, 1, False),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 
@@ -136,6 +137,8 @@ _MALFORMED_DRAFTS = {
                          + [{"question_id": i, "answer_text": f"a{i}"} for i in range(2, 6)]},
     "source_id_int": {"qa": [{"question_id": i, "answer_text": f"a{i}"} for i in range(1, 6)],
                       "source_id": 7},
+    "question_id_twice": {"qa": [{"question_id": i, "answer_text": f"a{i}"}
+                                 for i in (1, 1, 2, 3, 4, 5)]},
 }
 
 
@@ -208,6 +211,16 @@ def _set_key(config: dict, path: str, value) -> None:
         ("pipeline.seed", 0, "pipeline: unknown keys ['seed']"),
         ("backends.default.playbook_path", "", "backends.default: a mock backend needs a "
                                                "playbook_path"),
+        ("agents.title.role", "title", "agents.title: unknown keys ['role']"),
+        ("agents.title", "hot", "agents.title must be a JSON object, got 'hot'"),
+        ("backends", ["default"], "backends and agents must be JSON objects"),
+        ("backends.default.timeout_s", 0,
+         "backends.default: timeout_s and max_tokens_limit must be positive"),
+        ("backends.default.kind", "http",
+         "backends.default: backend 'default': http backend needs an endpoint"),
+        ("backends.default.kind", "grpc", "backends.default: unknown backend kind 'grpc'"),
+        ("backends.default.rpm", -1, "backends.default: rpm must be positive"),
+        ("agents.planner.parse_retry_max", -1, "agents.planner: parse_retry_max must be >= 0"),
     ],
 )
 def test_bad_run_config_value_fails_before_any_model_call(tmp_path, monkeypatch, path, value,
@@ -243,6 +256,18 @@ def test_backend_option_replaces_a_configured_default(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert load_json(out / "status.json")["status"] == "complete"
+
+
+def test_a_backend_option_naming_no_backend_is_invalid_input(tmp_path, monkeypatch):
+    draft_file, config_file = _setup_generate(tmp_path, pipeline_playbook())
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "run"
+    result = RUNNER.invoke(main, ["generate", str(draft_file), "--config", str(config_file),
+                                  "--out", str(out), "--backend", "nope"])
+    assert result.exit_code == 1, result.output
+    assert "error: backend 'nope' not present in config" in result.output
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -366,9 +391,13 @@ _BAD_METRIC_OPTIONS = pytest.mark.parametrize(
         (["--cap", "0"], "cap must be positive and finite, got 0.0"),
         (["--t", "0.2,0.2000001"],
          "thresholds 0.2 and 0.2000001 share the report column irr_t02"),
+        (["--t", "0.2,x"], "bad threshold list '0.2,x'"),
+        (["--t", ","], "threshold list is empty"),
+        (["--vocab", os.devnull], f"vocabulary file is empty: {os.devnull}"),
     ],
     ids=["missing_vocab", "threshold_above_1", "zero_epsilon", "nan_epsilon", "inf_epsilon",
-         "negative_cap", "zero_cap", "colliding_thresholds"],
+         "negative_cap", "zero_cap", "colliding_thresholds", "threshold_not_a_number",
+         "no_threshold", "empty_vocab"],
 )
 
 
@@ -646,7 +675,7 @@ def test_bench_resume_regenerates_docs_made_under_another_pipeline_config(tmp_pa
     assert load_json(out / "report.json")["counts"] == {"scored": 0, "failed": 3}
 
 
-@pytest.mark.parametrize("status", ["[]", '"complete"', "null"])
+@pytest.mark.parametrize("status", ["[]", '"complete"', "null", "{not json"])
 def test_bench_resume_regenerates_a_doc_whose_status_is_not_an_object(tmp_path, monkeypatch,
                                                                       status):
     manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
@@ -695,7 +724,22 @@ def test_bench_rejects_bad_doc_ids_before_any_model_call(tmp_path, monkeypatch, 
     assert not (tmp_path / "a").exists()
 
 
-@pytest.mark.parametrize("sizes", ["-1,2,3", "2,-1,1", "1,2"])
+@pytest.mark.parametrize("manifest", [{"docs": []}, {"docs": "doc1"}, {}])
+def test_bench_manifest_without_documents_fails_before_any_model_call(tmp_path, monkeypatch,
+                                                                      manifest):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+    manifest_file.write_text(json.dumps(manifest), "utf-8")
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "bench"
+    result = RUNNER.invoke(
+        main, ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "error: manifest lists no documents" in result.output
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", ["-1,2,3", "2,-1,1", "1,2", "a,b,c"])
 def test_build_dataset_bad_sizes_fail_before_any_model_call(tmp_path, monkeypatch, sizes):
     records = tmp_path / "records"
     records.mkdir()
@@ -744,6 +788,18 @@ def test_build_dataset_d2w_without_trees_fails_before_any_model_call(tmp_path, m
     assert result.exit_code == 1, result.output
     assert "error: D2W exports guideline trees, which --skip-trees does not collect" in (
         result.output)
+    assert calls == []
+    assert not out.exists()
+
+
+def test_build_dataset_unknown_kind_fails_before_any_model_call(tmp_path, monkeypatch):
+    records, playbook = _one_record_corpus(tmp_path)
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "build"
+    result = RUNNER.invoke(main, ["build-dataset", str(records), "--mock-playbook", str(playbook),
+                                  "--out", str(out), "--kinds", "D2T,D2X"])
+    assert result.exit_code == 1, result.output
+    assert f"error: unknown export kinds ['D2X']; expected {list(SFT_KINDS)}" in result.output
     assert calls == []
     assert not out.exists()
 
@@ -900,9 +956,25 @@ def test_report_renders_a_row_value_of_any_json_type(tmp_path):
          "playbook rule 0: bad regex '('"),
         ({"rules": {"match": "a"}}, "a playbook must be a JSON object with a list of rules"),
         ([], "a playbook must be a JSON object with a list of rules"),
+        ({"rules": [{"match": "a", "responses": [{"error": "status", "code": "abc"}]}]},
+         "playbook rule 0: bad response {'error': 'status', 'code': 'abc'}"),
+        ({"rules": [{"match": "a", "responses": ["x"]},
+                    {"match": "b", "responses": ["x", {"error": "bogus"}]}]},
+         "playbook rule 1: bad response {'error': 'bogus'}"),
+        ({"rules": [{"match": "a", "responses": [{"error": "status", "code": True}]}]},
+         "playbook rule 0: bad response {'error': 'status', 'code': True}"),
+        ({"rules": [{"match": "a", "responses": [{"error": "status", "code": 600}]}]},
+         "playbook rule 0: bad response {'error': 'status', 'code': 600}"),
+        ({"rules": [{"match": "a", "responses": [{"error": "status"}]}]},
+         "playbook rule 0: bad response {'error': 'status'}"),
+        ({"rules": [{"match": "a", "responses": [5]}]}, "playbook rule 0: bad response 5"),
+        ({"rules": [], "default_response": {"error": "transport", "code": 500}},
+         "playbook default_response: bad response {'error': 'transport', 'code': 500}"),
     ],
     ids=["no_match", "responses_not_a_list", "no_responses", "rule_not_an_object",
-         "bad_regex", "rules_not_a_list", "not_an_object"],
+         "bad_regex", "rules_not_a_list", "not_an_object", "code_not_an_int",
+         "unknown_directive", "code_a_bool", "code_out_of_range", "no_code",
+         "response_a_number", "bad_default"],
 )
 def test_bad_playbook_rule_is_invalid_input(tmp_path, record, named):
     draft_file = _write_draft(tmp_path / "draft.json")
@@ -989,6 +1061,7 @@ _SCORE = ["score", "{gen}", "{ref}", "--vocab", "{vocab}", "--out", "{out}"]
 _UNREADABLE_INPUTS = [(name, spoil, args) for name, args in _COMMANDS_BY_INPUT
                       for spoil in ("missing", "not_json")] + [
     ("cache_dir", "a_file", _COMMANDS_BY_INPUT[0][1]),
+    ("config", "a_list", _COMMANDS_BY_INPUT[2][1]),
     ("vocab", "missing", _SCORE),
     ("vocab", "not_utf8", _SCORE),
     ("document", "a_directory", _SCORE),
@@ -1010,6 +1083,8 @@ def test_an_unreadable_input_file_is_one_error_line_naming_it(tmp_path, monkeypa
         bad.write_text("{not json", "utf-8")
     elif spoil == "not_utf8":
         bad.write_bytes(b"\xff\xfe")
+    elif spoil == "a_list":
+        bad.write_text("[]", "utf-8")
     elif spoil == "a_file":
         bad.write_text("", "utf-8")
         config = load_json(files["config"])
@@ -1024,6 +1099,24 @@ def test_an_unreadable_input_file_is_one_error_line_naming_it(tmp_path, monkeypa
     assert line.startswith("error: ") and str(bad) in line, line
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(args, id=args[0]) for args in (
+        *{args[0]: args for _, args in _COMMANDS_BY_INPUT if "{out}" in args}.values(), _SCORE)])
+def test_an_out_that_cannot_be_a_directory_fails_before_any_model_call(tmp_path, monkeypatch,
+                                                                       args):
+    files = _input_files(tmp_path)
+    out = tmp_path / "out"
+    out.write_text("a file", "utf-8")
+    calls = _backend_calls(monkeypatch)
+    result = RUNNER.invoke(main, [a.format(out=out, **files) for a in args])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: cannot create directory {out}"), line
+    assert calls == []
+    assert out.read_text("utf-8") == "a file"
 
 
 def test_an_interrupted_command_exits_2_and_leaves_its_run_partial(tmp_path, monkeypatch):

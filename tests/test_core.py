@@ -17,7 +17,6 @@ from patentgen.core import (
     GuidelineNode,
     PGTree,
     PatentDoc,
-    Reference,
     SectionPlan,
     draft_from_record,
     draft_to_record,
@@ -44,10 +43,11 @@ def test_section_vocabulary_is_pinned():
 
 
 def test_reference_renders_name_colon_text_blocks_then_the_draft(draft):
-    ref = Reference(title="T", abstract="A", background="B", summary="S", claims="1. C.",
-                    draft=draft)
-    assert render_reference(ref) == ("Title: T\n\nAbstract: A\n\nBackground: B\n\nSummary: S"
-                                     "\n\nClaims: 1. C.\n\nDraft:\n" + render_draft(draft))
+    components = {"claims": "1. C.", "title": "T", "abstract": "A", "background": "B",
+                  "summary": "S"}
+    assert render_reference(components, render_draft(draft)) == (
+        "Title: T\n\nAbstract: A\n\nBackground: B\n\nSummary: S"
+        "\n\nClaims: 1. C.\n\nDraft:\n" + render_draft(draft))
 
 
 def test_render_contains_all_questions_in_order(draft):

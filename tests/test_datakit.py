@@ -16,7 +16,6 @@ from patentgen.datakit import (
     DatakitError,
     DatasetBuild,
     DatasetBuilder,
-    IngestConfig,
     InsufficientRecordsError,
     PatentRecord,
     build_dataset,
@@ -95,13 +94,11 @@ def test_load_records_jsonl_with_field_map(tmp_path):
     }
     path = tmp_path / "records.jsonl"
     path.write_text(json.dumps(raw) + "\n", "utf-8")
-    cfg = IngestConfig(
-        field_map={
-            "record_id": "id", "title": "invention_title",
-            "description": "full_description", "decision_label": "decision",
-        }
-    )
-    records, skips = load_records(path, cfg)
+    field_map = {
+        "record_id": "id", "title": "invention_title",
+        "description": "full_description", "decision_label": "decision",
+    }
+    records, skips = load_records(path, field_map=field_map)
     assert not skips
     assert records[0].record_id == "x1" and records[0].title == "T"
 
@@ -119,6 +116,13 @@ def test_load_records_names_the_file_of_a_bad_record(tmp_path, layout, bad, name
         path.write_text(json.dumps(_record(1).__dict__) + "\n\n" + bad + "\n", "utf-8")
         where = f"{path} line 3"
     with pytest.raises(DatakitError, match=f"^{re.escape(where)}: {named}"):
+        load_records(path)
+
+
+def test_load_records_rejects_a_path_neither_a_directory_nor_jsonl(tmp_path):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(_record(1).__dict__), "utf-8")
+    with pytest.raises(DatakitError, match="records path must be a directory or .jsonl file"):
         load_records(path)
 
 
@@ -213,6 +217,19 @@ def test_quality_unparseable_verdict_marks_fail(draft):
     _, report = _draft_and_review(playbook)
     assert not report.overall_pass
     assert all(i.reason == "unparseable verdict" for i in report.items)
+
+
+@pytest.mark.parametrize("reply", ["<Result> Maybe </Result>",
+                                   "<Result> Fail </Result><Reason> </Reason>"],
+                         ids=["odd_result", "empty_reason"])
+def test_quality_re_asks_an_odd_result_or_an_empty_reason(draft, reply):
+    playbook = _answering([qa.answer_text for qa in draft.qa],
+                          rule(MATCH_QUALITY, reply, PASS_QUALITY))
+    builder = _builder(playbook)
+    report = builder.draft_and_review(_record(1), {})
+    assert report.overall_pass
+    # Five answers, five reviews and one re-ask.
+    assert builder.runtime.gateways["default"].backend.calls == 11
 
 
 def test_quality_gateway_error_skips_the_record():

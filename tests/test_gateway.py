@@ -491,6 +491,12 @@ def test_http_backend_parses_wire_shape(loopback, monkeypatch):
     }
 
 
+def test_http_finish_reason_other_than_length_reads_as_stop(loopback):
+    loopback.script.append((200, _reply("filtered", finish="content_filter")))
+    resp = _http_gateway(_url(loopback)).complete(_req())
+    assert (resp.content, resp.finish_reason) == ("filtered", "stop")
+
+
 def test_http_server_error_is_retried(loopback):
     loopback.script += [(500, {"error": "busy"}), (200, _reply("second try"))]
     resp = _http_gateway(_url(loopback)).complete(_req())
@@ -519,6 +525,8 @@ def test_http_429_honours_retry_after_http_date(loopback):
     (slept,) = sleeps
     assert 25.0 < slept <= 30.0
     assert retry_after_s("Wed, 21 Oct 2015 07:28:00 GMT") == 0.0
+    # A "-0000" zone parses as a naive time, read as UTC.
+    assert 25.0 < retry_after_s(email.utils.formatdate(time.time() + 30)) <= 30.0
     assert retry_after_s("soon") is None and retry_after_s(None) is None
 
 

@@ -19,9 +19,7 @@ from patentgen.metrics import (
     STOPWORD_LIST_ID,
     VocabCounter,
     bleu,
-    irr,
     irr_of_text,
-    irr_report,
     length_stats,
     rouge_f1,
     split_sentences,
@@ -90,11 +88,11 @@ def test_split_block_matches_character_walk(pieces):
     assert _split_block(block) == oracle_split_block(block)
 
 
-def test_short_segments_flagged_but_kept():
+def test_short_segments_kept():
     ss = split_sentences("Go. The quick brown fox jumps over the lazy dog.")
     assert ss.n == 2
-    assert ss.short_flags[0] is True
-    assert ss.short_flags[1] is False
+    assert len(tokenize_for_similarity(ss.sentences[0])) < 3
+    assert len(tokenize_for_similarity(ss.sentences[1])) >= 3
 
 
 def test_tokenization_removes_stopwords_keeps_numbers():
@@ -177,7 +175,7 @@ def _doc(sentences: list[str]) -> str:
 def test_irr_two_identical_sentences():
     sentences = ["adaptive controller adjusts gain", "adaptive controller adjusts gain"]
     cfg = IrrConfig(t=0.2)
-    value = irr(split_sentences(_doc(sentences)), cfg)
+    value = irr_of_text(_doc(sentences), cfg).value
     expected = 1 / (1 + 1e-6)
     assert value == pytest.approx(expected, abs=1e-12)
     assert value == pytest.approx(oracle_irr(sentences, 0.2, 1e-6), abs=0)
@@ -186,7 +184,7 @@ def test_irr_two_identical_sentences():
 def test_irr_three_disjoint_sentences():
     sentences = ["alpha beta gamma", "delta epsilon zeta", "eta theta iota"]
     cfg = IrrConfig(t=0.2)
-    result = irr_report(split_sentences(_doc(sentences)), cfg)
+    result = irr_of_text(_doc(sentences), cfg)
     assert result.pair_sum == 0
     assert result.total_pairs == 3
     assert result.value == pytest.approx(3 / 1e-6, abs=1e-3)
@@ -199,7 +197,7 @@ def test_irr_four_sentences_two_repeating_pairs():
         "delta epsilon zeta", "delta epsilon zeta",
     ]
     cfg = IrrConfig(t=0.2)
-    result = irr_report(split_sentences(_doc(sentences)), cfg)
+    result = irr_of_text(_doc(sentences), cfg)
     assert result.pair_sum == 2
     assert result.total_pairs == 6
     assert result.value == pytest.approx(6 / (2 + 1e-6), abs=1e-9)
@@ -208,13 +206,13 @@ def test_irr_four_sentences_two_repeating_pairs():
 
 def test_irr_undefined_below_two_sentences():
     with pytest.raises(IrrUndefinedError):
-        irr(split_sentences("single sentence only"), IrrConfig(t=0.2))
+        irr_of_text("single sentence only", IrrConfig(t=0.2))
 
 
 def test_irr_cap_applies():
     sentences = ["alpha beta gamma", "delta epsilon zeta"]
     capped = IrrConfig(t=0.2, cap=100.0)
-    assert irr(split_sentences(_doc(sentences)), capped) == 100.0
+    assert irr_of_text(_doc(sentences), capped).value == 100.0
 
 
 def test_irr_config_validation():
@@ -247,7 +245,7 @@ def test_irr_matches_oracle_on_random_docs():
         if len(sentences) < 2:
             continue
         t = rng.choice([0.0, 0.1, 0.2, 0.4, 0.5, 0.8, 1.0])
-        mine = irr(split_sentences(_doc(sentences)), IrrConfig(t=t))
+        mine = irr_of_text(_doc(sentences), IrrConfig(t=t)).value
         theirs = oracle_irr(sentences, t, 1e-6)
         assert mine == theirs  # exact, not approximate
         checked += 1
@@ -261,15 +259,15 @@ def test_irr_nondecreasing_in_threshold():
         sentences = _random_doc(rng, max_sentences=20)
         if len(sentences) < 2:
             continue
-        ss = split_sentences(_doc(sentences))
-        values = [irr(ss, IrrConfig(t=t)) for t in grid]
+        text = _doc(sentences)
+        values = [irr_of_text(text, IrrConfig(t=t)).value for t in grid]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_irr_pure():
-    ss = split_sentences(_doc(["alpha beta", "alpha beta", "gamma delta"]))
+    text = _doc(["alpha beta", "alpha beta", "gamma delta"])
     cfg = IrrConfig(t=0.3)
-    assert irr(ss, cfg) == irr(ss, cfg)
+    assert irr_of_text(text, cfg) == irr_of_text(text, cfg)
 
 
 # --- ROUGE ----------------------------------------------------------------------

@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from patentgen.core import (SECTION_NAMES, EmptySectionError, Reference, content_hash,
-                            load_json, patent_to_record, patent_to_text, render_draft,
-                            render_reference)
-from patentgen.gateway import (BackendConfig, ChatMessage, ChatRequest, LlmGateway, MockPlaybook,
-                               ResponseCache, cache_key)
+from patentgen.core import (SECTION_NAMES, EmptySectionError, content_hash, load_json,
+                            patent_to_record, patent_to_text, render_draft, render_reference)
+from patentgen.gateway import (BackendConfig, ChatMessage, ChatRequest, GatewayError, LlmGateway,
+                               MockPlaybook, ResponseCache, cache_key)
 from patentgen.pipeline import (
     PatentPipeline,
     PipelineAborted,
@@ -29,6 +28,7 @@ from helpers import (
     FAIL_REVIEW,
     MATCH_EXPAND,
     MATCH_PLANNER,
+    MATCH_REFINE,
     MATCH_RETRIEVE,
     MATCH_REVIEW,
     MATCH_WRITE,
@@ -37,6 +37,7 @@ from helpers import (
     expansion_response,
     function_gateways,
     interrupt_when,
+    mock_gateway,
     mock_gateways,
     pipeline_playbook,
     planner_response,
@@ -170,19 +171,9 @@ def test_expand_pgtree_falls_back_on_malformed_expansion():
     assert warnings and "section 2" in warnings[0]
 
 
-def test_build_reference_requires_all_components(draft):
-    components = {r: f"{r} text" for r in ("title", "abstract", "background", "summary", "claims")}
-    ref = Reference(**components, draft=draft)
-    assert (ref.title, ref.claims, ref.draft) == ("title text", "claims text", draft)
-    with pytest.raises(EmptySectionError) as err:
-        Reference(**dict(components, background="  "), draft=draft)
-    assert err.value.section == "background"
-
-
 def test_reference_rendering_contains_everything(draft):
     components = {r: f"{r} body" for r in ("title", "abstract", "background", "summary", "claims")}
-    ref = Reference(**components, draft=draft)
-    rendered = render_reference(ref)
+    rendered = render_reference(components, render_draft(draft))
     for text in components.values():
         assert text in rendered
     assert "Question 1:" in rendered and "Answer 5:" in rendered
@@ -431,6 +422,93 @@ def test_cached_run_dir_is_the_same_at_every_width_and_on_a_rerun(draft, tmp_pat
     # An empty reply is never cached, so the rerun sends only those requests.
     assert backend.calls == len(sent) < len(calls) == len(wide["calls.jsonl"].splitlines())
     assert all(c["response_hash"] == content_hash("") for c in sent)
+
+
+def _unchanged_refinement_run(draft, run_dir, cache_dir=None):
+    """A one-node run whose examiner is scripted Fail, Fail, Pass and whose
+    refiner has one reply, so the second refinement returns the text
+    unchanged and the review after it repeats the previous review's request.
+    Returns the run dir's files, with latency_ms and cached zeroed, and the
+    number of sends."""
+    playbook = pipeline_playbook(sections=1, subsections=1,
+                                 review_script=[FAIL_REVIEW, FAIL_REVIEW, PASS_REVIEW])
+    gateway, backend = mock_gateway(playbook)
+    if cache_dir is not None:
+        gateway.cache = ResponseCache(cache_dir)
+    PatentPipeline({"default": gateway}, run_dir=run_dir).run(draft, PipelineConfig())
+    if cache_dir is not None:
+        gateway.cache.close()
+    return tree_contents(run_dir, zeroed=("latency_ms", "cached")), backend.calls
+
+
+def test_a_cached_first_run_equals_an_uncached_one(draft, tmp_path):
+    uncached, _ = _unchanged_refinement_run(draft, tmp_path / "uncached")
+    history = json.loads(uncached["subsections/sec01_sub01.json"])["history"]
+    assert [r["result"] for r in history] == ["Fail", "Fail", "Pass"] and history[2]["no_change"]
+    cached, _ = _unchanged_refinement_run(draft, tmp_path / "cached", tmp_path / "cache")
+    assert cached == uncached
+    calls = (tmp_path / "cached" / "calls.jsonl").read_text().splitlines()
+    assert not any(json.loads(line)["cached"] for line in calls)
+
+
+def test_a_rerun_over_a_warm_cache_sends_nothing_and_writes_the_same_run_dir(draft, tmp_path):
+    uncached, _ = _unchanged_refinement_run(draft, tmp_path / "uncached")
+    _, first_sends = _unchanged_refinement_run(draft, tmp_path / "first", tmp_path / "cache")
+    rerun, sends = _unchanged_refinement_run(draft, tmp_path / "rerun", tmp_path / "cache")
+    assert rerun == uncached and first_sends > 0 and sends == 0
+    calls = (tmp_path / "rerun" / "calls.jsonl").read_text().splitlines()
+    assert all(json.loads(line)["cached"] for line in calls)
+
+
+class _ReviewsAfresh(PromptFunctionBackend):
+    """PromptFunctionBackend, except that its refiner returns one text, so a
+    node's second refinement is unchanged, and that its examiner fails a
+    subsection the first time it reviews it and passes it after."""
+
+    def __init__(self):
+        super().__init__(delay_s=0.001)
+        self.reviews = {}
+
+    def reply(self, prompt):
+        if MATCH_REFINE in prompt:
+            return "The unit adapts its gain from sensor feedback."
+        if MATCH_REVIEW in prompt:
+            with self._lock:
+                self.reviews[prompt] = self.reviews.get(prompt, 0) + 1
+                return FAIL_REVIEW if self.reviews[prompt] == 1 else PASS_REVIEW
+        return super().reply(prompt)
+
+
+def test_a_cached_run_dir_is_the_same_at_widths_1_and_8(draft, tmp_path):
+    runs = {}
+    for width, cache in ((1, None), (1, "cache1"), (8, "cache8")):
+        gateways = function_gateways(_ReviewsAfresh(), width)
+        if cache is not None:
+            gateways["default"].cache = ResponseCache(tmp_path / cache)
+        run_dir = tmp_path / f"{width}-{cache}"
+        PatentPipeline(gateways, run_dir=run_dir).run(draft, PipelineConfig())
+        runs[width, cache] = tree_contents(run_dir)
+    assert runs[1, "cache1"] == runs[8, "cache8"] == runs[1, None]
+    # Each node passes on the review after its unchanged refinement.
+    subsections = [json.loads(data) for name, data in runs[1, None].items()
+                   if name.startswith("subsections/")]
+    assert subsections and all(
+        [r["result"] for r in sub["history"]] == ["Fail", "Fail", "Pass"]
+        and sub["history"][2]["no_change"] for sub in subsections)
+
+
+def test_a_reused_run_dir_holds_only_its_last_runs_files(draft, tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    _pipeline(pipeline_playbook(), run_dir=reused).run(draft, PipelineConfig())
+    assert (reused / "patent.txt").exists() and (reused / "subsections").is_dir()
+    aborting = pipeline_playbook(extra_rules=[rule(MATCH_PLANNER, {"error": "status",
+                                                                   "code": 400})])
+    for run_dir in (reused, fresh):
+        with pytest.raises(PipelineAborted):
+            _pipeline(aborting, run_dir=run_dir).run(draft, PipelineConfig())
+    assert tree_contents(reused) == tree_contents(fresh)
+    assert load_json(reused / "status.json")["status"] == "partial"
+    assert not (reused / "patent.txt").exists() and not (reused / "pgtree.json").exists()
 
 
 def _node_guidelines(run_dir) -> list[str]:
@@ -690,6 +768,24 @@ def test_zero_shot_reply_is_cached_under_the_key_of_its_request(draft, tmp_path)
     again, backend = _zero_shot_gateway("never sent", cache=ResponseCache(tmp_path))
     assert run_zero_shot(again, draft, max_tokens=777).complete
     assert backend.sent == []
+
+
+def test_a_reused_zero_shot_run_dir_holds_only_its_last_runs_files(draft, tmp_path):
+    def run(reply, run_dir):
+        playbook = MockPlaybook([rule("write a complete patent document", reply)])
+        try:
+            run_zero_shot(mock_gateways(playbook, retry_max=0)["default"], draft,
+                          run_dir=run_dir)
+        except GatewayError:
+            pass
+        return tree_contents(run_dir)
+
+    reused = tmp_path / "reused"
+    run(_FULL_ZERO_SHOT, reused)
+    assert (reused / "patent.json").exists() and (reused / "sections" / "title.txt").exists()
+    for i, reply in enumerate(["Untagged prose.", {"error": "status", "code": 500}]):
+        assert run(reply, reused) == run(reply, tmp_path / f"fresh{i}")
+    assert [p.name for p in reused.rglob("*") if p.is_file()] == ["parse_report.json"]
 
 
 def test_zero_shot_missing_description_is_recorded():
