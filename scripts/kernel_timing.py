@@ -13,12 +13,15 @@ the benchmark's synthetic vocabulary (perfbench/textgen.py):
            most sentences; this is the worst case of the inverted-index pair
            count, whose posting lists then grow with the sentence count
 
-Then times metrics._lcs_len on the lowercase whitespace tokens of the pair,
-metrics.irr_of_text on the candidate at t=0.2 and t=0.4, and
-bench.score_document on the pair at the default MetricConfig. Prints one JSON
-object with the median of --repeats runs per kernel, the pair sums and a
-digest of the report row, so that two source trees (--src) can be compared
-on the same inputs.
+Then times, on the lowercase whitespace tokens of the pair, the clipped
+1-4-gram overlap behind BLEU and ROUGE-1/2 (metrics._overlaps over the four
+orders; metrics._overlap per order in a tree that predates it) and
+metrics._lcs_len; metrics.split_sentences and metrics.irr_of_text at t=0.2
+and t=0.4 on the candidate; and bench.score_document on the pair at the
+default MetricConfig. Prints one JSON object with the median of --repeats
+runs per kernel, the n-gram matches, the LCS, the pair sums and a digest of
+the report row, so that two source trees (--src) can be compared on the
+same inputs.
 """
 
 from __future__ import annotations
@@ -92,6 +95,13 @@ def main() -> int:
 
     from patentgen import bench, metrics
 
+    if hasattr(metrics, "_overlaps"):
+        def overlaps(cand, ref):
+            return metrics._overlaps(cand, ref, 4)
+    else:
+        def overlaps(cand, ref):
+            return [metrics._overlap(cand, ref, n) for n in range(1, 5)]
+
     sources = {"uniform": sentence, "zipf": zipf_sentence_maker(args.zipf_s)}
     cfg = bench.MetricConfig()
     out: dict = {"repeats": args.repeats, "seed": args.seed, "zipf_s": args.zipf_s,
@@ -103,7 +113,10 @@ def main() -> int:
             cand, ref = candidate.lower().split(), reference.lower().split()
             row: dict = {"candidate_words": len(cand), "reference_words": len(ref),
                          "sentences": metrics.split_sentences(candidate).n}
+            row["ngram_s"], ngrams = timed(lambda: overlaps(cand, ref), args.repeats)
+            row["ngram_matches"] = [m for m, _, _ in ngrams]
             row["lcs_s"], row["lcs"] = timed(lambda: metrics._lcs_len(cand, ref), args.repeats)
+            row["split_s"], _ = timed(lambda: metrics.split_sentences(candidate), args.repeats)
             for t in (0.2, 0.4):
                 key = bench.irr_label(t)
                 irr_cfg = metrics.IrrConfig(t=t)

@@ -288,7 +288,8 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
     report in out. Documents are the tasks of one run_tasks call, so as many
     run at once as the backends' width allows: one at a time, in manifest
     order, on a mock. With resume, a complete run dir made under pipeline_cfg
-    is reused. A document that fails is a failed row."""
+    is reused. A document that fails is a failed row, and no earlier run's
+    generated file is left for it."""
     docs = _check_manifest(manifest)
     generated_dir = make_dir(out / "generated")
     config_record = pipeline_cfg.to_record()
@@ -300,6 +301,7 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
         generated_path = generated_dir / f"{doc_id}.txt"
         if resume and generated_path.exists() and _reusable(run_dir, config_record):
             return None
+        generated_path.unlink(missing_ok=True)
         try:
             draft = load_draft(_manifest_file(entry, "draft_file"))
             doc = replace(runtime, run_dir=run_dir).run(draft, pipeline_cfg)

@@ -62,7 +62,7 @@ def tokenize_for_similarity(text: str) -> list[str]:
     Numbers are kept: claim references matter.
     """
     sw = stopwords()
-    return [t for t in re.split(r"[^a-z0-9]+", text.lower()) if t and t not in sw]
+    return [t for t in re.findall(r"[a-z0-9]+", text.lower()) if t not in sw]
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,15 @@ def _split_block(block: str) -> list[str]:
 def split_sentences(text: str) -> SentenceSet:
     """Sentence segmentation: terminator-plus-whitespace within paragraphs,
     plus blank-line boundaries. Short segments (< 3 tokens after stopword
-    removal) are kept."""
+    removal) are kept. A sentence's token set is tokenize_for_similarity's
+    tokens, found in one C-level pass."""
     sentences: list[str] = []
     for block in re.split(r"\n\s*\n", text):
         sentences.extend(_split_block(block))
+    words, sw = re.compile(r"[a-z0-9]+").findall, stopwords()
     return SentenceSet(
         sentences=tuple(sentences),
-        token_sets=tuple(frozenset(tokenize_for_similarity(s)) for s in sentences),
+        token_sets=tuple(frozenset(words(s.lower())).difference(sw) for s in sentences),
     )
 
 
@@ -205,18 +207,20 @@ def _tokens(text: str) -> list[str]:
     return text.lower().split()
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
-
-
-def _overlap(cand: list[str], ref: list[str], n: int) -> tuple[int, int, int]:
-    """Clipped n-gram matches of cand against ref, and the n-gram counts of
-    cand and of ref."""
-    cand_grams = _ngrams(cand, n)
-    ref_grams = _ngrams(ref, n)
-    shared = cand_grams.keys() & ref_grams.keys()
-    matches = sum(map(min, map(cand_grams.__getitem__, shared), map(ref_grams.__getitem__, shared)))
-    return matches, max(len(cand) - n + 1, 0), max(len(ref) - n + 1, 0)
+def _overlaps(cand: list[str], ref: list[str], orders: int) -> list[tuple[int, int, int]]:
+    """For n = 1..orders, the clipped n-gram matches of cand against ref and
+    the n-gram counts of cand and of ref. The shorter side's n-grams are
+    counted in full, the longer side's only where the shorter side has them:
+    no other n-gram can match. Order 1 counts the tokens themselves."""
+    short, long_ = (cand, ref) if len(cand) <= len(ref) else (ref, cand)
+    out = []
+    for n in range(1, orders + 1):
+        grams = [side if n == 1 else zip(*(side[i:] for i in range(n))) for side in (short, long_)]
+        full = Counter(grams[0])
+        part = Counter(filter(full.__contains__, grams[1]))
+        matches = sum(map(min, part.values(), map(full.__getitem__, part)))
+        out.append((matches, max(len(cand) - n + 1, 0), max(len(ref) - n + 1, 0)))
+    return out
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
@@ -227,22 +231,19 @@ def _lcs_len(a: list[str], b: list[str]) -> int:
     v holds one DP column over the shorter side: bit i is 0 where the column
     steps up by one at row i, so the LCS is the count of zero bits. Each
     token of the longer side advances the column with one add and a few
-    bitwise ops on the match mask of that token; masks exist only for tokens
-    found on both sides. LCS is symmetric, so swapping the sides is safe.
+    bitwise ops on the match mask of that token; a token of the longer side
+    with no mask, found only there, leaves the column as it is and is
+    skipped. LCS is symmetric, so swapping the sides is safe.
     """
     short, long_ = (a, b) if len(a) <= len(b) else (b, a)
-    shared = set(short).intersection(long_)
     masks: dict[str, int] = {}
     for i, token in enumerate(short):
-        if token in shared:
-            masks[token] = masks.get(token, 0) | (1 << i)
+        masks[token] = masks.get(token, 0) | (1 << i)
     full = (1 << len(short)) - 1
     v = full
-    for token in long_:
-        m = masks.get(token)
-        if m:
-            u = v & m
-            v = ((v + u) | (v - u)) & full
+    for m in filter(None, map(masks.get, long_)):
+        u = v & m
+        v = ((v + u) | (v - u)) & full
     return len(short) - v.bit_count()
 
 
@@ -268,7 +269,7 @@ def rouge_f1(candidate: str, reference: str, variant: str) -> float:
     cand = _tokens(candidate)
     ref = _tokens(reference)
     if variant in ("r1", "r2"):
-        matches, cand_total, ref_total = _overlap(cand, ref, int(variant[1]))
+        matches, cand_total, ref_total = _overlaps(cand, ref, int(variant[1]))[-1]
         return _f1(matches, cand_total + ref_total, cand, ref)
     if variant == "rl":
         return _f1(_lcs_len(cand, ref), len(cand) + len(ref), cand, ref)
@@ -316,8 +317,7 @@ def bleu(candidates: list[str], references: list[str]) -> float:
         ref = _tokens(ref_text)
         cand_len += len(cand)
         ref_len += len(ref)
-        for k in range(4):
-            m, total, _ = _overlap(cand, ref, k + 1)
+        for k, (m, total, _) in enumerate(_overlaps(cand, ref, 4)):
             matches[k] += m
             totals[k] += total
     return _bleu_score(matches, totals, cand_len, ref_len)
@@ -345,7 +345,7 @@ def score_pair(candidate: str, reference: str, thresholds: tuple[float, ...],
     cfgs = tuple(IrrConfig(t=t, epsilon=epsilon, cap=cap) for t in thresholds)
     cand = _tokens(candidate)
     ref = _tokens(reference)
-    overlaps = [_overlap(cand, ref, n) for n in range(1, 5)]
+    overlaps = _overlaps(cand, ref, 4)
     try:
         irr_results = _irr_results(split_sentences(candidate), cfgs)
     except IrrUndefinedError:

@@ -257,6 +257,21 @@ def oracle_irr(sentences: list[str], t: float, epsilon: float) -> float:
     return (n * (n - 1) // 2) / (count + epsilon)
 
 
+def oracle_ngram_overlap(cand: list[str], ref: list[str], n: int) -> tuple[int, int, int]:
+    """Clipped n-gram matches of cand against ref by a walk over cand's
+    n-grams, each taking one unused equal n-gram of ref; and the n-gram
+    counts of cand and of ref."""
+    cand_ngrams = [tuple(cand[i : i + n]) for i in range(len(cand) - n + 1)]
+    ref_ngrams = [tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)]
+    matches = 0
+    remaining = list(ref_ngrams)
+    for gram in cand_ngrams:
+        if gram in remaining:
+            matches += 1
+            remaining.remove(gram)
+    return matches, len(cand_ngrams), len(ref_ngrams)
+
+
 def oracle_bleu_single(candidate: str, reference: str) -> float:
     """Straight-line BLEU-4 for one pair, same pinned smoothing scheme:
     add-one where an order has matches, 0.01/total floor where it has none,
@@ -267,17 +282,9 @@ def oracle_bleu_single(candidate: str, reference: str) -> float:
         return 0.0
     product = 1.0
     for n in range(1, 5):
-        cand_ngrams = [tuple(cand[i : i + n]) for i in range(len(cand) - n + 1)]
-        ref_ngrams = [tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)]
-        total = len(cand_ngrams)
+        matches, total, _ = oracle_ngram_overlap(cand, ref, n)
         if total == 0:
             continue
-        matches = 0
-        remaining = list(ref_ngrams)
-        for gram in cand_ngrams:
-            if gram in remaining:
-                matches += 1
-                remaining.remove(gram)
         product *= (matches + 1) / (total + 1) if matches > 0 else 0.01 / total
     brevity = 1.0 if len(cand) >= len(ref) else math.exp(1.0 - len(ref) / len(cand))
     return 100.0 * brevity * product ** 0.25

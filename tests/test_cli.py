@@ -13,8 +13,8 @@ from patentgen.cli import main
 from patentgen.core import draft_to_record, load_json, make_draft
 from patentgen.datakit import SFT_KINDS
 from patentgen.gateway import HttpBackend, MockBackend, MockPlaybook
-from helpers import (FAIL_QUALITY, MATCH_COLLECT, MATCH_EXPAND, MATCH_INVENTOR, MATCH_QUALITY,
-                     PASS_QUALITY, pipeline_playbook, rule, tree_contents)
+from helpers import (FAIL_QUALITY, MATCH_COLLECT, MATCH_EXPAND, MATCH_INVENTOR, MATCH_PLANNER,
+                     MATCH_QUALITY, PASS_QUALITY, pipeline_playbook, rule, tree_contents)
 
 RUNNER = CliRunner()
 
@@ -569,6 +569,20 @@ def test_bench_failure_row_then_resume_completes_rest(tmp_path):
     assert second.exit_code == 0, second.output
     record = load_json(out / "report.json")
     assert record["counts"] == {"scored": 3, "failed": 0}
+
+
+def test_a_regenerated_document_that_fails_leaves_no_generated_text(tmp_path):
+    manifest_file, config_file, playbook_path = _bench_fixture(tmp_path, pipeline_playbook())
+    out = tmp_path / "b"
+    bench = ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
+    assert RUNNER.invoke(main, bench).exit_code == 0
+    assert (out / "generated" / "doc1.txt").exists()
+    # A planner reply with no sections fails every document this time.
+    pipeline_playbook(extra_rules=[rule(MATCH_PLANNER, "No sections here.")]).save(playbook_path)
+    result = RUNNER.invoke(main, [*bench, "--no-resume"])
+    assert result.exit_code == 2, result.output
+    assert load_json(out / "report.json")["counts"] == {"scored": 0, "failed": 3}
+    assert list((out / "generated").iterdir()) == []
 
 
 def _set_width(config_file, width: int) -> None:

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from patentgen.metrics import (
     _lcs_len,
+    _overlaps,
     _pair_sum,
     _split_block,
     CounterConfigError,
@@ -26,8 +27,8 @@ from patentgen.metrics import (
     stopwords,
     tokenize_for_similarity,
 )
-from helpers import (jaccard, oracle_bleu_single, oracle_irr, oracle_lcs_len, oracle_pair_sum,
-                     oracle_split_block, rep_indicator)
+from helpers import (jaccard, oracle_bleu_single, oracle_irr, oracle_lcs_len,
+                     oracle_ngram_overlap, oracle_pair_sum, oracle_split_block, rep_indicator)
 
 # --- sentence segmentation -----------------------------------------------------
 
@@ -99,6 +100,30 @@ def test_tokenization_removes_stopwords_keeps_numbers():
     tokens = tokenize_for_similarity("The widget of claim 1 is novel")
     assert "the" not in tokens and "of" not in tokens and "is" not in tokens
     assert "1" in tokens and "widget" in tokens
+
+
+# Arbitrary text, plus words and stopwords, terminators, blank lines, and
+# characters whose lowercase is ASCII or longer than themselves: the Kelvin
+# sign lowers to "k", "İ" to "i" and a combining dot.
+_TOKEN_TEXT = st.lists(
+    st.one_of(st.text(max_size=6),
+              st.sampled_from(["The", "of", "Claim", "7", "\u0130", "\u212a", "\u1e9e", "\u03a9",
+                               ". ", "! ", "\n\n", " ", "-"])),
+    max_size=30,
+).map("".join)
+
+
+@given(text=_TOKEN_TEXT)
+@settings(max_examples=300)
+def test_sentence_token_sets_are_the_similarity_tokens(text):
+    ss = split_sentences(text)
+    assert ss.token_sets == tuple(frozenset(tokenize_for_similarity(s)) for s in ss.sentences)
+
+
+def test_a_combining_dot_splits_a_word_and_the_kelvin_sign_reads_as_k():
+    # "\u0130tem" lowers to "i", U+0307, "tem", and "i" is a stopword.
+    assert tokenize_for_similarity("\u0130tem \u212a9") == ["tem", "k9"]
+    assert split_sentences("\u0130tem \u212a9.").token_sets == (frozenset({"tem", "k9"}),)
 
 
 def test_stopword_list_is_pinned():
@@ -330,15 +355,37 @@ def test_rouge_bounds_and_identity(candidate, reference):
 # --- exact kernels against their straight-line oracles ----------------------------
 
 
-_short_tokens = st.lists(st.sampled_from("abcd"), max_size=40)
-
-
-@given(a=_short_tokens, b=_short_tokens)
+# Each side draws one token the other never holds: a token of the longer side
+# with no mask must leave the column alone, one of the shorter side must not
+# match.
+@given(a=st.lists(st.sampled_from("abcdx"), max_size=40),
+       b=st.lists(st.sampled_from("abcdy"), max_size=40))
 @settings(max_examples=300)
 def test_lcs_len_matches_dp_oracle(a, b):
     expected = oracle_lcs_len(a, b)
     assert _lcs_len(a, b) == expected
     assert _lcs_len(b, a) == expected
+
+
+# Lengths 0-12 over three tokens: one side shorter, longer or equal, empty
+# sides, and enough repeats that clipping decides most matches.
+_ngram_tokens = st.lists(st.sampled_from("abc"), max_size=12)
+
+
+@given(cand=_ngram_tokens, ref=_ngram_tokens)
+@settings(max_examples=400)
+def test_overlaps_match_the_clipped_oracle_at_every_order(cand, ref):
+    overlaps = _overlaps(cand, ref, 4)
+    assert overlaps == [oracle_ngram_overlap(cand, ref, n) for n in range(1, 5)]
+    assert _overlaps(ref, cand, 4) == [(m, r, c) for m, c, r in overlaps]
+
+
+@pytest.mark.parametrize("cand, ref", [
+    ([], []), ([], list("aab")), (list("aab"), []),
+    (list("aaaa"), list("aa")), (list("aa"), list("aaaa")), (list("abab"), list("baba")),
+], ids=["both_empty", "empty_cand", "empty_ref", "cand_longer", "cand_shorter", "equal_length"])
+def test_overlaps_edge_cases(cand, ref):
+    assert _overlaps(cand, ref, 4) == [oracle_ngram_overlap(cand, ref, n) for n in range(1, 5)]
 
 
 def test_lcs_len_matches_dp_oracle_across_word_boundaries():
