@@ -29,12 +29,17 @@ scenarios, run in this order with the tree's own code, one subprocess each:
 - bad_manifest, bad_playbook: bench on a manifest, and generate with a
   playbook, that is not JSON (exit 1);
 - unset_key: generate with a config whose one backend is http and names an
-  API key variable that is not set (exit 1; nothing is sent).
+  API key variable that is not set (exit 1; nothing is sent);
+- rebuild: build-dataset with --kinds D2T on the corpus's first 9 records,
+  into a copy of build's out dir;
+- bench_trimmed: the bench again, without its third document, into a copy
+  of bench's out dir.
 
-The inputs (the demo's draft and playbook, as files) are written once, with
-the first tree's code, and copied to every tree. Every file a scenario
-writes is compared byte for byte, with latency_ms in calls.jsonl zeroed, and
-so are each command's exit code, stdout and stderr. Prints one line per
+The inputs (the demo's draft and playbook, as files, and the 9-record
+corpus) are written once, with the first tree's code, and copied to every
+tree. A rerun scenario's copy is made just before it runs. Every file a
+scenario writes is compared byte for byte, with latency_ms in calls.jsonl
+zeroed, and so are each command's exit code, stdout and stderr. Prints one line per
 scenario and exits 1 on any difference.
 """
 
@@ -82,7 +87,14 @@ SCENARIOS = [
                             "--out", "bad_playbook"]),
     ("unset_key", CLI + ["generate", "inputs/draft1.json", "--config", "inputs/unset_key.json",
                          "--out", "unset_key"]),
+    ("rebuild", CLI + ["build-dataset", "inputs/corpus9/records", "--mock-playbook",
+                       "corpus/playbook.json", "--out", "rebuild", "--kinds", "D2T"]),
+    ("bench_trimmed", CLI + ["bench", "inputs/manifest_trimmed.json", "--mock-playbook",
+                             "inputs/playbook.json", "--out", "bench_trimmed"]),
 ]
+# A rerun scenario starts from a copy of an earlier scenario's output, so
+# that the earlier scenario's own files stay as it wrote them.
+RERUN_OF = {"rebuild": "build", "bench_trimmed": "bench"}
 UNSET_KEY = "PATENTGEN_PARITY_UNSET_KEY"
 
 HTTP_400 = {"error": "status", "code": 400}
@@ -124,6 +136,11 @@ def write_inputs(tree: Path, out: Path) -> None:
         docs.append({"doc_id": f"d{i}", "draft_file": f"inputs/draft{i}.json",
                      "reference_file": f"inputs/ref{i}.txt"})
     (out / "manifest.json").write_text(json.dumps({"docs": docs}), "utf-8")
+    (out / "manifest_trimmed.json").write_text(json.dumps({"docs": docs[:2]}), "utf-8")
+    # The corpus scenario's first 9 records: its generator draws them in order.
+    subprocess.run([sys.executable, str(tree / "scripts" / "make_synthetic_records.py"),
+                    "--out", str(out / "corpus9"), "--n", "9"], check=True, capture_output=True,
+                   env=dict(os.environ, PYTHONPATH=str(tree / "src")))
     playbook = demo_playbook()
     playbook.save(out / "playbook.json")
     for name, (match, responses) in PLAYBOOK_EDITS.items():
@@ -147,6 +164,8 @@ def run_scenarios(tree: Path, inputs: Path, work: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop(UNSET_KEY, None)
     for name, command in SCENARIOS:
+        if name in RERUN_OF:
+            shutil.copytree(work / RERUN_OF[name], work / name)
         command = [part.replace("{src}", str(tree)) for part in command]
         done = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
         log = (f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}"

@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from .agents import run_tasks
-from .core import ConfigError, load_draft, load_json, make_dir, patent_to_text
+from .core import ConfigError, load_draft, load_json, make_dir, patent_to_text, remove_stale
 from .metrics import (
     BLEU_SPEC,
     IrrConfig,
@@ -53,17 +53,18 @@ def irr_label(t: float) -> str:
 @dataclass(frozen=True)
 class MetricConfig:
     thresholds: tuple[float, ...] = (0.2, 0.4)
-    epsilon: float = 1e-6
+    epsilon: float = IrrConfig.epsilon
     cap: float | None = None
     vocab: str | None = None  # a token vocabulary file; whitespace words when None
+    irr: tuple[IrrConfig, ...] = field(init=False, repr=False, compare=False)  # per threshold
     counter: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check every setting and build the token counter once, so a bad one
-        is a ConfigError before any document is generated or scored."""
+        """Check every setting and build the IRR configs and token counter once,
+        so a bad one is a ConfigError before any document is generated or scored."""
         try:
-            for t in self.thresholds:
-                IrrConfig(t=t, epsilon=self.epsilon, cap=self.cap)
+            object.__setattr__(self, "irr", tuple(IrrConfig(t=t, epsilon=self.epsilon, cap=self.cap)
+                                                  for t in self.thresholds))
             counter = VocabCounter(self.vocab) if self.vocab else WhitespaceCounter()
             object.__setattr__(self, "counter", counter)
         except MetricsError as exc:
@@ -88,7 +89,7 @@ class MetricConfig:
 
 
 def score_document(doc_id: str, candidate: str, reference: str, cfg: MetricConfig) -> dict:
-    scores = score_pair(candidate, reference, cfg.thresholds, cfg.epsilon, cfg.cap)
+    scores = score_pair(candidate, reference, cfg.irr)
     row: dict = {
         "doc_id": doc_id,
         "failed": False,
@@ -289,8 +290,9 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
     run at once as the backends' width allows: one at a time, in manifest
     order, on a mock. With resume, a complete run dir made under pipeline_cfg
     is reused. A document that fails is a failed row, and no earlier run's
-    generated file is left for it."""
+    generated file is left for it, nor for a document not in the manifest."""
     docs = _check_manifest(manifest)
+    remove_stale(out, ("generated/*.txt",), {f"generated/{entry['doc_id']}.txt" for entry in docs})
     generated_dir = make_dir(out / "generated")
     config_record = pipeline_cfg.to_record()
 

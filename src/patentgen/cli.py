@@ -14,13 +14,12 @@ from pathlib import Path
 
 import click
 
-from .agents import AgentRuntime
 from .bench import MetricConfig, report_from_record, run_bench, score_directories
-from .core import ConfigError, load_draft, load_json, make_dir, patent_to_text
-from .datakit import (DatasetBuilder, SFT_KINDS, build_dataset, check_split_sizes, export_sft,
-                      load_field_map, load_records, make_splits, write_build_artifacts)
+from .core import ConfigError, load_draft, load_json, patent_to_text
+from .datakit import build_dataset_dir
 from .gateway import GatewayError
-from .pipeline import PatentPipeline, PipelineAborted, load_run_config, run_zero_shot
+from .pipeline import (PatentPipeline, PipelineAborted, ZERO_SHOT_MAX_TOKENS, load_run_config,
+                       run_zero_shot)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -38,28 +37,12 @@ _run_config_options = _options(
 )
 _backend_option = click.option("--backend", help="backend name to use as the default")
 _metric_options = _options(
-    click.option("--t", default="0.2,0.4", show_default=True, help="repetition thresholds"),
-    click.option("--epsilon", type=float, default=1e-6, show_default=True),
+    click.option("--t", default=",".join(map(str, MetricConfig.thresholds)), show_default=True,
+                 help="repetition thresholds"),
+    click.option("--epsilon", type=float, default=MetricConfig.epsilon, show_default=True),
     click.option("--cap", type=float, default=None),
     click.option("--vocab", type=click.Path(), help="token vocabulary for subword counts"),
 )
-
-
-def _parse_thresholds(raw: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(v) for v in raw.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad threshold list {raw!r}") from exc
-    if not values:
-        raise ConfigError("threshold list is empty")
-    return values
-
-
-def _parse_sizes(raw: str) -> tuple[int, int, int]:
-    try:
-        return check_split_sizes(int(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"split sizes must be three non-negative integers, got {raw!r}") from exc
 
 
 def _exit_codes(method):
@@ -118,7 +101,8 @@ def generate(draft_file, config_file, mock_playbook, backend, out_dir):
 @_run_config_options
 @_backend_option
 @click.option("--out", "out_dir", type=click.Path())
-@click.option("--max-tokens", type=click.IntRange(min=1), default=16384, show_default=True)
+@click.option("--max-tokens", type=click.IntRange(min=1), default=ZERO_SHOT_MAX_TOKENS,
+              show_default=True)
 def baseline(draft_file, config_file, mock_playbook, backend, out_dir, max_tokens):
     """One-call zero-shot baseline: a single templated request, sections
     extracted where present, missing sections recorded."""
@@ -151,50 +135,21 @@ def baseline(draft_file, config_file, mock_playbook, backend, out_dir, max_token
 @click.option("--corrected-reviewer-mapping", is_flag=True,
               help="swap the q4/q5 reviewer prompts")
 @click.option("--skip-trees", is_flag=True, help="skip guideline-tree collection")
-def build_dataset_cmd(records_path, config_file, mock_playbook, out_dir, sizes, seed, kinds,
-                      accept_label, field_map_file, corrected_reviewer_mapping, skip_trees):
+def build_dataset_cmd(config_file, mock_playbook, **flags):
     """Build drafts + quality gate + splits + SFT exports from RECORDS_PATH."""
     gateways, bindings, _ = load_run_config(config_file, mock_playbook)
-    field_map = load_field_map(field_map_file) if field_map_file else {}
-    records, ingest_skips = load_records(records_path, accept_label, field_map)
-    size_tuple = _parse_sizes(sizes) if sizes else None
-    if size_tuple and sum(size_tuple) > len(records):
-        # Only ingested records can pass the gate, so the splits cannot fill.
-        raise ConfigError(f"split sizes need {sum(size_tuple)} records, more than the "
-                          f"{len(records)} ingested from {records_path}")
-    if kinds is None:
-        kind_list = [k for k in SFT_KINDS if not (skip_trees and k == "D2W")]
-    else:
-        kind_list = [k.strip() for k in kinds.split(",") if k.strip()]
-    bad_kinds = [k for k in kind_list if k not in SFT_KINDS]
-    if bad_kinds:
-        raise ConfigError(f"unknown export kinds {bad_kinds}; expected {list(SFT_KINDS)}")
-    if skip_trees and "D2W" in kind_list:
-        raise ConfigError("D2W exports guideline trees, which --skip-trees does not collect")
-    workdir = make_dir(out_dir)
-
-    runtime = AgentRuntime(gateways=gateways, bindings=bindings)
-    builder = DatasetBuilder(runtime, corrected_reviewer_mapping=corrected_reviewer_mapping)
-    build = build_dataset(builder, records, collect_trees=not skip_trees)
-    build.skips = ingest_skips + build.skips
-    manifest = make_splits(build.accepted_ids, sizes=size_tuple, seed=seed)
-    write_build_artifacts(build, manifest, workdir)
-    for kind in kind_list:
-        report = export_sft(kind, manifest, build, workdir / "exports")
-        click.echo(
-            f"{kind}: " + ", ".join(f"{s}={report.counts[s]}" for s in ("train", "valid", "test"))
-            + (f" ({len(report.skipped)} skipped)" if report.skipped else "")
-        )
-    click.echo(
-        f"accepted {len(build.accepted_ids)}/{len(records)} records; "
-        f"splits {len(manifest.train)}/{len(manifest.valid)}/{len(manifest.test)}; "
-        f"artifacts in {workdir}"
-    )
+    click.echo(build_dataset_dir(gateways, bindings, **flags))
     sys.exit(EXIT_OK)
 
 
 def _metric_config(t: str, epsilon: float, cap: float | None, vocab: str | None) -> MetricConfig:
-    return MetricConfig(thresholds=_parse_thresholds(t), epsilon=epsilon, cap=cap, vocab=vocab)
+    try:
+        thresholds = tuple(float(v) for v in t.split(",") if v.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad threshold list {t!r}") from exc
+    if not thresholds:
+        raise ConfigError("threshold list is empty")
+    return MetricConfig(thresholds=thresholds, epsilon=epsilon, cap=cap, vocab=vocab)
 
 
 @main.command()

@@ -447,6 +447,18 @@ def make_dir(path) -> Path:
     return path
 
 
+def remove_stale(directory: Path, owned: tuple[str, ...], keep) -> None:
+    """Remove each file under directory that matches a glob of owned and
+    whose relative path is not in keep, then a subdirectory this leaves
+    empty, so that a reused directory holds only its last run's files."""
+    for pattern in owned:
+        for path in list(directory.glob(pattern)):
+            if path.relative_to(directory).as_posix() not in keep:
+                path.unlink()
+                if path.parent != directory and not any(path.parent.iterdir()):
+                    path.parent.rmdir()
+
+
 def read_input(path, what: str = "file", parse=str):
     """parse applied to the UTF-8 text of the file at path. A fault in reading
     or parsing it is a ConfigError naming what and path."""

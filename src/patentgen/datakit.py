@@ -30,9 +30,11 @@ from .core import (
     PatentDoc,
     draft_to_record,
     load_json,
+    make_dir,
     make_draft,
     patent_to_text,
     read_input,
+    remove_stale,
     render_draft,
     render_fields,
 )
@@ -509,3 +511,51 @@ def write_build_artifacts(build: DatasetBuild, manifest: SplitManifest, workdir:
                 )
                 + "\n"
             )
+
+
+def build_dataset_dir(gateways: dict, bindings: dict, records_path, out_dir, *, seed: int,
+                      accept_label: str, sizes: str | None = None, kinds: str | None = None,
+                      field_map_file=None, corrected_reviewer_mapping=False,
+                      skip_trees=False) -> str:
+    """build-dataset: the records at records_path through build_dataset,
+    make_splits, write_build_artifacts (ingest skips first) and export_sft
+    into out_dir. sizes is "train,valid,test"; kinds is comma-separated,
+    every kind less D2W under skip_trees by default. A bad size or kind is a
+    DatakitError before any call. An earlier build's drafts and exports that
+    this one does not write are removed. Returns the summary."""
+    field_map = load_field_map(field_map_file) if field_map_file else {}
+    records, ingest_skips = load_records(records_path, accept_label, field_map)
+    if sizes:
+        try:
+            sizes = check_split_sizes(int(v) for v in sizes.split(","))
+        except ValueError:
+            raise DatakitError(f"split sizes must be three non-negative integers, got {sizes!r}")
+        if sum(sizes) > len(records):
+            # Only ingested records can pass the gate, so the splits cannot fill.
+            raise DatakitError(f"split sizes need {sum(sizes)} records, more than the "
+                               f"{len(records)} ingested from {records_path}")
+    kinds = ([k for k in SFT_KINDS if not (skip_trees and k == "D2W")] if kinds is None
+             else [k.strip() for k in kinds.split(",") if k.strip()])
+    bad_kinds = [k for k in kinds if k not in SFT_KINDS]
+    if bad_kinds:
+        raise DatakitError(f"unknown export kinds {bad_kinds}; expected {list(SFT_KINDS)}")
+    if skip_trees and "D2W" in kinds:
+        raise DatakitError("D2W exports guideline trees, which --skip-trees does not collect")
+    workdir = make_dir(out_dir)
+    builder = DatasetBuilder(AgentRuntime(gateways, bindings), corrected_reviewer_mapping)
+    build = build_dataset(builder, records, collect_trees=not skip_trees)
+    build.skips = ingest_skips + build.skips
+    manifest = make_splits(build.accepted_ids, sizes=sizes or None, seed=seed)
+    remove_stale(workdir, ("drafts/*.json", "exports/*/*.jsonl"),
+                 {f"drafts/{record_id}.json" for record_id in build.drafts}
+                 | {f"exports/{kind}/{split}.jsonl" for kind in kinds for split in SPLIT_NAMES})
+    write_build_artifacts(build, manifest, workdir)
+    lines = []
+    for kind in kinds:
+        report = export_sft(kind, manifest, build, workdir / "exports")
+        lines.append(f"{kind}: " + ", ".join(f"{s}={report.counts[s]}" for s in SPLIT_NAMES)
+                     + (f" ({len(report.skipped)} skipped)" if report.skipped else ""))
+    lines.append(f"accepted {len(build.accepted_ids)}/{len(records)} records; splits "
+                 + "/".join(str(len(manifest.split(s))) for s in SPLIT_NAMES)
+                 + f"; artifacts in {workdir}")
+    return "\n".join(lines)

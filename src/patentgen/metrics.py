@@ -332,17 +332,15 @@ class PairScores:
     rouge1: float
     rouge2: float
     rougel: float
-    irr: tuple[IrrResult, ...] | None  # per threshold; None below two sentences
+    irr: tuple[IrrResult, ...] | None  # per config; None below two sentences
 
 
-def score_pair(candidate: str, reference: str, thresholds: tuple[float, ...],
-               epsilon: float, cap: float | None) -> PairScores:
+def score_pair(candidate: str, reference: str, cfgs: tuple[IrrConfig, ...]) -> PairScores:
     """Every pair metric, equal to bleu([candidate], [reference]), the three
-    rouge_f1 variants and irr_of_text per threshold, from one pass: each side
-    is tokenized once, the 1-4-gram overlaps are counted once for BLEU and
-    ROUGE-1/2, and the candidate is split once for one pair count that
-    serves every threshold."""
-    cfgs = tuple(IrrConfig(t=t, epsilon=epsilon, cap=cap) for t in thresholds)
+    rouge_f1 variants and irr_of_text per config of cfgs, from one pass: each
+    side is tokenized once, the 1-4-gram overlaps are counted once for BLEU
+    and ROUGE-1/2, and the candidate is split once for one pair count that
+    serves every config."""
     cand = _tokens(candidate)
     ref = _tokens(reference)
     overlaps = _overlaps(cand, ref, 4)

@@ -62,6 +62,7 @@ from .core import (
     new_run_record,
     patent_to_record,
     patent_to_text,
+    remove_stale,
     render_draft,
     render_pgtree,
     render_reference,
@@ -351,13 +352,9 @@ _ZERO_SHOT_FILES = ("raw_response.txt", "sections/*.txt", "patent.txt", "patent.
 
 
 def _write_run_files(run_dir: Path, files: dict[str, str], owned: tuple[str, ...]) -> None:
-    """Write each text of files to its path under run_dir, once every file
-    that matches a glob of owned and that files does not name is removed, so
-    that a reused run dir holds only its last run's files."""
-    for pattern in owned:
-        for path in run_dir.glob(pattern):
-            if path.relative_to(run_dir).as_posix() not in files:
-                path.unlink()
+    """Write each text of files to its path under run_dir, once the files of
+    owned that files does not name are removed (core.remove_stale)."""
+    remove_stale(run_dir, owned, files)
     for parent in {(run_dir / name).parent for name in files}:
         parent.mkdir(exist_ok=True)
     for name, text in files.items():
@@ -391,8 +388,9 @@ def subsection_to_record(sub: SubsectionDraft) -> dict:
 
 # --- zero-shot baseline ------------------------------------------------------
 
-# The baseline's role and request tag; its binding is fixed, not configurable.
+# The baseline's role, its request tag and its reply's default max_tokens; no run config sets them.
 ZERO_SHOT = "zero_shot"
+ZERO_SHOT_MAX_TOKENS = 16384
 
 
 @dataclass(frozen=True)
@@ -425,7 +423,7 @@ def parse_zero_shot_output(raw: str) -> ZeroShotResult:
                           missing=tuple(name for name in SECTION_TAGS if name not in sections))
 
 
-def run_zero_shot(gateway: LlmGateway, draft: Draft, max_tokens: int = 16384,
+def run_zero_shot(gateway: LlmGateway, draft: Draft, max_tokens: int = ZERO_SHOT_MAX_TOKENS,
                   run_dir: Path | None = None) -> ZeroShotResult:
     """The one-call baseline: the whole patent asked for in one request, sent
     through AgentRuntime.ask with the gateway's model, the default sampling,

@@ -151,6 +151,16 @@ def test_one_pass_row_equals_the_public_metrics(monkeypatch, cfg):
         assert any(row.get(irr_label(1.0)) == cfg.cap for row in rows)
 
 
+def test_a_metric_config_carries_its_irr_configs_and_scoring_builds_none(monkeypatch):
+    cfg = MetricConfig(thresholds=(0.4, 0.2), epsilon=1e-3, cap=5.0)
+    assert cfg.irr == tuple(IrrConfig(t=t, epsilon=1e-3, cap=5.0) for t in (0.4, 0.2))
+    assert MetricConfig().epsilon == IrrConfig(t=0.2).epsilon
+    built = []
+    monkeypatch.setattr(IrrConfig, "__post_init__", built.append)
+    score_pairs(_ROW_PAIRS, cfg)
+    assert built == []
+
+
 def test_aggregates_are_arithmetic_means():
     cfg = MetricConfig()
     report = score_pairs(

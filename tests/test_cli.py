@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from patentgen.agents import AgentRuntime
+from patentgen.bench import MetricConfig
 from patentgen.cli import main
 from patentgen.core import draft_to_record, load_json, make_draft
 from patentgen.datakit import SFT_KINDS
@@ -377,6 +378,8 @@ def test_score_identity(tmp_path):
         assert row["bleu"] == 100.0
         assert row["rouge1"] == 1.0 and row["rougel"] == 1.0
     assert record["header"]["stopword_list_id"] == "en-v1"
+    # No metric option given: the header is the library's default settings.
+    assert record["header"] == MetricConfig().header()
 
 
 _BAD_METRIC_OPTIONS = pytest.mark.parametrize(
@@ -583,6 +586,25 @@ def test_a_regenerated_document_that_fails_leaves_no_generated_text(tmp_path):
     assert result.exit_code == 2, result.output
     assert load_json(out / "report.json")["counts"] == {"scored": 0, "failed": 3}
     assert list((out / "generated").iterdir()) == []
+
+
+def test_a_rerun_without_a_document_leaves_no_generated_text_for_it(tmp_path):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+    out = tmp_path / "b"
+    bench = ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
+    assert RUNNER.invoke(main, bench).exit_code == 0
+    manifest = load_json(manifest_file)
+    manifest_file.write_text(json.dumps({"docs": manifest["docs"][:2]}), "utf-8")
+    result = RUNNER.invoke(main, [*bench, "--no-resume"])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in (out / "generated").iterdir()) == ["doc1.txt", "doc2.txt"]
+    # So score over the generated texts sees that doc3 is no longer generated.
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    for i in (1, 2, 3):
+        (refs / f"doc{i}.txt").write_text((tmp_path / f"ref{i}.txt").read_text("utf-8"), "utf-8")
+    result = RUNNER.invoke(main, ["score", str(out / "generated"), str(refs)])
+    assert result.exit_code == 1 and "no generated doc for: ['doc3']" in result.output
 
 
 def _set_width(config_file, width: int) -> None:
@@ -905,6 +927,33 @@ def test_build_dataset_writes_its_artifacts_and_every_export(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "drafts", "exports", "pgtrees.json", "quality.json", "review_rejected.jsonl",
         "skips.jsonl", "splits.json"]
+
+
+def test_a_rebuild_into_the_same_out_holds_only_its_own_drafts_and_exports(tmp_path):
+    records = tmp_path / "records"
+    records.mkdir()
+    for i in range(4):
+        record = {name: f"{name} of record {i}." for name in
+                  ("title", "abstract", "background", "summary", "claims", "description")}
+        (records / f"rec{i}.json").write_text(json.dumps(dict(record, record_id=f"rec{i}",
+                                                              decision_label="ACCEPTED")))
+    playbook = tmp_path / "playbook.json"
+    MockPlaybook([rule(MATCH_INVENTOR, "An answer."), rule(MATCH_QUALITY, PASS_QUALITY),
+                  rule(MATCH_COLLECT, "<Section-1> part one </Section-1>")]).save(playbook)
+    build = ["build-dataset", str(records), "--mock-playbook", str(playbook)]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert RUNNER.invoke(main, [*build, "--out", str(reused)]).exit_code == 0
+    assert len(list(reused.glob("exports/*/*.jsonl"))) == 3 * len(SFT_KINDS)
+    (records / "rec3.json").unlink()
+    outputs = []
+    for out in (reused, fresh):
+        result = RUNNER.invoke(main, [*build, "--out", str(out), "--kinds", "D2T"])
+        assert result.exit_code == 0, result.output
+        outputs.append((result.output.replace(str(out), "OUT"), tree_contents(out)))
+    assert outputs[0] == outputs[1]
+    assert sorted(p.name for p in (reused / "drafts").iterdir()) == [
+        "rec0.json", "rec1.json", "rec2.json"]
+    assert [p.name for p in (reused / "exports").iterdir()] == ["D2T"]
 
 
 def test_report_command_renders_table(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from patentgen.agents import AgentRuntime
-from patentgen.core import draft_to_record, new_run_record, render_draft
+from patentgen.agents import AgentRuntime, default_bindings
+from patentgen.core import ConfigError, draft_to_record, new_run_record, render_draft
 from patentgen.datakit import (
     SFT_KINDS,
     DatakitError,
@@ -19,6 +19,7 @@ from patentgen.datakit import (
     InsufficientRecordsError,
     PatentRecord,
     build_dataset,
+    build_dataset_dir,
     export_sft,
     load_records,
     make_splits,
@@ -591,3 +592,28 @@ def test_a_review_starts_as_soon_as_its_own_answer_lands():
     build, _, _ = _function_build([_record(1)], 3, fail_when=fail_when)
     assert events == ["review q2 sent", "answer q1 done"]
     assert list(build.quality) == ["rec001"]
+
+
+# --- build_dataset_dir ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"kinds": "D2T,D2W", "skip_trees": True},
+     "D2W exports guideline trees, which --skip-trees does not collect"),
+    ({"kinds": "D2T,D2X"}, f"unknown export kinds ['D2X']; expected {list(SFT_KINDS)}"),
+    ({"sizes": "2,1,1"}, "split sizes need 4 records, more than the 3 ingested from "),
+    ({"sizes": "1,2"}, "split sizes must be three non-negative integers, got (1, 2)"),
+    ({"sizes": "1,x,1"}, "split sizes must be three non-negative integers, got '1,x,1'"),
+], ids=["d2w_without_trees", "unknown_kind", "sizes_beyond_ingested", "two_sizes", "not_a_size"])
+def test_build_dataset_dir_rejects_bad_options_before_any_call(tmp_path, options, message):
+    records = tmp_path / "records"
+    records.mkdir()
+    for i in (1, 2, 3):
+        (records / f"rec{i}.json").write_text(json.dumps(_record(i).__dict__), "utf-8")
+    backend = PromptFunctionBackend(fail_when=lambda prompt: "no call may be sent")
+    out = tmp_path / "build"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_dataset_dir(function_gateways(backend, 1), default_bindings(), records, out,
+                          seed=0, accept_label="ACCEPTED", **options)
+    assert backend.calls == 0
+    assert not out.exists()
