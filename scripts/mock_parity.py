@@ -33,10 +33,12 @@ scenarios, run in this order with the tree's own code, one subprocess each:
 - rebuild: build-dataset with --kinds D2T on the corpus's first 9 records,
   into a copy of build's out dir;
 - bench_trimmed: the bench again, without its third document, into a copy
-  of bench's out dir.
+  of bench's out dir;
+- build_short: build-dataset with --sizes 4,0,0 on a 4-record corpus whose
+  playbook fails the eleventh review, so only 3 records pass (exit 1).
 
-The inputs (the demo's draft and playbook, as files, and the 9-record
-corpus) are written once, with the first tree's code, and copied to every
+The inputs (the demo's draft and playbook, as files, and the 9- and 4-record
+corpora) are written once, with the first tree's code, and copied to every
 tree. A rerun scenario's copy is made just before it runs. Every file a
 scenario writes is compared byte for byte, with latency_ms in calls.jsonl
 zeroed, and so are each command's exit code, stdout and stderr. Prints one line per
@@ -91,6 +93,8 @@ SCENARIOS = [
                        "corpus/playbook.json", "--out", "rebuild", "--kinds", "D2T"]),
     ("bench_trimmed", CLI + ["bench", "inputs/manifest_trimmed.json", "--mock-playbook",
                              "inputs/playbook.json", "--out", "bench_trimmed"]),
+    ("build_short", CLI + ["build-dataset", "inputs/corpus4/records", "--mock-playbook",
+                           "inputs/build_short.json", "--out", "build_short", "--sizes", "4,0,0"]),
 ]
 # A rerun scenario starts from a copy of an earlier scenario's output, so
 # that the earlier scenario's own files stay as it wrote them.
@@ -137,10 +141,17 @@ def write_inputs(tree: Path, out: Path) -> None:
                      "reference_file": f"inputs/ref{i}.txt"})
     (out / "manifest.json").write_text(json.dumps({"docs": docs}), "utf-8")
     (out / "manifest_trimmed.json").write_text(json.dumps({"docs": docs[:2]}), "utf-8")
-    # The corpus scenario's first 9 records: its generator draws them in order.
-    subprocess.run([sys.executable, str(tree / "scripts" / "make_synthetic_records.py"),
-                    "--out", str(out / "corpus9"), "--n", "9"], check=True, capture_output=True,
-                   env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+    # The corpus scenario's first 9 and 4 records: its generator draws them in order.
+    for n in (9, 4):
+        subprocess.run([sys.executable, str(tree / "scripts" / "make_synthetic_records.py"),
+                        "--out", str(out / f"corpus{n}"), "--n", str(n)], check=True,
+                       capture_output=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+    # At width 1 the eleventh review is the third record's first.
+    record = json.loads((out / "corpus4" / "playbook.json").read_text("utf-8"))
+    rule = next(r for r in record["rules"] if r["match"] == "meets the quality standards")
+    rule["responses"] = rule["responses"] * 10 + [
+        "<Result> Fail </Result><Reason> too vague </Reason>", rule["responses"][0]]
+    (out / "build_short.json").write_text(json.dumps(record), "utf-8")
     playbook = demo_playbook()
     playbook.save(out / "playbook.json")
     for name, (match, responses) in PLAYBOOK_EDITS.items():

@@ -36,7 +36,7 @@ from .core import (
     content_hash,
     new_run_record,
 )
-from .gateway import CallHalted, ChatMessage, ChatRequest, LlmGateway, check_sampling
+from .gateway import CallHalted, ChatMessage, ChatRequest, LlmGateway
 from .prompts import PromptRegistry, default_registry
 from .tags import TagError, extract_sections, extract_tag
 
@@ -98,7 +98,12 @@ class AgentBinding:
     parse_retry_max: int = 2
 
     def __post_init__(self):
-        check_sampling(self.temperature, self.top_p, self.max_tokens)
+        if not 0.0 <= self.temperature <= 2.0:
+            raise AgentError(f"temperature {self.temperature} outside [0, 2]")
+        if not 0.0 < self.top_p <= 1.0:
+            raise AgentError(f"top_p {self.top_p} outside (0, 1]")
+        if self.max_tokens <= 0:
+            raise AgentError(f"max_tokens must be positive, got {self.max_tokens}")
         if self.parse_retry_max < 0:
             raise AgentError(f"parse_retry_max must be >= 0, got {self.parse_retry_max}")
 
@@ -191,8 +196,6 @@ class AgentRuntime:
     # run renders once.
 
     def write_component(self, role: str, draft: str) -> str:
-        if role not in COMPONENT_ROLES:
-            raise AgentError(f"{role!r} is not a short-component role")
         tag = SECTION_TAGS[role]
 
         def parse(content: str) -> str:
@@ -254,8 +257,6 @@ class AgentRuntime:
                         _DESCRIPTION_REMINDER)
 
     def refine(self, node: GuidelineNode, subsection: str, feedback: str, tree: str) -> str:
-        if not feedback.strip():
-            raise AgentError("refine requires non-empty feedback")
         slots = {
             "tree_overview": tree,
             "guideline": node.guideline_text,
@@ -268,8 +269,6 @@ class AgentRuntime:
     # --- review ----------------------------------------------------------
 
     def review(self, node: GuidelineNode, subsection: str, draft: str) -> ReviewVerdict:
-        if not subsection.strip():
-            raise AgentError("review requires a non-empty subsection")
         slots = {
             "draft": draft,
             "guideline": node.guideline_text,

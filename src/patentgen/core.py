@@ -45,29 +45,12 @@ COMPONENT_ROLES = SECTION_NAMES[:-1]
 DEFAULT_SECTION_ORDER = ("title", "abstract", "background", "summary", "description", "claims")
 
 
-class CoreError(Exception):
-    """Base class for domain-type construction errors."""
-
-
 class ConfigError(Exception):
     """Invalid input, raised where it is read; the CLI prints it and exits 1."""
 
 
-class DraftValidationError(CoreError, ConfigError):
+class DraftValidationError(ConfigError):
     pass
-
-
-class EmptySectionError(CoreError):
-    def __init__(self, section: str):
-        self.section = section
-        super().__init__(f"section {section!r} is empty")
-
-
-def _reject_empty(obj, names) -> None:
-    """Raise EmptySectionError for the first of the named text fields that is blank."""
-    for name in names:
-        if not getattr(obj, name).strip():
-            raise EmptySectionError(name)
 
 
 def _normalize_ws(text: str) -> str:
@@ -190,14 +173,6 @@ class GuidelineNode:
     subsection_index: int
     guideline_text: str
 
-    def __post_init__(self):
-        if self.section_index < 1 or self.subsection_index < 1:
-            raise CoreError("guideline node indices are 1-based")
-        if not self.guideline_text.strip():
-            raise CoreError(
-                f"empty guideline at node ({self.section_index}, {self.subsection_index})"
-            )
-
     @property
     def node_id(self) -> tuple[int, int]:
         return (self.section_index, self.subsection_index)
@@ -209,29 +184,14 @@ class SectionPlan:
     section_overview: str
     subsections: tuple[GuidelineNode, ...]
 
-    def __post_init__(self):
-        if not self.subsections:
-            raise CoreError(f"section {self.section_index} has no subsections")
-        for node in self.subsections:
-            if node.section_index != self.section_index:
-                raise CoreError("subsection node filed under the wrong section")
-
 
 @dataclass(frozen=True)
 class PGTree:
-    """Two-layer writing-guideline tree: section overviews over subsection guidelines."""
+    """Two-layer writing-guideline tree: section overviews over subsection
+    guidelines. Each level comes from a tags.extract_sections parse, so its
+    indices run 1..m and no guideline is blank."""
 
     sections: tuple[SectionPlan, ...]
-
-    def __post_init__(self):
-        if not self.sections:
-            raise CoreError("guideline tree has no sections")
-        seen: set[tuple[int, int]] = set()
-        for plan in self.sections:
-            for node in plan.subsections:
-                if node.node_id in seen:
-                    raise CoreError(f"duplicate guideline node {node.node_id}")
-                seen.add(node.node_id)
 
     def nodes(self) -> list[GuidelineNode]:
         return [node for plan in self.sections for node in plan.subsections]
@@ -265,12 +225,6 @@ def render_reference(components: dict[str, str], draft: str) -> str:
 class ReviewVerdict:
     result: str
     advice: str
-
-    def __post_init__(self):
-        if self.result not in ("Pass", "Fail"):
-            raise CoreError(f"verdict result must be Pass or Fail, got {self.result!r}")
-        if not self.advice.strip():
-            raise CoreError("verdict advice must be non-empty")
 
     @property
     def passed(self) -> bool:
@@ -373,14 +327,10 @@ def new_run_record(model_id: str = "unset") -> RunRecord:
     return RunRecord(model_id=model_id)
 
 
-def check_section_order(order: tuple[str, ...]) -> None:
-    if sorted(order) != sorted(SECTION_NAMES):
-        raise CoreError(f"section_order must be a permutation of {SECTION_NAMES}, got {order}")
-
-
 @dataclass(frozen=True)
 class PatentDoc:
-    """The assembled six-section patent."""
+    """The assembled six-section patent; every section comes from a parse or
+    a record that rejects blank text, and the order from a PipelineConfig."""
 
     title: str
     abstract: str
@@ -390,10 +340,6 @@ class PatentDoc:
     description: str
     section_order: tuple[str, ...] = DEFAULT_SECTION_ORDER
     generation_meta: RunRecord | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        check_section_order(self.section_order)
-        _reject_empty(self, SECTION_NAMES)
 
     def section(self, name: str) -> str:
         return getattr(self, name)
@@ -449,14 +395,16 @@ def make_dir(path) -> Path:
 
 def remove_stale(directory: Path, owned: tuple[str, ...], keep) -> None:
     """Remove each file under directory that matches a glob of owned and
-    whose relative path is not in keep, then a subdirectory this leaves
+    whose relative path is not in keep, then each subdirectory this leaves
     empty, so that a reused directory holds only its last run's files."""
     for pattern in owned:
         for path in list(directory.glob(pattern)):
             if path.relative_to(directory).as_posix() not in keep:
                 path.unlink()
-                if path.parent != directory and not any(path.parent.iterdir()):
-                    path.parent.rmdir()
+                parent = path.parent
+                while parent != directory and not any(parent.iterdir()):
+                    parent.rmdir()
+                    parent = parent.parent
 
 
 def read_input(path, what: str = "file", parse=str):

@@ -125,7 +125,8 @@ def load_records(path: Path | str, accept_label: str = "ACCEPTED", field_map: di
     field it omits keeps its own name.
 
     Returns (records, skips); only records with the accept label and all six
-    sections non-empty are kept.
+    sections non-empty are kept. Two records with one record_id are a
+    DatakitError naming both.
     """
     field_map = field_map or {}
     path = Path(path)
@@ -143,6 +144,7 @@ def load_records(path: Path | str, accept_label: str = "ACCEPTED", field_map: di
 
     records: list[PatentRecord] = []
     skips: list[dict] = []
+    seen: dict[str, str] = {}  # record_id -> where it was read
     for fallback_id, where, text in sources:
         try:
             raw = json.loads(text)
@@ -151,6 +153,10 @@ def load_records(path: Path | str, accept_label: str = "ACCEPTED", field_map: di
         if not isinstance(raw, dict):
             raise DatakitError(f"{where}: record is not a JSON object")
         rec = _record_from_raw(raw, field_map, fallback_id)
+        if rec.record_id in seen:
+            raise DatakitError(f"{where}: record_id {rec.record_id!r} is also the id of "
+                               f"{seen[rec.record_id]}")
+        seen[rec.record_id] = where
         if rec.decision_label != accept_label:
             skips.append(
                 {"record_id": rec.record_id, "stage": "ingest",
@@ -185,13 +191,6 @@ class QualityItem:
 @dataclass(frozen=True)
 class QualityReport:
     items: tuple[QualityItem, ...]
-
-    def __post_init__(self):
-        if len(self.items) != 5:
-            raise DatakitError("quality report must cover all five questions")
-        for item in self.items:
-            if not item.passed and not item.reason.strip():
-                raise DatakitError(f"failed question {item.question_id} needs a reason")
 
     @property
     def overall_pass(self) -> bool:
@@ -297,8 +296,6 @@ class DatasetBuilder:
             raise RecordSkipped(source_id, "quality_gate", f"q{qid}: {exc}") from exc
 
     def collect_pgtree(self, description: str) -> list[tuple[int, str]]:
-        if not description.strip():
-            raise DatakitError("collect_pgtree requires a non-empty description")
         reminder = (
             "Your previous response did not follow the required format. Respond again "
             "using <Section-1> ... </Section-1> blocks numbered consecutively from 1."
@@ -474,8 +471,10 @@ def export_sft(
     return report
 
 
-def write_build_artifacts(build: DatasetBuild, manifest: SplitManifest, workdir: Path) -> None:
-    """Persist drafts, quality reports, trees, the manifest and the skip log."""
+def write_build_artifacts(build: DatasetBuild, manifest: SplitManifest | None,
+                          workdir: Path) -> None:
+    """Persist drafts, quality reports, trees, the skip log and, unless it is
+    None, the manifest."""
     workdir = Path(workdir)
     (workdir / "drafts").mkdir(parents=True, exist_ok=True)
     for record_id, draft in build.drafts.items():
@@ -486,9 +485,10 @@ def write_build_artifacts(build: DatasetBuild, manifest: SplitManifest, workdir:
     quality = {record_id: asdict(report)["items"] for record_id, report in build.quality.items()}
     (workdir / "quality.json").write_text(json.dumps(quality, indent=2) + "\n", "utf-8")
     (workdir / "pgtrees.json").write_text(json.dumps(build.pgtrees, indent=2) + "\n", "utf-8")
-    (workdir / "splits.json").write_text(
-        json.dumps(asdict(manifest), indent=2) + "\n", "utf-8"
-    )
+    if manifest is not None:
+        (workdir / "splits.json").write_text(
+            json.dumps(asdict(manifest), indent=2) + "\n", "utf-8"
+        )
     with (workdir / "skips.jsonl").open("w", encoding="utf-8") as fh:
         for skip in build.skips:
             fh.write(json.dumps(skip, ensure_ascii=False) + "\n")
@@ -513,6 +513,18 @@ def write_build_artifacts(build: DatasetBuild, manifest: SplitManifest, workdir:
             )
 
 
+def _write_build(build: DatasetBuild, manifest: SplitManifest | None, kinds: list[str],
+                 workdir: Path) -> None:
+    """write_build_artifacts, once the drafts, splits.json and exports in
+    workdir that this build does not write are removed."""
+    keep = {f"drafts/{record_id}.json" for record_id in build.drafts}
+    keep |= {f"exports/{kind}/{split}.jsonl" for kind in kinds for split in SPLIT_NAMES}
+    if manifest is not None:
+        keep.add("splits.json")
+    remove_stale(workdir, ("drafts/*.json", "splits.json", "exports/*/*.jsonl"), keep)
+    write_build_artifacts(build, manifest, workdir)
+
+
 def build_dataset_dir(gateways: dict, bindings: dict, records_path, out_dir, *, seed: int,
                       accept_label: str, sizes: str | None = None, kinds: str | None = None,
                       field_map_file=None, corrected_reviewer_mapping=False,
@@ -521,8 +533,10 @@ def build_dataset_dir(gateways: dict, bindings: dict, records_path, out_dir, *, 
     make_splits, write_build_artifacts (ingest skips first) and export_sft
     into out_dir. sizes is "train,valid,test"; kinds is comma-separated,
     every kind less D2W under skip_trees by default. A bad size or kind is a
-    DatakitError before any call. An earlier build's drafts and exports that
-    this one does not write are removed. Returns the summary."""
+    DatakitError before any call. When too few records pass the gate for the
+    sizes, everything but the splits and exports is still written, and then
+    InsufficientRecordsError is raised. An earlier build's drafts, splits and
+    exports that this one does not write are removed. Returns the summary."""
     field_map = load_field_map(field_map_file) if field_map_file else {}
     records, ingest_skips = load_records(records_path, accept_label, field_map)
     if sizes:
@@ -545,11 +559,13 @@ def build_dataset_dir(gateways: dict, bindings: dict, records_path, out_dir, *, 
     builder = DatasetBuilder(AgentRuntime(gateways, bindings), corrected_reviewer_mapping)
     build = build_dataset(builder, records, collect_trees=not skip_trees)
     build.skips = ingest_skips + build.skips
-    manifest = make_splits(build.accepted_ids, sizes=sizes or None, seed=seed)
-    remove_stale(workdir, ("drafts/*.json", "exports/*/*.jsonl"),
-                 {f"drafts/{record_id}.json" for record_id in build.drafts}
-                 | {f"exports/{kind}/{split}.jsonl" for kind in kinds for split in SPLIT_NAMES})
-    write_build_artifacts(build, manifest, workdir)
+    try:
+        manifest = make_splits(build.accepted_ids, sizes=sizes or None, seed=seed)
+    except InsufficientRecordsError:
+        # Keep the drafts and verdicts just paid for.
+        _write_build(build, None, [], workdir)
+        raise
+    _write_build(build, manifest, kinds, workdir)
     lines = []
     for kind in kinds:
         report = export_sft(kind, manifest, build, workdir / "exports")

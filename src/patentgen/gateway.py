@@ -91,33 +91,17 @@ class ChatMessage:
     role: str
     content: str
 
-    def __post_init__(self):
-        if self.role not in ("system", "user", "assistant"):
-            raise RequestError(f"bad message role {self.role!r}")
-
-
-def check_sampling(temperature: float, top_p: float, max_tokens: int) -> None:
-    """Raise RequestError unless the sampling settings are in range."""
-    if not 0.0 <= temperature <= 2.0:
-        raise RequestError(f"temperature {temperature} outside [0, 2]")
-    if not 0.0 < top_p <= 1.0:
-        raise RequestError(f"top_p {top_p} outside (0, 1]")
-    if max_tokens <= 0:
-        raise RequestError(f"max_tokens must be positive, got {max_tokens}")
-
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """AgentRuntime.ask builds each request it sends from a user message and
+    an AgentBinding, which checked the sampling settings when it was made."""
+
     model_id: str
     messages: tuple[ChatMessage, ...]
     temperature: float
     top_p: float
     max_tokens: int
-
-    def __post_init__(self):
-        if not any(m.role == "user" for m in self.messages):
-            raise RequestError("request must contain at least one user message")
-        check_sampling(self.temperature, self.top_p, self.max_tokens)
 
     def rendered_prompt(self) -> str:
         return "\n".join(m.content for m in self.messages)
@@ -125,16 +109,14 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class ChatResponse:
+    """What LlmGateway.complete returns; empty content has finish_reason error."""
+
     content: str
     finish_reason: str
     usage: dict = field(default_factory=dict)
     cached: bool = False
     retries: int = 0
     latency_ms: int = 0
-
-    def __post_init__(self):
-        if not self.content and self.finish_reason != FINISH_ERROR:
-            raise GatewayError("empty content must carry finish_reason=error")
 
 
 def cache_key(req: ChatRequest, occurrence: int = 0) -> str:

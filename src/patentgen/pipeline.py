@@ -43,9 +43,9 @@ from .agents import (
 )
 from .core import (
     DEFAULT_SECTION_ORDER,
+    SECTION_NAMES,
     SECTION_TAGS,
     ConfigError,
-    CoreError,
     Draft,
     GuidelineNode,
     PatentDoc,
@@ -54,7 +54,6 @@ from .core import (
     ReviewVerdict,
     SectionPlan,
     SubsectionDraft,
-    check_section_order,
     draft_to_record,
     json_text,
     load_json,
@@ -96,7 +95,9 @@ class PipelineConfig:
             raise PipelineError("max_refine_rounds must be >= 0")
         if self.pgtree_expansion not in (EXPANSION_OFF, EXPANSION_PER_SECTION):
             raise PipelineError(f"unknown pgtree_expansion {self.pgtree_expansion!r}")
-        check_section_order(self.section_order)
+        if sorted(self.section_order) != sorted(SECTION_NAMES):
+            raise PipelineError(f"section_order must be a permutation of {SECTION_NAMES}, "
+                                f"got {self.section_order}")
 
     def to_record(self) -> dict:
         record = asdict(self)
@@ -136,7 +137,7 @@ def config_record(base, record: dict, where: str, fixed: tuple[str, ...] = ()):
         values[key] = tuple(value) if is_tuple else value
     try:
         return replace(base, **values)
-    except (AgentError, CoreError, GatewayError, PipelineError) as exc:
+    except (AgentError, GatewayError, PipelineError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -281,7 +282,7 @@ class PatentPipeline(AgentRuntime):
                             section_order=cfg.section_order, generation_meta=record)
         except BaseException as exc:
             self._persist(draft, draft_text, cfg, record, components, tree, subs, error=exc)
-            if isinstance(exc, (AgentError, CoreError, GatewayError, TagError)):
+            if isinstance(exc, (AgentError, GatewayError, TagError)):
                 raise PipelineAborted(f"pipeline aborted: {exc}") from exc
             raise
         self._persist(draft, draft_text, cfg, record, components, tree, subs, doc=doc)

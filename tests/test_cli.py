@@ -8,7 +8,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from patentgen.agents import AgentRuntime
+from patentgen.agents import AgentError, AgentRuntime
 from patentgen.bench import MetricConfig
 from patentgen.cli import main
 from patentgen.core import draft_to_record, load_json, make_draft
@@ -115,16 +115,18 @@ def test_generate_falls_back_to_one_node_after_empty_expansions(tmp_path):
     assert roles.count("section_expand") == 6  # each section asked, then re-asked twice
 
 
-def test_generate_aborts_on_any_core_error_and_keeps_partial_output(tmp_path, monkeypatch):
-    # An empty guideline is a CoreError raised inside a task.
-    monkeypatch.setattr(AgentRuntime, "expand_section", lambda self, draft, overview: [(1, " ")])
+def test_generate_aborts_on_an_agent_error_and_keeps_partial_output(tmp_path, monkeypatch):
+    def refuse(self, draft, overview):
+        raise AgentError("expansion refused")
+
+    monkeypatch.setattr(AgentRuntime, "expand_section", refuse)
     draft_file, config_file = _setup_generate(tmp_path, pipeline_playbook())
     out = tmp_path / "run"
     result = RUNNER.invoke(
         main, ["generate", str(draft_file), "--config", str(config_file), "--out", str(out)]
     )
     assert result.exit_code == 2, result.output
-    assert "run aborted: empty guideline at node (1, 1)" in result.output
+    assert "run aborted: expansion refused" in result.output
     assert load_json(out / "status.json")["status"] == "partial"
     assert (out / "components.json").exists()
 
@@ -222,6 +224,8 @@ def _set_key(config: dict, path: str, value) -> None:
         ("backends.default.kind", "grpc", "backends.default: unknown backend kind 'grpc'"),
         ("backends.default.rpm", -1, "backends.default: rpm must be positive"),
         ("agents.planner.parse_retry_max", -1, "agents.planner: parse_retry_max must be >= 0"),
+        ("agents.title.temperature", 3.0, "agents.title: temperature 3.0 outside [0, 2]"),
+        ("agents.examiner.top_p", 0.0, "agents.examiner: top_p 0.0 outside (0, 1]"),
     ],
 )
 def test_bad_run_config_value_fails_before_any_model_call(tmp_path, monkeypatch, path, value,
@@ -929,7 +933,7 @@ def test_build_dataset_writes_its_artifacts_and_every_export(tmp_path):
         "skips.jsonl", "splits.json"]
 
 
-def test_a_rebuild_into_the_same_out_holds_only_its_own_drafts_and_exports(tmp_path):
+def _four_records(tmp_path):
     records = tmp_path / "records"
     records.mkdir()
     for i in range(4):
@@ -937,6 +941,11 @@ def test_a_rebuild_into_the_same_out_holds_only_its_own_drafts_and_exports(tmp_p
                   ("title", "abstract", "background", "summary", "claims", "description")}
         (records / f"rec{i}.json").write_text(json.dumps(dict(record, record_id=f"rec{i}",
                                                               decision_label="ACCEPTED")))
+    return records
+
+
+def test_a_rebuild_into_the_same_out_holds_only_its_own_drafts_and_exports(tmp_path):
+    records = _four_records(tmp_path)
     playbook = tmp_path / "playbook.json"
     MockPlaybook([rule(MATCH_INVENTOR, "An answer."), rule(MATCH_QUALITY, PASS_QUALITY),
                   rule(MATCH_COLLECT, "<Section-1> part one </Section-1>")]).save(playbook)
@@ -954,6 +963,47 @@ def test_a_rebuild_into_the_same_out_holds_only_its_own_drafts_and_exports(tmp_p
     assert sorted(p.name for p in (reused / "drafts").iterdir()) == [
         "rec0.json", "rec1.json", "rec2.json"]
     assert [p.name for p in (reused / "exports").iterdir()] == ["D2T"]
+
+
+def test_two_records_with_one_id_fail_the_build_before_any_call(tmp_path, monkeypatch):
+    records = _four_records(tmp_path)
+    (records / "zcopy.json").write_text((records / "rec0.json").read_text("utf-8"), "utf-8")
+    playbook = tmp_path / "playbook.json"
+    MockPlaybook([]).save(playbook)
+    calls = _backend_calls(monkeypatch)
+    out = tmp_path / "build"
+    result = RUNNER.invoke(main, ["build-dataset", str(records), "--mock-playbook", str(playbook),
+                                  "--out", str(out), "--sizes", "2,1,1"])
+    assert result.exit_code == 1, result.output
+    assert (f"error: {records / 'zcopy.json'}: record_id 'rec0' is also the id of "
+            f"{records / 'rec0.json'}") in result.output
+    assert calls == []
+    assert not out.exists()
+
+
+def test_a_build_with_too_few_accepted_records_keeps_what_it_paid_for(tmp_path):
+    records = _four_records(tmp_path)
+    playbook = tmp_path / "playbook.json"
+    # Width 1: the eleventh review is the third record's first.
+    MockPlaybook([rule(MATCH_INVENTOR, "An answer."),
+                  rule(MATCH_QUALITY, *[PASS_QUALITY] * 10, FAIL_QUALITY, PASS_QUALITY),
+                  rule(MATCH_COLLECT, "<Section-1> part one </Section-1>")]).save(playbook)
+    build = ["build-dataset", str(records), "--mock-playbook", str(playbook)]
+    out = tmp_path / "build"
+    assert RUNNER.invoke(main, [*build, "--out", str(out), "--sizes", "1,1,1"]).exit_code == 0
+    (out / "drafts" / "rec9.json").write_text("{}", "utf-8")  # an earlier build's draft
+    result = RUNNER.invoke(main, [*build, "--out", str(out), "--sizes", "4,0,0"])
+    assert result.exit_code == 1, result.output
+    assert "error: split sizes need 4 records but only 3 accepted" in result.output
+    assert sorted(p.name for p in out.iterdir()) == [
+        "drafts", "pgtrees.json", "quality.json", "review_rejected.jsonl", "skips.jsonl"]
+    assert sorted(p.name for p in (out / "drafts").iterdir()) == [
+        f"rec{i}.json" for i in range(4)]
+    assert list(load_json(out / "quality.json")) == [f"rec{i}" for i in range(4)]
+    assert sorted(load_json(out / "pgtrees.json")) == ["rec0", "rec1", "rec3"]
+    rejected = [json.loads(line) for line in
+                (out / "review_rejected.jsonl").read_text("utf-8").splitlines()]
+    assert [r["record_id"] for r in rejected] == ["rec2"]
 
 
 def test_report_command_renders_table(tmp_path):

@@ -13,7 +13,6 @@ from patentgen.core import (
     Draft,
     DraftQA,
     DraftValidationError,
-    EmptySectionError,
     GuidelineNode,
     PGTree,
     PatentDoc,
@@ -161,18 +160,6 @@ def test_assemble_order_override_is_a_passthrough():
     assert text.index("# CLAIMS") < text.index("# DESCRIPTION")
 
 
-def test_assemble_rejects_empty_section():
-    bad = dict(SECTIONS, claims=" ")
-    with pytest.raises(EmptySectionError) as err:
-        PatentDoc(**bad)
-    assert err.value.section == "claims"
-
-
-def test_assemble_rejects_bad_order():
-    with pytest.raises(Exception, match="permutation"):
-        PatentDoc(**SECTIONS, section_order=("title",) * 6)
-
-
 _section_text = st.text(min_size=1, max_size=30).filter(lambda s: s.strip())
 
 
@@ -206,12 +193,3 @@ def test_pgtree_counts_nodes():
     )
     assert len(tree.nodes()) == 3
     assert [n.node_id for n in tree.nodes()] == [(1, 1), (1, 2), (2, 1)]
-
-
-def test_pgtree_rejects_duplicate_nodes():
-    with pytest.raises(Exception, match="duplicate"):
-        PGTree(
-            sections=(
-                SectionPlan(1, "x", (GuidelineNode(1, 1, "a"), GuidelineNode(1, 1, "b"))),
-            )
-        )

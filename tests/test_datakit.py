@@ -105,17 +105,23 @@ def test_load_records_jsonl_with_field_map(tmp_path):
 
 
 @pytest.mark.parametrize("layout", ["directory", "jsonl"])
-@pytest.mark.parametrize("bad, named", [("[1, 2]", "record is not a JSON object"),
-                                        ('{"title": ', "Expecting value")])
+@pytest.mark.parametrize("bad, named", [
+    ("[1, 2]", "record is not a JSON object"),
+    ('{"title": ', "Expecting value"),
+    # An id names one record, whether its label is accepted or not.
+    pytest.param(json.dumps(_record(1, decision_label="REJECTED").__dict__),
+                 "record_id 'rec001' is also the id of {first}$", id="duplicate_id"),
+])
 def test_load_records_names_the_file_of_a_bad_record(tmp_path, layout, bad, named):
     if layout == "directory":
         (tmp_path / "a.json").write_text(json.dumps(_record(1).__dict__), "utf-8")
         (tmp_path / "b.json").write_text(bad, "utf-8")
-        path, where = tmp_path, str(tmp_path / "b.json")
+        path, first, where = tmp_path, str(tmp_path / "a.json"), str(tmp_path / "b.json")
     else:
         path = tmp_path / "records.jsonl"
         path.write_text(json.dumps(_record(1).__dict__) + "\n\n" + bad + "\n", "utf-8")
-        where = f"{path} line 3"
+        first, where = f"{path} line 1", f"{path} line 3"
+    named = named.format(first=re.escape(first))
     with pytest.raises(DatakitError, match=f"^{re.escape(where)}: {named}"):
         load_records(path)
 
@@ -278,11 +284,6 @@ def test_collect_pgtree_re_asks_after_an_empty_section():
     playbook = MockPlaybook([rule(MATCH_COLLECT, "<Section-1> a </Section-1><Section-2></Section-2>",
                                   "<Section-1> a </Section-1><Section-2> b </Section-2>")])
     assert _builder(playbook).collect_pgtree("Some long description.") == [(1, "a"), (2, "b")]
-
-
-def test_collect_pgtree_requires_description():
-    with pytest.raises(Exception, match="non-empty"):
-        _builder(_basic_playbook()).collect_pgtree("   ")
 
 
 # --- splits --------------------------------------------------------------------------

@@ -295,19 +295,6 @@ def test_empty_content_surfaces_as_error_finish():
     assert resp.content == ""
 
 
-def test_request_validation():
-    with pytest.raises(RequestError):
-        replace(_req(), messages=(ChatMessage("system", "no user"),))
-    with pytest.raises(RequestError):
-        _req(temperature=3.0)
-    with pytest.raises(RequestError):
-        _req(top_p=0.0)
-    with pytest.raises(RequestError):
-        _req(max_tokens=0)
-    with pytest.raises(RequestError):
-        ChatMessage("tool", "bad role")
-
-
 def test_max_tokens_limit_enforced_by_gateway():
     gateway, _ = mock_gateway(MockPlaybook([rule("title", "x")]), max_tokens_limit=1024)
     with pytest.raises(RequestError, match="exceeds the backend limit"):

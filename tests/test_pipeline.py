@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from patentgen.core import (SECTION_NAMES, EmptySectionError, content_hash, load_json,
+from patentgen.core import (SECTION_NAMES, content_hash, load_json,
                             patent_to_record, patent_to_text, render_draft, render_reference)
 from patentgen.gateway import (BackendConfig, ChatMessage, ChatRequest, GatewayError, LlmGateway,
                                MockPlaybook, ResponseCache, cache_key)
