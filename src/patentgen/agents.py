@@ -30,6 +30,7 @@ from .core import (
     COMPONENT_ROLES,
     SECTION_TAGS,
     CallEntry,
+    ConfigError,
     GuidelineNode,
     ReviewVerdict,
     RunRecord,
@@ -45,19 +46,9 @@ class AgentError(Exception):
     pass
 
 
-class MalformedVerdictError(AgentError):
-    def __init__(self, detail: str):
-        super().__init__(f"examiner verdict unparseable after retries: {detail}")
-
-
 class TaskHalted(AgentError):
     """A model call refused because an earlier task of an enclosing run_tasks
     failed, or the run was interrupted; it never counts as the error."""
-
-
-class ParseRetryError(TagError):
-    """A reply that breaks no tag rule but cannot be used, such as an empty
-    text or an odd verdict; it is re-asked like a tag error."""
 
 
 # Every role a run config may bind: the pipeline's agents, then the dataset
@@ -99,13 +90,13 @@ class AgentBinding:
 
     def __post_init__(self):
         if not 0.0 <= self.temperature <= 2.0:
-            raise AgentError(f"temperature {self.temperature} outside [0, 2]")
+            raise ConfigError(f"temperature {self.temperature} outside [0, 2]")
         if not 0.0 < self.top_p <= 1.0:
-            raise AgentError(f"top_p {self.top_p} outside (0, 1]")
+            raise ConfigError(f"top_p {self.top_p} outside (0, 1]")
         if self.max_tokens <= 0:
-            raise AgentError(f"max_tokens must be positive, got {self.max_tokens}")
+            raise ConfigError(f"max_tokens must be positive, got {self.max_tokens}")
         if self.parse_retry_max < 0:
-            raise AgentError(f"parse_retry_max must be >= 0, got {self.parse_retry_max}")
+            raise ConfigError(f"parse_retry_max must be >= 0, got {self.parse_retry_max}")
 
 
 def default_bindings() -> dict[str, AgentBinding]:
@@ -141,13 +132,13 @@ class AgentRuntime:
 
         Every model call goes through here, the zero-shot baseline's too, and
         each reply is logged into the recorder here, under `tag`, before it
-        is parsed. A reply whose parse raises TagError (ParseRetryError
-        included) is re-asked with the bad reply and the format reminder
-        appended, up to the binding's parse_retry_max extra calls; then the
-        last parse error propagates. Any other exception from parse propagates
-        at once. Once the runtime is halted, the next call, first or re-ask,
-        raises TaskHalted instead of being rendered or sent, even from the
-        queue for a gateway slot; a call that raises logs nothing.
+        is parsed. A reply whose parse raises TagError is re-asked with the
+        bad reply and the format reminder appended, up to the binding's
+        parse_retry_max extra calls; then the last parse error propagates.
+        Any other exception from parse propagates at once. Once the runtime
+        is halted, the next call, first or re-ask, raises TaskHalted instead
+        of being rendered or sent, even from the queue for a gateway slot; a
+        call that raises logs nothing.
 
         The gateway gets the number of identical requests (same role, same
         prompt) this runtime made before, so that a response cache replays
@@ -201,7 +192,7 @@ class AgentRuntime:
         def parse(content: str) -> str:
             text = extract_tag(content, tag)
             if not text:
-                raise ParseRetryError(f"agent {role!r} produced empty output")
+                raise TagError(f"agent {role!r} produced empty output")
             return text
 
         reminder = (
@@ -279,9 +270,9 @@ class AgentRuntime:
             result = extract_tag(content, "Result")
             advice = extract_tag(content, "Advice")
             if result not in ("Pass", "Fail"):
-                raise ParseRetryError(f"verdict text {result!r}")
+                raise TagError(f"verdict text {result!r}")
             if not advice:
-                raise ParseRetryError("empty advice")
+                raise TagError("empty advice")
             return ReviewVerdict(result=result, advice=advice)
 
         reminder = (
@@ -289,10 +280,7 @@ class AgentRuntime:
             "with <Result>Pass</Result> or <Result>Fail</Result>, and your advice in "
             "<Advice>...</Advice>."
         )
-        try:
-            return self.ask("examiner", "examiner_review", slots, TAG_REVIEW, parse, reminder)
-        except TagError as exc:
-            raise MalformedVerdictError(str(exc)) from exc
+        return self.ask("examiner", "examiner_review", slots, TAG_REVIEW, parse, reminder)
 
 
 # Per thread, in .stops, the stop of each run_tasks call open on it, outermost first.
@@ -432,5 +420,5 @@ def _description_text(content: str) -> str:
     lead-in, which must leave some text."""
     text = strip_leading_filler(content)
     if not text:
-        raise ParseRetryError("agent 'description' produced empty output")
+        raise TagError("agent 'description' produced empty output")
     return text

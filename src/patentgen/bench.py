@@ -20,7 +20,6 @@ from .core import ConfigError, load_draft, load_json, make_dir, patent_to_text, 
 from .metrics import (
     BLEU_SPEC,
     IrrConfig,
-    MetricsError,
     ROUGE_SPEC,
     STOPWORD_LIST_ID,
     VocabCounter,
@@ -62,13 +61,10 @@ class MetricConfig:
     def __post_init__(self):
         """Check every setting and build the IRR configs and token counter once,
         so a bad one is a ConfigError before any document is generated or scored."""
-        try:
-            object.__setattr__(self, "irr", tuple(IrrConfig(t=t, epsilon=self.epsilon, cap=self.cap)
-                                                  for t in self.thresholds))
-            counter = VocabCounter(self.vocab) if self.vocab else WhitespaceCounter()
-            object.__setattr__(self, "counter", counter)
-        except MetricsError as exc:
-            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "irr", tuple(IrrConfig(t=t, epsilon=self.epsilon, cap=self.cap)
+                                              for t in self.thresholds))
+        counter = VocabCounter(self.vocab) if self.vocab else WhitespaceCounter()
+        object.__setattr__(self, "counter", counter)
         labels = [irr_label(t) for t in self.thresholds]
         for i, label in enumerate(labels):
             if label in labels[:i]:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .agents import AgentRuntime, ParseRetryError, run_tasks
+from .agents import AgentRuntime, run_tasks
 from .core import (
     CANONICAL_QUESTIONS,
     COMPONENT_ROLES,
@@ -273,11 +273,11 @@ class DatasetBuilder:
         def parse(content: str) -> QualityItem:
             result = extract_tag(content, "Result")
             if result not in ("Pass", "Fail"):
-                raise ParseRetryError(f"verdict text {result!r}")
+                raise TagError(f"verdict text {result!r}")
             if result == "Fail":
                 reason = extract_tag(content, "Reason")
                 if not reason:
-                    raise ParseRetryError("empty reason")
+                    raise TagError("empty reason")
                 return QualityItem(qid, "Fail", reason)
             return QualityItem(qid, "Pass", "")
 

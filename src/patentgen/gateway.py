@@ -147,7 +147,8 @@ class BackendConfig:
 
     kind is "http" or "mock". For http backends the API key is read from the
     environment variable named by api_key_env when the backend is built (an
-    unset variable is a RequestError then), and is never stored in config.
+    unset variable is a ConfigError then), and is never stored in config.
+    rpm caps the requests sent per minute; None or 0 means no cap.
     max_inflight is the ceiling of the live limit on requests sent to the
     backend at once (see SendWindow); None means the kind's default in
     DEFAULT_MAX_INFLIGHT.
@@ -168,11 +169,13 @@ class BackendConfig:
 
     def __post_init__(self):
         if min(self.retry_max, self.backoff_s) < 0:
-            raise RequestError("retry_max and backoff_s must be >= 0")
+            raise ConfigError("retry_max and backoff_s must be >= 0")
         if min(self.timeout_s, self.max_tokens_limit) <= 0:
-            raise RequestError("timeout_s and max_tokens_limit must be positive")
+            raise ConfigError("timeout_s and max_tokens_limit must be positive")
         if self.max_inflight is not None and self.max_inflight < 1:
-            raise RequestError(f"max_inflight must be >= 1, got {self.max_inflight}")
+            raise ConfigError(f"max_inflight must be >= 1, got {self.max_inflight}")
+        if self.rpm is not None and self.rpm < 0:
+            raise ConfigError("rpm must be positive")
 
 
 # A mock playbook hands out each rule's responses in arrival order, so only one
@@ -341,20 +344,23 @@ class HttpBackend:
 
     def __init__(self, config: BackendConfig):
         if not config.endpoint:
-            raise RequestError(f"backend {config.name!r}: http backend needs an endpoint")
+            raise ConfigError(f"backend {config.name!r}: http backend needs an endpoint")
         self.config = config
         url = config.endpoint.rstrip("/") + "/chat/completions"
-        parts = urllib.parse.urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise RequestError(f"backend {config.name!r}: endpoint {url!r} is not an "
-                               "http:// or https:// URL")
+        try:  # a malformed URL or a bad port, the endpoint's or the proxy's, is a ValueError
+            parts = urllib.parse.urlsplit(url)
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ConfigError(f"backend {config.name!r}: endpoint {url!r} is not an "
+                                  "http:// or https:// URL")
+            address = (parts.hostname, parts.port)
+            proxy = _proxy_for(parts)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         self._target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
         self._headers = {"Content-Type": "application/json"}
         if _QUICKACK is None:
             self._headers["Connection"] = "close"
         self._tunnel = None
-        address = (parts.hostname, parts.port)  # a bad port is a ValueError
-        proxy = _proxy_for(parts)
         if proxy is not None:
             proxy_address, auth = proxy
             if parts.scheme == "http":
@@ -366,7 +372,7 @@ class HttpBackend:
         if config.api_key_env:
             key = os.environ.get(config.api_key_env)
             if not key:
-                raise RequestError(f"backend {config.name!r}: env var {config.api_key_env} not set")
+                raise ConfigError(f"backend {config.name!r}: env var {config.api_key_env} not set")
             self._headers["Authorization"] = f"Bearer {key}"
         self._connection_class = (http.client.HTTPConnection if parts.scheme == "http"
                                   else http.client.HTTPSConnection)
@@ -499,8 +505,6 @@ class TokenBucket:
     """Requests-per-minute limiter shared by all calls through one gateway."""
 
     def __init__(self, rpm: int, time_fn=time.monotonic, sleep_fn=time.sleep):
-        if rpm <= 0:
-            raise ValueError("rpm must be positive")
         self.rate = rpm / 60.0
         self.capacity = max(1.0, self.rate)
         self.tokens = self.capacity
@@ -753,5 +757,5 @@ def build_gateway(config: BackendConfig, sleep_fn=time.sleep) -> LlmGateway:
     elif config.kind == "http":
         backend = HttpBackend(config)
     else:
-        raise RequestError(f"unknown backend kind {config.kind!r}")
+        raise ConfigError(f"unknown backend kind {config.kind!r}")
     return LlmGateway(backend, config=config, sleep_fn=sleep_fn)

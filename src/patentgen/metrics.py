@@ -19,7 +19,7 @@ from importlib import resources
 from itertools import chain
 from pathlib import Path
 
-from .core import read_input
+from .core import ConfigError, read_input
 
 STOPWORD_LIST_ID = "en-v1"
 
@@ -37,17 +37,6 @@ class MetricsError(Exception):
 class IrrUndefinedError(MetricsError):
     def __init__(self, n: int):
         super().__init__(f"repetition rate undefined for {n} sentence(s); need at least 2")
-
-
-class LengthMismatchError(MetricsError):
-    def __init__(self, n_candidates: int, n_references: int):
-        super().__init__(
-            f"candidates ({n_candidates}) and references ({n_references}) must align"
-        )
-
-
-class CounterConfigError(MetricsError):
-    pass
 
 
 @lru_cache(maxsize=1)
@@ -126,13 +115,13 @@ class IrrConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
-            raise MetricsError(f"threshold t must lie in [0, 1], got {self.t}")
+            raise ConfigError(f"threshold t must lie in [0, 1], got {self.t}")
         # A non-finite epsilon or cap gives NaN, which is not JSON, or a
         # meaningless rate; a cap of 0 or below pins every rate to the cap.
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise MetricsError(f"epsilon must be positive and finite, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.cap is not None and not (math.isfinite(self.cap) and self.cap > 0.0):
-            raise MetricsError(f"cap must be positive and finite, got {self.cap}")
+            raise ConfigError(f"cap must be positive and finite, got {self.cap}")
 
 
 @dataclass(frozen=True)
@@ -307,7 +296,8 @@ def bleu(candidates: list[str], references: list[str]) -> float:
     penalty uses total lengths.
     """
     if len(candidates) != len(references) or not candidates:
-        raise LengthMismatchError(len(candidates), len(references))
+        raise MetricsError(f"candidates ({len(candidates)}) and references ({len(references)}) "
+                           "must align")
     matches = [0] * 4
     totals = [0] * 4
     cand_len = 0
@@ -386,11 +376,11 @@ class VocabCounter:
     def __init__(self, path: Path | str):
         path = Path(path)
         if not path.exists():
-            raise CounterConfigError(f"vocabulary file not found: {path}")
+            raise ConfigError(f"vocabulary file not found: {path}")
         entries = [line.rstrip("\n") for line in read_input(path, "vocabulary file").splitlines()]
         entries = [e for e in entries if e]
         if not entries:
-            raise CounterConfigError(f"vocabulary file is empty: {path}")
+            raise ConfigError(f"vocabulary file is empty: {path}")
         self.vocab = set(entries)
         self.max_len = max(len(e) for e in entries)
         self.counter_id = f"vocab:{path.name}"

@@ -8,7 +8,8 @@ long run never dies on one stubborn node.
 A PatentPipeline is an AgentRuntime with a run directory, so a run obeys the
 runtime it is given, a bench's stop rule included. A run cut short by any
 exception, an interrupt too, persists what finished with status partial; an
-agent error is raised as PipelineAborted, anything else unchanged.
+agent, gateway or tag error is raised as PipelineAborted, anything else
+unchanged.
 
 The calls of a run have a fixed shape: the five component writers and the
 planner read only the draft; each section expansion reads the draft and its
@@ -37,7 +38,6 @@ from .agents import (
     AgentError,
     AgentRuntime,
     COMPONENT_ROLES,
-    MalformedVerdictError,
     default_bindings,
     run_tasks,
 )
@@ -66,8 +66,7 @@ from .core import (
     render_pgtree,
     render_reference,
 )
-from .gateway import (BackendConfig, GatewayError, LlmGateway, RequestError, ResponseCache,
-                      build_gateway)
+from .gateway import BackendConfig, GatewayError, LlmGateway, ResponseCache, build_gateway
 from .tags import TagError, extract_tag
 
 SCHEMA_VERSION_PIPELINE_CONFIG = "pipeline-config-v1"
@@ -76,11 +75,7 @@ EXPANSION_OFF = "off"
 EXPANSION_PER_SECTION = "per_section_call"
 
 
-class PipelineError(Exception):
-    pass
-
-
-class PipelineAborted(PipelineError):
+class PipelineAborted(Exception):
     """An agent error, its __cause__, stopped the run; what finished was persisted."""
 
 
@@ -92,12 +87,12 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.max_refine_rounds < 0:
-            raise PipelineError("max_refine_rounds must be >= 0")
+            raise ConfigError("max_refine_rounds must be >= 0")
         if self.pgtree_expansion not in (EXPANSION_OFF, EXPANSION_PER_SECTION):
-            raise PipelineError(f"unknown pgtree_expansion {self.pgtree_expansion!r}")
+            raise ConfigError(f"unknown pgtree_expansion {self.pgtree_expansion!r}")
         if sorted(self.section_order) != sorted(SECTION_NAMES):
-            raise PipelineError(f"section_order must be a permutation of {SECTION_NAMES}, "
-                                f"got {self.section_order}")
+            raise ConfigError(f"section_order must be a permutation of {SECTION_NAMES}, "
+                              f"got {self.section_order}")
 
     def to_record(self) -> dict:
         record = asdict(self)
@@ -137,7 +132,7 @@ def config_record(base, record: dict, where: str, fixed: tuple[str, ...] = ()):
         values[key] = tuple(value) if is_tuple else value
     try:
         return replace(base, **values)
-    except (AgentError, GatewayError, PipelineError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -167,7 +162,7 @@ def load_run_config(config_file: str | None, mock_playbook: str | None = None,
         backend_cfg = config_record(BackendConfig(name=name), record, f"backends.{name}", ("name",))
         try:
             gateway = build_gateway(backend_cfg)
-        except (ConfigError, RequestError, ValueError) as exc:  # a bad port or rpm: ValueError
+        except ConfigError as exc:
             raise ConfigError(f"backends.{name}: {exc}") from exc
         if cache_dir:
             try:
@@ -314,8 +309,9 @@ class PatentPipeline(AgentRuntime):
         """Review once; an unparseable verdict fails only this subsection."""
         try:
             return self.review(node, text, draft), False
-        except MalformedVerdictError as exc:
-            self.recorder.warn(f"node {node.node_id}: {exc}")
+        except TagError as exc:
+            self.recorder.warn(f"node {node.node_id}: examiner verdict unparseable after "
+                               f"retries: {exc}")
             return ReviewVerdict(result="Fail", advice="unparseable verdict after retries"), True
 
     def _persist(self, draft, draft_text, cfg, record, components, tree, subs, doc=None,

@@ -12,8 +12,6 @@ import pytest
 from patentgen.agents import (
     AgentError,
     AgentRuntime,
-    MalformedVerdictError,
-    ParseRetryError,
     TaskHalted,
     run_tasks,
     strip_leading_filler,
@@ -30,7 +28,7 @@ from patentgen.core import (
 )
 from patentgen.gateway import MockPlaybook, ResponseCache
 from patentgen.prompts import default_registry
-from patentgen.tags import NonContiguousIndicesError, TagMissingError
+from patentgen.tags import TagError
 from helpers import (
     COMPONENT_MATCHERS,
     COMPONENT_RESPONSES,
@@ -95,7 +93,7 @@ def test_write_component_retry_prompt_carries_reminder(draft_text):
 def test_write_component_parse_failure_propagates_after_retries(draft_text):
     runtime = runtime_for(MockPlaybook([rule("patent title", "never tagged")]))
     backend = runtime.gateways["default"].backend
-    with pytest.raises(TagMissingError):
+    with pytest.raises(TagError, match=r"^tag <Title> not found in output$"):
         runtime.write_component("title", draft_text)
     assert backend.calls == 3  # parse_retry_max=2 means three attempts
 
@@ -131,9 +129,8 @@ def test_plan_surfaces_non_contiguous_after_retries(draft_text):
     runtime = runtime_for(
         MockPlaybook([rule(MATCH_PLANNER, "<Section-1> A </Section-1><Section-3> C </Section-3>")])
     )
-    with pytest.raises(NonContiguousIndicesError) as err:
+    with pytest.raises(TagError, match=r"found \[1, 3\]$"):
         runtime.plan_first_level(draft_text)
-    assert err.value.found == [1, 3]
 
 
 def test_plan_re_asks_after_an_empty_section(draft_text):
@@ -182,7 +179,7 @@ def test_write_subsection_empty_is_an_error(draft_text):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_WRITE, "")]))
     backend = runtime.gateways["default"].backend
-    with pytest.raises(ParseRetryError, match="empty output"):
+    with pytest.raises(TagError, match="empty output"):
         runtime.write_subsection(node, "facts", tree)
     assert backend.calls == 3  # asked, then re-asked parse_retry_max=2 times
 
@@ -226,7 +223,7 @@ def test_review_without_advice_becomes_malformed_after_retries(draft_text):
     _, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_REVIEW, "<Result>Fail</Result>")]))
     backend = runtime.gateways["default"].backend
-    with pytest.raises(MalformedVerdictError):
+    with pytest.raises(TagError, match=r"^tag <Advice> not found in output$"):
         runtime.review(node, "text", draft_text)
     assert backend.calls == 3
 
@@ -236,7 +233,7 @@ def test_review_rejects_odd_verdict_text(draft_text):
     runtime = runtime_for(
         MockPlaybook([rule(MATCH_REVIEW, "<Result>Maybe</Result><Advice>a</Advice>")])
     )
-    with pytest.raises(MalformedVerdictError):
+    with pytest.raises(TagError, match=r"^verdict text 'Maybe'$"):
         runtime.review(node, "text", draft_text)
 
 
@@ -266,7 +263,7 @@ def test_refine_empty_revision_is_an_error(draft_text):
     tree, node = _tree_one_node()
     runtime = runtime_for(MockPlaybook([rule(MATCH_REFINE, "  ")]))
     backend = runtime.gateways["default"].backend
-    with pytest.raises(ParseRetryError, match="empty output"):
+    with pytest.raises(TagError, match="empty output"):
         runtime.refine(node, "old", "advice", tree)
     assert backend.calls == 3
 

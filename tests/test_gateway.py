@@ -16,7 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import patentgen.gateway as gateway_module
-from patentgen.core import RunRecord
+from patentgen.core import ConfigError, RunRecord
 from patentgen.gateway import (
     BackendConfig,
     BadStatusError,
@@ -865,13 +865,13 @@ def test_http_backend_requires_api_key_env(monkeypatch):
     config = BackendConfig(
         name="live", kind="http", endpoint="http://host", api_key_env="MISSING_KEY"
     )
-    with pytest.raises(RequestError, match="MISSING_KEY"):
+    with pytest.raises(ConfigError, match="MISSING_KEY"):
         HttpBackend(config).send(_req())
 
 
 @pytest.mark.parametrize("endpoint", ["localhost:8000/v1", "ftp://host/v1", "http:///v1"])
 def test_http_backend_rejects_an_endpoint_that_is_not_an_http_url(endpoint):
-    with pytest.raises(RequestError, match="is not an http:// or https:// URL"):
+    with pytest.raises(ConfigError, match="is not an http:// or https:// URL"):
         HttpBackend(BackendConfig(name="live", kind="http", endpoint=endpoint))
 
 

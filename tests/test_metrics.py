@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from patentgen.core import ConfigError
 from patentgen.metrics import (
     _lcs_len,
     _overlaps,
     _pair_sum,
     _split_block,
-    CounterConfigError,
     IrrConfig,
     IrrUndefinedError,
-    LengthMismatchError,
     MetricsError,
     STOPWORD_LIST_ID,
     VocabCounter,
@@ -241,13 +240,13 @@ def test_irr_cap_applies():
 
 
 def test_irr_config_validation():
-    with pytest.raises(MetricsError):
+    with pytest.raises(ConfigError, match=r"^threshold t must lie in \[0, 1\], got 1.5$"):
         IrrConfig(t=1.5)
     for epsilon in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ConfigError, match="^epsilon must be positive and finite"):
             IrrConfig(t=0.2, epsilon=epsilon)
     for cap in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ConfigError, match="^cap must be positive and finite"):
             IrrConfig(t=0.2, cap=cap)
 
 
@@ -520,9 +519,9 @@ def test_bleu_matches_oracle_on_random_pairs():
 
 
 def test_bleu_length_mismatch():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(MetricsError, match=r"^candidates \(1\) and references \(2\) must align$"):
         bleu(["a"], ["a", "b"])
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(MetricsError, match=r"^candidates \(0\) and references \(0\) must align$"):
         bleu([], [])
 
 
@@ -560,7 +559,7 @@ def test_vocab_counter_greedy_longest_match(tmp_path):
 
 
 def test_counter_config():
-    with pytest.raises(CounterConfigError, match="vocabulary file not found"):
+    with pytest.raises(ConfigError, match="vocabulary file not found"):
         VocabCounter("/nonexistent/vocab.txt")
 
 

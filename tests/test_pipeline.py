@@ -157,11 +157,11 @@ def test_expand_pgtree_single_section_four_nodes():
 
 
 def test_expand_pgtree_falls_back_on_malformed_expansion():
-    from patentgen.tags import NoSectionsError
+    from patentgen.tags import TagError
 
     def expander(overview):
         if overview == "bad":
-            raise NoSectionsError("Subsection")
+            raise TagError("no <Subsection-k> blocks found in output")
         return [(1, "g1"), (2, "g2")]
 
     warnings: list[str] = []
