@@ -35,7 +35,9 @@ scenarios, run in this order with the tree's own code, one subprocess each:
 - bench_trimmed: the bench again, without its third document, into a copy
   of bench's out dir;
 - build_short: build-dataset with --sizes 4,0,0 on a 4-record corpus whose
-  playbook fails the eleventh review, so only 3 records pass (exit 1).
+  playbook fails the eleventh review, so only 3 records pass (exit 1);
+- bench_redraft: the bench again, with its first document's draft edited
+  (one answer extended), into a copy of bench's out dir.
 
 The inputs (the demo's draft and playbook, as files, and the 9- and 4-record
 corpora) are written once, with the first tree's code, and copied to every
@@ -95,10 +97,12 @@ SCENARIOS = [
                              "inputs/playbook.json", "--out", "bench_trimmed"]),
     ("build_short", CLI + ["build-dataset", "inputs/corpus4/records", "--mock-playbook",
                            "inputs/build_short.json", "--out", "build_short", "--sizes", "4,0,0"]),
+    ("bench_redraft", CLI + ["bench", "inputs/manifest_redraft.json", "--mock-playbook",
+                             "inputs/playbook.json", "--out", "bench_redraft"]),
 ]
 # A rerun scenario starts from a copy of an earlier scenario's output, so
 # that the earlier scenario's own files stay as it wrote them.
-RERUN_OF = {"rebuild": "build", "bench_trimmed": "bench"}
+RERUN_OF = {"rebuild": "build", "bench_trimmed": "bench", "bench_redraft": "bench"}
 UNSET_KEY = "PATENTGEN_PARITY_UNSET_KEY"
 
 HTTP_400 = {"error": "status", "code": 400}
@@ -122,8 +126,8 @@ PLAYBOOK_EDITS = {
 
 
 def write_inputs(tree: Path, out: Path) -> None:
-    """The demo's draft (three times, as bench documents), its playbook and
-    the changed playbooks, written with tree's code."""
+    """The demo's draft (three times, as bench documents, and once edited),
+    its playbook and the changed playbooks, written with tree's code."""
     sys.path[:0] = [str(tree / "src"), str(tree / "scripts")]
     from dataclasses import replace
 
@@ -141,6 +145,11 @@ def write_inputs(tree: Path, out: Path) -> None:
                      "reference_file": f"inputs/ref{i}.txt"})
     (out / "manifest.json").write_text(json.dumps({"docs": docs}), "utf-8")
     (out / "manifest_trimmed.json").write_text(json.dumps({"docs": docs[:2]}), "utf-8")
+    first = replace(DRAFT.qa[0], answer_text=DRAFT.qa[0].answer_text + " It also logs torque.")
+    edited = replace(DRAFT, qa=(first, *DRAFT.qa[1:]), source_id="demo-1")
+    (out / "draft1_edited.json").write_text(json.dumps(draft_to_record(edited)), "utf-8")
+    redraft = [{**docs[0], "draft_file": "inputs/draft1_edited.json"}, *docs[1:]]
+    (out / "manifest_redraft.json").write_text(json.dumps({"docs": redraft}), "utf-8")
     # The corpus scenario's first 9 and 4 records: its generator draws them in order.
     for n in (9, 4):
         subprocess.run([sys.executable, str(tree / "scripts" / "make_synthetic_records.py"),

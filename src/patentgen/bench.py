@@ -10,13 +10,13 @@ per-document failures.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
 from .agents import run_tasks
-from .core import ConfigError, load_draft, load_json, make_dir, patent_to_text, remove_stale
+from .core import (ConfigError, Draft, draft_to_record, is_file_name, load_draft, load_json,
+                   make_dir, patent_to_text, remove_stale)
 from .metrics import (
     BLEU_SPEC,
     IrrConfig,
@@ -252,8 +252,7 @@ def _check_manifest(manifest: dict) -> list[dict]:
     seen: set[str] = set()
     for i, entry in enumerate(docs):
         doc_id = entry.get("doc_id") if isinstance(entry, dict) else None
-        file_name = isinstance(doc_id, str) and re.fullmatch(r"[^/\\\0]+", doc_id)
-        if not file_name or doc_id in (".", ".."):
+        if not is_file_name(doc_id):
             raise ConfigError(f"manifest entry {i} needs a doc_id that is a file name: {entry!r}")
         if doc_id in seen:
             raise ConfigError(f"manifest entry {i}: duplicate doc_id {doc_id!r}")
@@ -269,12 +268,14 @@ def _manifest_file(entry: dict, key: str) -> Path:
     return Path(path)
 
 
-def _reusable(run_dir: Path, config_record: dict) -> bool:
-    """Whether run_dir holds a complete document made under config_record."""
+def _reusable(run_dir: Path, config_record: dict, draft: Draft) -> bool:
+    """Whether run_dir holds a complete document made from draft under
+    config_record."""
     try:
         status = load_json(run_dir / "status.json")
         complete = isinstance(status, dict) and status.get("status") == "complete"
-        return complete and load_json(run_dir / "config.json") == config_record
+        return (complete and load_json(run_dir / "config.json") == config_record
+                and load_json(run_dir / "draft.json") == draft_to_record(draft))
     except ConfigError:
         return False
 
@@ -284,8 +285,8 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
     """Generate each manifest document under out/runs, score it and save the
     report in out. Documents are the tasks of one run_tasks call, so as many
     run at once as the backends' width allows: one at a time, in manifest
-    order, on a mock. With resume, a complete run dir made under pipeline_cfg
-    is reused. A document that fails is a failed row, and no earlier run's
+    order, on a mock. With resume, a complete run dir made from the
+    document's draft under pipeline_cfg is reused. A document that fails is a failed row, and no earlier run's
     generated file is left for it, nor for a document not in the manifest."""
     docs = _check_manifest(manifest)
     remove_stale(out, ("generated/*.txt",), {f"generated/{entry['doc_id']}.txt" for entry in docs})
@@ -297,13 +298,14 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
         doc_id = entry["doc_id"]
         run_dir = out / "runs" / doc_id
         generated_path = generated_dir / f"{doc_id}.txt"
-        if resume and generated_path.exists() and _reusable(run_dir, config_record):
-            return None
-        generated_path.unlink(missing_ok=True)
         try:
             draft = load_draft(_manifest_file(entry, "draft_file"))
+            if resume and generated_path.exists() and _reusable(run_dir, config_record, draft):
+                return None
+            generated_path.unlink(missing_ok=True)
             doc = replace(runtime, run_dir=run_dir).run(draft, pipeline_cfg)
         except (ConfigError, PipelineAborted) as exc:
+            generated_path.unlink(missing_ok=True)
             return str(exc)
         generated_path.write_text(patent_to_text(doc, headers=False), "utf-8")
         return None

@@ -382,6 +382,14 @@ def json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def is_file_name(name) -> bool:
+    """Whether name is a string that names an entry of a directory, so that a
+    path built from it stays there: not empty, . or .., and no slash,
+    backslash or NUL."""
+    return (isinstance(name, str) and re.fullmatch(r"[^/\\\0]+", name) is not None
+            and name not in (".", ".."))
+
+
 def make_dir(path) -> Path:
     """path as a directory, made with its parents if missing. A path that
     cannot be one, such as an existing file, is a ConfigError naming it."""

@@ -29,6 +29,7 @@ from .core import (
     Draft,
     PatentDoc,
     draft_to_record,
+    is_file_name,
     load_json,
     make_dir,
     make_draft,
@@ -108,9 +109,18 @@ def load_field_map(path: Path | str) -> dict:
     return field_map
 
 
-def _record_from_raw(raw: dict, field_map: dict, fallback_id: str) -> PatentRecord:
+def _record_from_raw(raw: dict, field_map: dict, fallback_id: str, where: str) -> PatentRecord:
+    """The record in raw, read from where. A field that is absent or null
+    takes its default, and a number its text; an array or an object is a
+    DatakitError naming where and the field."""
+
     def value(name, default=""):
-        return str(raw.get(field_map.get(name, name), default))
+        key = field_map.get(name, name)
+        found = raw.get(key)
+        if isinstance(found, (list, dict)):
+            kind = "an array" if isinstance(found, list) else "an object"
+            raise DatakitError(f"{where}: field {key!r} is {kind}; expected text")
+        return default if found is None else str(found)
 
     return PatentRecord(
         record_id=value("record_id", fallback_id),
@@ -125,8 +135,9 @@ def load_records(path: Path | str, accept_label: str = "ACCEPTED", field_map: di
     field it omits keeps its own name.
 
     Returns (records, skips); only records with the accept label and all six
-    sections non-empty are kept. Two records with one record_id are a
-    DatakitError naming both.
+    sections non-empty are kept. A record_id that is not a file name (it
+    names the record's draft file) is a DatakitError, and so are two records
+    with one record_id, naming both.
     """
     field_map = field_map or {}
     path = Path(path)
@@ -152,7 +163,9 @@ def load_records(path: Path | str, accept_label: str = "ACCEPTED", field_map: di
             raise DatakitError(f"{where}: {exc}") from None
         if not isinstance(raw, dict):
             raise DatakitError(f"{where}: record is not a JSON object")
-        rec = _record_from_raw(raw, field_map, fallback_id)
+        rec = _record_from_raw(raw, field_map, fallback_id, where)
+        if not is_file_name(rec.record_id):
+            raise DatakitError(f"{where}: record_id {rec.record_id!r} is not a file name")
         if rec.record_id in seen:
             raise DatakitError(f"{where}: record_id {rec.record_id!r} is also the id of "
                                f"{seen[rec.record_id]}")

@@ -445,7 +445,10 @@ class HttpBackend:
         try:
             data = json.loads(body)
             choice = data["choices"][0]
-            content = choice["message"]["content"] or ""
+            content = choice["message"]["content"]
+            if not isinstance(content, (str, type(None))):
+                raise TypeError(f"content is {type(content).__name__}, not a string")
+            content = content or ""
             finish = choice.get("finish_reason") or FINISH_STOP
             usage = data.get("usage", {})
         except (ValueError, KeyError, IndexError, TypeError) as exc:

@@ -715,6 +715,35 @@ def test_bench_resume_regenerates_docs_made_under_another_pipeline_config(tmp_pa
     assert load_json(out / "report.json")["counts"] == {"scored": 0, "failed": 3}
 
 
+def test_bench_resume_regenerates_a_doc_whose_draft_changed(tmp_path, monkeypatch):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+    out = tmp_path / "bench"
+    args = ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
+    assert RUNNER.invoke(main, args).exit_code == 0
+    edited = _write_draft(tmp_path / "draft2.json", marker="MARKDOC2 EDITED")
+    calls = _backend_calls(monkeypatch)
+    second = RUNNER.invoke(main, args)
+    assert second.exit_code == 0, second.output
+    prompts = [req.rendered_prompt() for req in calls]
+    assert prompts and all("MARKDOC2 EDITED" in p for p in prompts if "MARKDOC" in p)
+    assert not any("MARKDOC1" in p or "MARKDOC3" in p for p in prompts)
+    assert load_json(out / "runs" / "doc2" / "draft.json") == load_json(edited)
+    assert load_json(out / "report.json")["counts"] == {"scored": 3, "failed": 0}
+
+
+def test_bench_resume_fails_a_doc_whose_draft_is_gone_and_drops_its_generated_text(tmp_path):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+    out = tmp_path / "bench"
+    args = ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
+    assert RUNNER.invoke(main, args).exit_code == 0
+    (tmp_path / "draft3.json").unlink()
+    second = RUNNER.invoke(main, args)
+    assert second.exit_code == 2, second.output
+    rows = {row["doc_id"]: row for row in load_json(out / "report.json")["rows"]}
+    assert rows["doc3"]["failed"] and "cannot read draft" in rows["doc3"]["error"]
+    assert sorted(p.name for p in (out / "generated").iterdir()) == ["doc1.txt", "doc2.txt"]
+
+
 @pytest.mark.parametrize("status", ["[]", '"complete"', "null", "{not json"])
 def test_bench_resume_regenerates_a_doc_whose_status_is_not_an_object(tmp_path, monkeypatch,
                                                                       status):

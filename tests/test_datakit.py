@@ -111,6 +111,14 @@ def test_load_records_jsonl_with_field_map(tmp_path):
     # An id names one record, whether its label is accepted or not.
     pytest.param(json.dumps(_record(1, decision_label="REJECTED").__dict__),
                  "record_id 'rec001' is also the id of {first}$", id="duplicate_id"),
+    # An id names the record's draft file, so it must stay inside drafts/.
+    *[pytest.param(json.dumps({**_record(2).__dict__, "record_id": record_id}),
+                   f"record_id {record_id!r} is not a file name$", id=f"record_id_{name}")
+      for name, record_id in (("parent", "../x"), ("slash", "a/b"), ("dot", "."))],
+    pytest.param(json.dumps({**_record(2).__dict__, "claims": ["1. A widget."]}),
+                 "field 'claims' is an array; expected text$", id="array_field"),
+    pytest.param(json.dumps({**_record(2).__dict__, "title": {"en": "Widget"}}),
+                 "field 'title' is an object; expected text$", id="object_field"),
 ])
 def test_load_records_names_the_file_of_a_bad_record(tmp_path, layout, bad, named):
     if layout == "directory":
@@ -124,6 +132,17 @@ def test_load_records_names_the_file_of_a_bad_record(tmp_path, layout, bad, name
     named = named.format(first=re.escape(first))
     with pytest.raises(DatakitError, match=f"^{re.escape(where)}: {named}"):
         load_records(path)
+
+
+def test_load_records_reads_a_null_field_as_absent(tmp_path):
+    records = [{**_record(1).__dict__, "claims": None},
+               {**_record(2).__dict__, "record_id": None, "abstract": 7}]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    kept, skips = load_records(path)
+    assert skips == [{"record_id": "rec001", "stage": "ingest",
+                      "reason": "empty fields: ['claims']"}]
+    assert [(r.record_id, r.abstract) for r in kept] == [("line2", "7")]
 
 
 def test_load_records_rejects_a_path_neither_a_directory_nor_jsonl(tmp_path):

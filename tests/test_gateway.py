@@ -16,7 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import patentgen.gateway as gateway_module
-from patentgen.core import ConfigError, RunRecord
+from patentgen.core import ConfigError, RunRecord, draft_to_record, make_draft
 from patentgen.gateway import (
     BackendConfig,
     BadStatusError,
@@ -727,6 +727,70 @@ def test_http_unparseable_body_is_bad_status(loopback):
     with pytest.raises(BadStatusError, match="unparseable response body"):
         _http_gateway(_url(loopback)).complete(_req())
     assert len(loopback.seen) == 1
+
+
+@pytest.mark.parametrize("content, kind", [
+    (["<Title>x</Title>"], "list"), ({"text": "x"}, "dict"), (7, "int"),
+])
+def test_http_content_that_is_not_a_string_is_an_unparseable_body(loopback, content, kind):
+    loopback.script.append((200, {"choices": [{"message": {"content": content}}]}))
+    with pytest.raises(BadStatusError, match=f"unparseable response body: content is {kind}, "
+                                             "not a string$"):
+        _http_gateway(_url(loopback), retry_max=2).complete(_req())
+    assert len(loopback.seen) == 1
+
+
+def test_http_null_content_is_an_empty_reply(loopback):
+    loopback.script.append((200, {"choices": [{"message": {"content": None}}]}))
+    resp = _http_gateway(_url(loopback)).complete(_req())
+    assert (resp.content, resp.finish_reason) == ("", "error")
+
+
+def _list_content_backend(loopback, tmp_path, n_docs: int) -> tuple:
+    """A run config whose one backend is the loopback server, which answers
+    every call with a content list, and a manifest of n_docs documents."""
+    loopback.script.append((200, {"choices": [{"message": {"content": ["<Title>x</Title>"]}}]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backends": {"default": {
+        "kind": "http", "endpoint": _url(loopback), "retry_max": 0}}}), "utf-8")
+    draft = make_draft({q: f"Answer {q}." for q in range(1, 6)}, source_id="d")
+    docs = []
+    for i in range(1, n_docs + 1):
+        (tmp_path / f"draft{i}.json").write_text(json.dumps(draft_to_record(draft)), "utf-8")
+        (tmp_path / f"ref{i}.txt").write_text("A reference.", "utf-8")
+        docs.append({"doc_id": f"d{i}", "draft_file": str(tmp_path / f"draft{i}.json"),
+                     "reference_file": str(tmp_path / f"ref{i}.txt")})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"docs": docs}), "utf-8")
+    return config, manifest
+
+
+def test_a_bench_whose_replies_hold_a_content_list_writes_failed_rows(loopback, tmp_path):
+    from patentgen.bench import MetricConfig, run_bench
+    from patentgen.pipeline import load_run_config
+
+    config, manifest = _list_content_backend(loopback, tmp_path, 2)
+    gateways, bindings, cfg = load_run_config(str(config))
+    report = run_bench(json.loads(manifest.read_text("utf-8")), gateways, bindings, cfg,
+                       MetricConfig(), tmp_path / "out")
+    assert [row["failed"] for row in report.rows] == [True, True]
+    assert all("unparseable response body" in row["error"] for row in report.rows)
+    assert json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))["counts"] == {
+        "scored": 0, "failed": 2}
+
+
+def test_generate_exits_2_when_a_reply_holds_a_content_list(loopback, tmp_path):
+    from click.testing import CliRunner
+
+    from patentgen.cli import main
+
+    config, _ = _list_content_backend(loopback, tmp_path, 1)
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["generate", str(tmp_path / "draft1.json"),
+                                       "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "run aborted: backend returned status 200: unparseable response body" in result.output
+    assert json.loads((out / "status.json").read_text("utf-8"))["status"] == "partial"
 
 
 def test_http_refused_connection_fails_after_every_retry():
