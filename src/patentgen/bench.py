@@ -286,8 +286,9 @@ def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: Pipe
     report in out. Documents are the tasks of one run_tasks call, so as many
     run at once as the backends' width allows: one at a time, in manifest
     order, on a mock. With resume, a complete run dir made from the
-    document's draft under pipeline_cfg is reused. A document that fails is a failed row, and no earlier run's
-    generated file is left for it, nor for a document not in the manifest."""
+    document's draft under pipeline_cfg is reused. A document that fails is
+    a failed row, and no earlier run's generated file is left for it, nor
+    for a document not in the manifest."""
     docs = _check_manifest(manifest)
     remove_stale(out, ("generated/*.txt",), {f"generated/{entry['doc_id']}.txt" for entry in docs})
     generated_dir = make_dir(out / "generated")

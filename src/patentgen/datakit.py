@@ -111,8 +111,8 @@ def load_field_map(path: Path | str) -> dict:
 
 def _record_from_raw(raw: dict, field_map: dict, fallback_id: str, where: str) -> PatentRecord:
     """The record in raw, read from where. A field that is absent or null
-    takes its default, and a number its text; an array or an object is a
-    DatakitError naming where and the field."""
+    takes its default, and an array or an object is a DatakitError naming
+    where and the field; any other value is read as its text."""
 
     def value(name, default=""):
         key = field_map.get(name, name)

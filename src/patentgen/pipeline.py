@@ -76,7 +76,8 @@ EXPANSION_PER_SECTION = "per_section_call"
 
 
 class PipelineAborted(Exception):
-    """An agent error, its __cause__, stopped the run; what finished was persisted."""
+    """An agent, gateway or tag error, its __cause__, stopped the run; what
+    finished was persisted."""
 
 
 @dataclass(frozen=True)
