@@ -37,7 +37,9 @@ scenarios, run in this order with the tree's own code, one subprocess each:
 - build_short: build-dataset with --sizes 4,0,0 on a 4-record corpus whose
   playbook fails the eleventh review, so only 3 records pass (exit 1);
 - bench_redraft: the bench again, with its first document's draft edited
-  (one answer extended), into a copy of bench's out dir.
+  (one answer extended), into a copy of bench's out dir;
+- bench_unscorable: the bench's 3 documents, with d2's reference_file naming
+  a missing file (exit 2; d2 is a failed row).
 
 The inputs (the demo's draft and playbook, as files, and the 9- and 4-record
 corpora) are written once, with the first tree's code, and copied to every
@@ -99,6 +101,8 @@ SCENARIOS = [
                            "inputs/build_short.json", "--out", "build_short", "--sizes", "4,0,0"]),
     ("bench_redraft", CLI + ["bench", "inputs/manifest_redraft.json", "--mock-playbook",
                              "inputs/playbook.json", "--out", "bench_redraft"]),
+    ("bench_unscorable", CLI + ["bench", "inputs/manifest_unscorable.json", "--mock-playbook",
+                                "inputs/playbook.json", "--out", "bench_unscorable"]),
 ]
 # A rerun scenario starts from a copy of an earlier scenario's output, so
 # that the earlier scenario's own files stay as it wrote them.
@@ -150,6 +154,8 @@ def write_inputs(tree: Path, out: Path) -> None:
     (out / "draft1_edited.json").write_text(json.dumps(draft_to_record(edited)), "utf-8")
     redraft = [{**docs[0], "draft_file": "inputs/draft1_edited.json"}, *docs[1:]]
     (out / "manifest_redraft.json").write_text(json.dumps({"docs": redraft}), "utf-8")
+    unscorable = [docs[0], {**docs[1], "reference_file": "inputs/no_such_ref.txt"}, docs[2]]
+    (out / "manifest_unscorable.json").write_text(json.dumps({"docs": unscorable}), "utf-8")
     # The corpus scenario's first 9 and 4 records: its generator draws them in order.
     for n in (9, 4):
         subprocess.run([sys.executable, str(tree / "scripts" / "make_synthetic_records.py"),
@@ -239,7 +245,7 @@ def main() -> int:
             differ = [p for p in paths if base.get(p) != other.get(p)]
             differences += len(differ)
             verdict = "identical" if not differ else f"DIFFERENT: {', '.join(differ)}"
-            print(f"  {name:<14} {len(paths):>4} files  {verdict}")
+            print(f"  {name:<16} {len(paths):>4} files  {verdict}")
     print("all outputs identical" if differences == 0 else f"{differences} files differ")
     return 1 if differences else 0
 

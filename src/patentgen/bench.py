@@ -33,18 +33,6 @@ from .pipeline import PatentPipeline, PipelineAborted, PipelineConfig
 SCHEMA_VERSION_REPORT = "bench-report-v1"
 
 
-class AlignmentError(ConfigError):
-    def __init__(self, missing_refs: list[str], missing_gens: list[str]):
-        self.missing_refs = missing_refs
-        self.missing_gens = missing_gens
-        parts = []
-        if missing_refs:
-            parts.append(f"no reference for: {sorted(missing_refs)}")
-        if missing_gens:
-            parts.append(f"no generated doc for: {sorted(missing_gens)}")
-        super().__init__("; ".join(parts))
-
-
 def irr_label(t: float) -> str:
     return "irr_t" + f"{t:g}".replace(".", "")
 
@@ -234,10 +222,10 @@ def score_directories(
     """Score aligned documents by doc_id (file stem). Pure: no network."""
     generated = _doc_texts(Path(generated_dir))
     references = _doc_texts(Path(reference_dir))
-    missing_refs = sorted(set(generated) - set(references))
-    missing_gens = sorted(set(references) - set(generated))
-    if missing_refs or missing_gens:
-        raise AlignmentError(missing_refs, missing_gens)
+    missing = {"no reference for": sorted(set(generated) - set(references)),
+               "no generated doc for": sorted(set(references) - set(generated))}
+    if any(missing.values()):
+        raise ConfigError("; ".join(f"{what}: {ids}" for what, ids in missing.items() if ids))
     return score_pairs(
         {doc_id: (generated[doc_id], references[doc_id]) for doc_id in generated}, cfg
     )
@@ -282,49 +270,44 @@ def _reusable(run_dir: Path, config_record: dict, draft: Draft) -> bool:
 
 def run_bench(manifest: dict, gateways: dict, bindings: dict, pipeline_cfg: PipelineConfig,
               metric_cfg: MetricConfig, out: Path, resume: bool = True) -> BenchReport:
-    """Generate each manifest document under out/runs, score it and save the
-    report in out. Documents are the tasks of one run_tasks call, so as many
+    """Bench each manifest document and save the report, its rows in manifest
+    order, in out. Each document is one task of a run_tasks call, so as many
     run at once as the backends' width allows: one at a time, in manifest
-    order, on a mock. With resume, a complete run dir made from the
-    document's draft under pipeline_cfg is reused. A document that fails is
-    a failed row, and no earlier run's generated file is left for it, nor
-    for a document not in the manifest."""
+    order, on a mock. A task reads the document's draft and reference,
+    generates it under out/runs (with resume, a complete run dir made from
+    the draft under pipeline_cfg is reused), writes out/generated/<doc_id>.txt
+    and scores it. A document whose draft or reference cannot be used makes
+    no model call. A document that fails is a failed row, and no generated
+    file is left for it, nor for a document not in the manifest."""
     docs = _check_manifest(manifest)
     remove_stale(out, ("generated/*.txt",), {f"generated/{entry['doc_id']}.txt" for entry in docs})
     generated_dir = make_dir(out / "generated")
     config_record = pipeline_cfg.to_record()
 
-    def run_one(entry: dict, runtime: PatentPipeline) -> str | None:
-        """Generate entry's document; its failure, or None."""
+    def run_one(entry: dict, runtime: PatentPipeline) -> dict:
+        """entry's report row."""
         doc_id = entry["doc_id"]
         run_dir = out / "runs" / doc_id
         generated_path = generated_dir / f"{doc_id}.txt"
         try:
             draft = load_draft(_manifest_file(entry, "draft_file"))
-            if resume and generated_path.exists() and _reusable(run_dir, config_record, draft):
-                return None
-            generated_path.unlink(missing_ok=True)
-            doc = replace(runtime, run_dir=run_dir).run(draft, pipeline_cfg)
-        except (ConfigError, PipelineAborted) as exc:
-            generated_path.unlink(missing_ok=True)
-            return str(exc)
-        generated_path.write_text(patent_to_text(doc, headers=False), "utf-8")
-        return None
-
-    failures = run_tasks(PatentPipeline(gateways, bindings),
-                         [partial(run_one, entry) for entry in docs])
-    report = BenchReport(header=metric_cfg.header())
-    for entry, failure in zip(docs, failures):
-        doc_id = entry["doc_id"]
-        if failure is None:
             try:
                 reference = _manifest_file(entry, "reference_file").read_text("utf-8")
             except (ConfigError, OSError, ValueError) as exc:
-                failure = f"cannot read reference: {exc}"
-            else:
-                candidate = (generated_dir / f"{doc_id}.txt").read_text("utf-8")
-                report.rows.append(score_document(doc_id, candidate, reference, metric_cfg))
-                continue
-        report.rows.append({"doc_id": doc_id, "failed": True, "error": failure})
+                raise ConfigError(f"cannot read reference: {exc}") from exc
+            if not (resume and generated_path.exists()
+                    and _reusable(run_dir, config_record, draft)):
+                generated_path.unlink(missing_ok=True)
+                doc = replace(runtime, run_dir=run_dir).run(draft, pipeline_cfg)
+                generated_path.write_text(patent_to_text(doc, headers=False), "utf-8")
+            candidate = generated_path.read_text("utf-8")
+        except (ConfigError, PipelineAborted, OSError, UnicodeDecodeError) as exc:
+            if generated_path.is_file():
+                generated_path.unlink()
+            return {"doc_id": doc_id, "failed": True, "error": str(exc)}
+        return score_document(doc_id, candidate, reference, metric_cfg)
+
+    rows = run_tasks(PatentPipeline(gateways, bindings), [partial(run_one, entry) for entry in docs])
+    report = BenchReport(header=metric_cfg.header(), rows=rows)
     report.save(out)
     return report

@@ -385,9 +385,10 @@ def json_text(payload: dict) -> str:
 def is_file_name(name) -> bool:
     """Whether name is a string that names an entry of a directory, so that a
     path built from it stays there: not empty, . or .., and no slash,
-    backslash or NUL."""
-    return (isinstance(name, str) and re.fullmatch(r"[^/\\\0]+", name) is not None
-            and name not in (".", ".."))
+    backslash, NUL or lone surrogate. Its UTF-8 bytes, with the longest
+    suffix this package appends (.json), fit the common 255-byte name limit."""
+    return (isinstance(name, str) and re.fullmatch(r"[^/\\\0\ud800-\udfff]+", name) is not None
+            and name not in (".", "..") and len(name.encode("utf-8")) + len(".json") <= 255)
 
 
 def make_dir(path) -> Path:

@@ -639,7 +639,7 @@ def test_bench_overlaps_documents_at_the_backend_width(tmp_path, monkeypatch, wi
 
 
 @pytest.mark.parametrize("width", [1, 2])
-def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, width):
+def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, monkeypatch, width):
     manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook(), n_docs=9)
     _set_width(config_file, width)
     manifest = load_json(manifest_file)
@@ -651,6 +651,7 @@ def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, width):
     docs[8]["reference_file"] = None
     (tmp_path / "ref5.txt").write_bytes(b"\xff\xfe not utf-8")
     manifest_file.write_text(json.dumps(manifest), "utf-8")
+    calls = _backend_calls(monkeypatch)
     out = tmp_path / "bench"
     result = RUNNER.invoke(
         main,
@@ -659,6 +660,12 @@ def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, width):
     assert result.exit_code == 2, result.output
     record = load_json(out / "report.json")
     assert record["counts"] == {"scored": 1, "failed": 8}
+    # A document whose draft or reference cannot be used is never generated.
+    marked = {m.group() for req in calls if (m := re.search(r"MARKDOC\d", req.rendered_prompt()))}
+    assert marked == {"MARKDOC1"}
+    assert len(calls) == len((out / "runs" / "doc1" / "calls.jsonl").read_text().splitlines())
+    assert [p.name for p in (out / "runs").iterdir()] == ["doc1"]
+    assert [p.name for p in (out / "generated").iterdir()] == ["doc1.txt"]
     rows = {r["doc_id"]: r for r in record["rows"]}
     assert rows["doc1"]["failed"] is False
     assert "has no 'draft_file'" in rows["doc2"]["error"]
@@ -669,6 +676,29 @@ def test_bench_bad_manifest_entries_become_failed_rows(tmp_path, width):
         assert f"has no 'draft_file': expected a path string, got {value}" in rows[doc_id]["error"]
     assert "has no 'reference_file': expected a path string, got None" in rows["doc9"]["error"]
     assert result.output.count("FAILED") == 8
+
+
+@pytest.mark.parametrize("spoil, named", [("a_directory", "Is a directory"),
+                                          ("not_utf8", "can't decode byte 0xff")],
+                         ids=["a_directory", "not_utf8"])
+def test_a_document_whose_generated_file_is_unusable_is_a_failed_row(tmp_path, monkeypatch,
+                                                                     spoil, named):
+    manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+    out = tmp_path / "bench"
+    args = ["bench", str(manifest_file), "--config", str(config_file), "--out", str(out)]
+    if spoil == "a_directory":
+        (out / "generated" / "doc2.txt").mkdir(parents=True)
+    else:  # a resumed document's text is read back
+        assert RUNNER.invoke(main, args).exit_code == 0
+        (out / "generated" / "doc2.txt").write_bytes(b"\xff\xfe")
+    calls = _backend_calls(monkeypatch)
+    result = RUNNER.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    record = load_json(out / "report.json")
+    assert record["counts"] == {"scored": 2, "failed": 1}
+    rows = {r["doc_id"]: r for r in record["rows"]}
+    assert named in rows["doc2"]["error"]
+    assert not any("MARKDOC2" in req.rendered_prompt() for req in calls)
 
 
 def _bench_with_malformed_second_draft(tmp_path, case: str) -> str:
@@ -771,8 +801,13 @@ def test_bench_resume_regenerates_a_doc_whose_status_is_not_an_object(tmp_path, 
         (lambda e: {**e, "doc_id": "doc1"}, "duplicate doc_id 'doc1'"),
         (lambda e: {**e, "doc_id": "../../escaped"}, "manifest entry 1"),
         (lambda e: {**e, "doc_id": ".."}, "manifest entry 1"),
+        # 251 bytes: with the .json suffix the package may add, over 255.
+        (lambda e: {**e, "doc_id": "d" * 251}, "manifest entry 1"),
+        (lambda e: {**e, "doc_id": "\u00e9" * 126}, "manifest entry 1"),
+        (lambda e: {**e, "doc_id": "\ud800"}, "manifest entry 1"),
     ],
-    ids=["no_doc_id", "not_an_object", "duplicate", "escapes_out", "dot_dot"],
+    ids=["no_doc_id", "not_an_object", "duplicate", "escapes_out", "dot_dot", "long_ascii",
+         "long_multibyte", "lone_surrogate"],
 )
 def test_bench_rejects_bad_doc_ids_before_any_model_call(tmp_path, monkeypatch, width, spoil,
                                                           named):

@@ -114,7 +114,8 @@ def test_load_records_jsonl_with_field_map(tmp_path):
     # An id names the record's draft file, so it must stay inside drafts/.
     *[pytest.param(json.dumps({**_record(2).__dict__, "record_id": record_id}),
                    f"record_id {record_id!r} is not a file name$", id=f"record_id_{name}")
-      for name, record_id in (("parent", "../x"), ("slash", "a/b"), ("dot", "."))],
+      for name, record_id in (("parent", "../x"), ("slash", "a/b"), ("dot", "."),
+                              ("long_ascii", "r" * 251), ("long_multibyte", "\u00e9" * 126))],
     pytest.param(json.dumps({**_record(2).__dict__, "claims": ["1. A widget."]}),
                  "field 'claims' is an array; expected text$", id="array_field"),
     pytest.param(json.dumps({**_record(2).__dict__, "title": {"en": "Widget"}}),
