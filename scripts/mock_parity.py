@@ -5,7 +5,8 @@ what they write, to show that a change leaves every mock output as it was.
     python3 scripts/mock_parity.py --src ../parent --src .
 
 Each --src is a checkout (a directory holding src/ and scripts/). The
-scenarios, run in this order with the tree's own code, one subprocess each:
+scenarios, run in this order with the tree's own code, one subprocess each
+(stale_dirs has two):
 
 - demo: scripts/run_mock_demo.py;
 - corpus: scripts/make_synthetic_records.py (12 records);
@@ -39,7 +40,11 @@ scenarios, run in this order with the tree's own code, one subprocess each:
 - bench_redraft: the bench again, with its first document's draft edited
   (one answer extended), into a copy of bench's out dir;
 - bench_unscorable: the bench's 3 documents, with d2's reference_file naming
-  a missing file (exit 2; d2 is a failed row).
+  a missing file (exit 2; d2 is a failed row);
+- stale_dirs: two commands, bench and build again, each into a copy of its
+  out dir (stale_dirs/bench, stale_dirs/build) in which an owned path of an
+  earlier run, generated/old.txt or drafts/old.json, is a directory holding
+  one file. Its log holds both commands' output, in that order.
 
 The inputs (the demo's draft and playbook, as files, and the 9- and 4-record
 corpora) are written once, with the first tree's code, and copied to every
@@ -103,10 +108,18 @@ SCENARIOS = [
                              "inputs/playbook.json", "--out", "bench_redraft"]),
     ("bench_unscorable", CLI + ["bench", "inputs/manifest_unscorable.json", "--mock-playbook",
                                 "inputs/playbook.json", "--out", "bench_unscorable"]),
+    ("stale_dirs", [
+        CLI + ["bench", "inputs/manifest.json", "--mock-playbook", "inputs/playbook.json",
+               "--out", "stale_dirs/bench"],
+        CLI + ["build-dataset", "corpus/records", "--mock-playbook", "corpus/playbook.json",
+               "--out", "stale_dirs/build", "--sizes", "6,3,3"],
+    ]),
 ]
 # A rerun scenario starts from a copy of an earlier scenario's output, so
 # that the earlier scenario's own files stay as it wrote them.
 RERUN_OF = {"rebuild": "build", "bench_trimmed": "bench", "bench_redraft": "bench"}
+# stale_dirs' copies: each earlier scenario, and the directory made in its copy.
+STALE_DIRS = {"bench": "generated/old.txt", "build": "drafts/old.json"}
 UNSET_KEY = "PATENTGEN_PARITY_UNSET_KEY"
 
 HTTP_400 = {"error": "status", "code": 400}
@@ -189,14 +202,20 @@ def run_scenarios(tree: Path, inputs: Path, work: Path) -> None:
     shutil.copytree(inputs, work / "inputs")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop(UNSET_KEY, None)
-    for name, command in SCENARIOS:
+    for name, commands in SCENARIOS:
         if name in RERUN_OF:
             shutil.copytree(work / RERUN_OF[name], work / name)
-        command = [part.replace("{src}", str(tree)) for part in command]
-        done = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
-        log = (f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
-               .replace(str(tree), "SRC"))
-        (work / f"{name}.log").write_text(log, "utf-8")
+        if name == "stale_dirs":
+            for source, stale in STALE_DIRS.items():
+                shutil.copytree(work / source, work / name / source)
+                (work / name / source / stale).mkdir()
+                (work / name / source / stale / "kept.txt").write_text("kept\n", "utf-8")
+        log = ""
+        for command in commands if isinstance(commands[0], list) else [commands]:
+            command = [part.replace("{src}", str(tree)) for part in command]
+            done = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
+            log += f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
+        (work / f"{name}.log").write_text(log.replace(str(tree), "SRC"), "utf-8")
 
 
 def contents(root: Path) -> dict[str, bytes]:

@@ -15,8 +15,8 @@ from functools import partial
 from pathlib import Path
 
 from .agents import run_tasks
-from .core import (ConfigError, Draft, draft_to_record, is_file_name, load_draft, load_json,
-                   make_dir, patent_to_text, remove_stale)
+from .core import (ConfigError, Draft, draft_to_record, is_file_name, json_text, load_draft,
+                   load_json, make_dir, patent_to_text, remove_stale, write_files)
 from .metrics import (
     BLEU_SPEC,
     IrrConfig,
@@ -105,20 +105,13 @@ class BenchReport:
         return [r for r in self.rows if not r.get("failed")]
 
     def aggregates(self) -> dict:
-        rows = self.scored_rows
-        if not rows:
-            return {}
-        keys = [
-            k
-            for k, v in rows[0].items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        ]
-        means: dict = {}
-        for key in keys:
-            values = [r[key] for r in rows if isinstance(r.get(key), (int, float))]
-            if values:
-                means[key] = sum(values) / len(values)
-        return means
+        """Each metric's mean over the scored rows that have it as a number."""
+        values: dict = {}
+        for row in self.scored_rows:
+            for key, value in row.items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    values.setdefault(key, []).append(value)
+        return {key: sum(found) / len(found) for key, found in values.items()}
 
     def to_record(self) -> dict:
         return {
@@ -167,11 +160,8 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
     def save(self, out_dir: Path | str) -> None:
-        out_dir = make_dir(out_dir)
-        (out_dir / "report.json").write_text(
-            json.dumps(self.to_record(), indent=2, sort_keys=True) + "\n", "utf-8"
-        )
-        (out_dir / "report.txt").write_text(self.to_table(), "utf-8")
+        write_files(out_dir, {"report.json": json_text(self.to_record()),
+                              "report.txt": self.to_table()})
 
 
 def report_from_record(record: dict) -> BenchReport:

@@ -382,6 +382,11 @@ def json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def jsonl_text(records) -> str:
+    """records as JSON lines: one json.dumps(record, ensure_ascii=False) each."""
+    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+
+
 def is_file_name(name) -> bool:
     """Whether name is a string that names an entry of a directory, so that a
     path built from it stays there: not empty, . or .., and no slash,
@@ -405,15 +410,29 @@ def make_dir(path) -> Path:
 def remove_stale(directory: Path, owned: tuple[str, ...], keep) -> None:
     """Remove each file under directory that matches a glob of owned and
     whose relative path is not in keep, then each subdirectory this leaves
-    empty, so that a reused directory holds only its last run's files."""
+    empty, so that a reused directory holds only its last run's files. A
+    match that is a directory is no file this package wrote, and is left."""
     for pattern in owned:
         for path in list(directory.glob(pattern)):
-            if path.relative_to(directory).as_posix() not in keep:
+            if path.relative_to(directory).as_posix() not in keep and not path.is_dir():
                 path.unlink()
                 parent = path.parent
                 while parent != directory and not any(parent.iterdir()):
                     parent.rmdir()
                     parent = parent.parent
+
+
+def write_files(directory, files: dict[str, str], owned: tuple[str, ...] = ()) -> None:
+    """Write each text of files, as UTF-8, to its relative path under
+    directory (made with make_dir), once the files of owned that files does
+    not name are removed (remove_stale leaves a directory at such a path).
+    So a reused run, build or bench directory holds only its last files."""
+    directory = make_dir(directory)
+    remove_stale(directory, owned, files)
+    for parent in {(directory / name).parent for name in files}:
+        parent.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
 
 
 def read_input(path, what: str = "file", parse=str):

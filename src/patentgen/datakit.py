@@ -30,6 +30,7 @@ from .core import (
     PatentDoc,
     draft_to_record,
     is_file_name,
+    jsonl_text,
     load_json,
     make_dir,
     make_draft,
@@ -38,6 +39,7 @@ from .core import (
     remove_stale,
     render_draft,
     render_fields,
+    write_files,
 )
 from .gateway import GatewayError
 from .tags import TagError, extract_sections, extract_tag, render_sections
@@ -443,9 +445,8 @@ def _target_for(kind: str, build: DatasetBuild, record_id: str) -> str | None:
     if kind == "D2W":
         tree = build.pgtrees.get(record_id)
         return None if tree is None else render_sections(tree)
-    if kind == "D2P_full":
-        return patent_to_text(PatentDoc(**{name: rec.section(name) for name in SECTION_NAMES}))
-    raise DatakitError(f"unknown export kind {kind!r}; expected one of {SFT_KINDS}")
+    # D2P_full: the whole patent.
+    return patent_to_text(PatentDoc(**{name: rec.section(name) for name in SECTION_NAMES}))
 
 
 def export_sft(
@@ -454,9 +455,14 @@ def export_sft(
     build: DatasetBuild,
     out_dir: Path | str,
 ) -> ExportReport:
-    """Write one line-delimited pair file per split. Records lacking the
-    target (for example a failed tree collection under D2W) are skipped,
-    logged and subtracted from the counts."""
+    """Write one line-delimited pair file per split, out_dir/kind/<split>.jsonl.
+    A kind not in SFT_KINDS is a DatakitError before anything is written.
+    Records lacking the target (for example a failed tree collection under
+    D2W) are skipped, logged and subtracted from the counts. Each line is
+    written as it is made: a D2P_full line holds a whole patent, so a split
+    held as one text would raise peak memory at paper scale."""
+    if kind not in SFT_KINDS:
+        raise DatakitError(f"unknown export kind {kind!r}; expected one of {SFT_KINDS}")
     out_dir = Path(out_dir) / kind
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ExportReport(kind=kind)
@@ -486,56 +492,26 @@ def export_sft(
 
 def write_build_artifacts(build: DatasetBuild, manifest: SplitManifest | None,
                           workdir: Path) -> None:
-    """Persist drafts, quality reports, trees, the skip log and, unless it is
-    None, the manifest."""
-    workdir = Path(workdir)
-    (workdir / "drafts").mkdir(parents=True, exist_ok=True)
-    for record_id, draft in build.drafts.items():
-        path = workdir / "drafts" / f"{record_id}.json"
-        path.write_text(
-            json.dumps(draft_to_record(draft), ensure_ascii=False, indent=2) + "\n", "utf-8"
-        )
+    """Write the drafts, quality reports, trees, skip log, rejected drafts
+    and, unless it is None, the manifest into workdir (core.write_files). An
+    earlier build's drafts and splits.json that this one does not write are
+    removed; its exports are build_dataset_dir's to remove."""
+    files = {f"drafts/{record_id}.json":
+             json.dumps(draft_to_record(draft), ensure_ascii=False, indent=2) + "\n"
+             for record_id, draft in build.drafts.items()}
     quality = {record_id: asdict(report)["items"] for record_id, report in build.quality.items()}
-    (workdir / "quality.json").write_text(json.dumps(quality, indent=2) + "\n", "utf-8")
-    (workdir / "pgtrees.json").write_text(json.dumps(build.pgtrees, indent=2) + "\n", "utf-8")
+    files["quality.json"] = json.dumps(quality, indent=2) + "\n"
+    files["pgtrees.json"] = json.dumps(build.pgtrees, indent=2) + "\n"
     if manifest is not None:
-        (workdir / "splits.json").write_text(
-            json.dumps(asdict(manifest), indent=2) + "\n", "utf-8"
-        )
-    with (workdir / "skips.jsonl").open("w", encoding="utf-8") as fh:
-        for skip in build.skips:
-            fh.write(json.dumps(skip, ensure_ascii=False) + "\n")
+        files["splits.json"] = json.dumps(asdict(manifest), indent=2) + "\n"
+    files["skips.jsonl"] = jsonl_text(build.skips)
     # Rejected drafts go out for manual review rather than silently vanishing.
-    with (workdir / "review_rejected.jsonl").open("w", encoding="utf-8") as fh:
-        for record_id, report in build.quality.items():
-            if report.overall_pass:
-                continue
-            fh.write(
-                json.dumps(
-                    {
-                        "record_id": record_id,
-                        "failures": [
-                            {"question_id": i.question_id, "reason": i.reason}
-                            for i in report.items
-                            if not i.passed
-                        ],
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
-def _write_build(build: DatasetBuild, manifest: SplitManifest | None, kinds: list[str],
-                 workdir: Path) -> None:
-    """write_build_artifacts, once the drafts, splits.json and exports in
-    workdir that this build does not write are removed."""
-    keep = {f"drafts/{record_id}.json" for record_id in build.drafts}
-    keep |= {f"exports/{kind}/{split}.jsonl" for kind in kinds for split in SPLIT_NAMES}
-    if manifest is not None:
-        keep.add("splits.json")
-    remove_stale(workdir, ("drafts/*.json", "splits.json", "exports/*/*.jsonl"), keep)
-    write_build_artifacts(build, manifest, workdir)
+    files["review_rejected.jsonl"] = jsonl_text(
+        {"record_id": record_id,
+         "failures": [{"question_id": i.question_id, "reason": i.reason}
+                      for i in report.items if not i.passed]}
+        for record_id, report in build.quality.items() if not report.overall_pass)
+    write_files(workdir, files, ("drafts/*.json", "splits.json"))
 
 
 def build_dataset_dir(gateways: dict, bindings: dict, records_path, out_dir, *, seed: int,
@@ -572,13 +548,17 @@ def build_dataset_dir(gateways: dict, bindings: dict, records_path, out_dir, *, 
     builder = DatasetBuilder(AgentRuntime(gateways, bindings), corrected_reviewer_mapping)
     build = build_dataset(builder, records, collect_trees=not skip_trees)
     build.skips = ingest_skips + build.skips
+    short = None
     try:
         manifest = make_splits(build.accepted_ids, sizes=sizes or None, seed=seed)
-    except InsufficientRecordsError:
-        # Keep the drafts and verdicts just paid for.
-        _write_build(build, None, [], workdir)
-        raise
-    _write_build(build, manifest, kinds, workdir)
+    except InsufficientRecordsError as exc:
+        # Keep the drafts and verdicts just paid for, and no exports.
+        short, manifest, kinds = exc, None, []
+    remove_stale(workdir, ("exports/*/*.jsonl",),
+                 {f"exports/{kind}/{split}.jsonl" for kind in kinds for split in SPLIT_NAMES})
+    write_build_artifacts(build, manifest, workdir)
+    if short is not None:
+        raise short
     lines = []
     for kind in kinds:
         report = export_sft(kind, manifest, build, workdir / "exports")

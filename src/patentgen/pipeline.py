@@ -27,7 +27,6 @@ same at any width.
 
 from __future__ import annotations
 
-import json
 import typing
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -56,15 +55,16 @@ from .core import (
     SubsectionDraft,
     draft_to_record,
     json_text,
+    jsonl_text,
     load_json,
     make_dir,
     new_run_record,
     patent_to_record,
     patent_to_text,
-    remove_stale,
     render_draft,
     render_pgtree,
     render_reference,
+    write_files,
 )
 from .gateway import BackendConfig, GatewayError, LlmGateway, ResponseCache, build_gateway
 from .tags import TagError, extract_tag
@@ -323,7 +323,7 @@ class PatentPipeline(AgentRuntime):
             "config.json": json_text(cfg.to_record()),
             "draft.json": json_text(draft_to_record(draft)),
             "draft.txt": draft_text + "\n",
-            "calls.jsonl": "".join(json.dumps(entry) + "\n" for entry in record.to_records()),
+            "calls.jsonl": jsonl_text(record.to_records()),
             "warnings.json": json_text({"warnings": record.warnings}),
         }
         if components:
@@ -339,7 +339,7 @@ class PatentPipeline(AgentRuntime):
         files["status.json"] = json_text(
             {"status": "complete" if doc is not None else "partial",
              "error": None if error is None else str(error) or type(error).__name__})
-        _write_run_files(self.run_dir, files, _RUN_FILES)
+        write_files(self.run_dir, files, _RUN_FILES)
 
 
 # What a pipeline run writes only once it gets that far, and the zero-shot
@@ -347,16 +347,6 @@ class PatentPipeline(AgentRuntime):
 _RUN_FILES = ("components.json", "pgtree.json", "subsections/sec*_sub*.json", "patent.txt",
               "patent.json", "patent_body.txt")
 _ZERO_SHOT_FILES = ("raw_response.txt", "sections/*.txt", "patent.txt", "patent.json")
-
-
-def _write_run_files(run_dir: Path, files: dict[str, str], owned: tuple[str, ...]) -> None:
-    """Write each text of files to its path under run_dir, once the files of
-    owned that files does not name are removed (core.remove_stale)."""
-    remove_stale(run_dir, owned, files)
-    for parent in {(run_dir / name).parent for name in files}:
-        parent.mkdir(exist_ok=True)
-    for name, text in files.items():
-        (run_dir / name).write_text(text, encoding="utf-8")
 
 
 def patent_files(doc: PatentDoc) -> dict[str, str]:
@@ -441,8 +431,8 @@ def run_zero_shot(gateway: LlmGateway, draft: Draft, max_tokens: int = ZERO_SHOT
                              ZERO_SHOT, parse_zero_shot_output)
     except GatewayError as exc:
         if run_dir is not None:
-            _write_run_files(run_dir, {"parse_report.json": json_text({"error": str(exc)})},
-                            _ZERO_SHOT_FILES)
+            write_files(run_dir, {"parse_report.json": json_text({"error": str(exc)})},
+                        _ZERO_SHOT_FILES)
         raise
     if run_dir is not None:
         files = {"raw_response.txt": result.raw,
@@ -452,5 +442,5 @@ def run_zero_shot(gateway: LlmGateway, draft: Draft, max_tokens: int = ZERO_SHOT
             files[f"sections/{name}.txt"] = text + "\n"
         if result.complete:
             files.update(patent_files(PatentDoc(**result.sections)))
-        _write_run_files(run_dir, files, _ZERO_SHOT_FILES)
+        write_files(run_dir, files, _ZERO_SHOT_FILES)
     return result

@@ -222,6 +222,18 @@ def test_short_documents_report_undefined_irr():
     assert "irr_t02" not in report.aggregates()
 
 
+def test_report_means_do_not_depend_on_row_order():
+    cfg = MetricConfig()
+    short = score_document("short", "one sentence only", "ref", cfg)
+    long = score_document("long", "First point here. Second point there. Third one too.",
+                          "A reference text.", cfg)
+    assert short["irr_t02"] is None and long["irr_t02"] is not None
+    means = [BenchReport(header=cfg.header(), rows=rows).aggregates()
+             for rows in ([short, long], [long, short])]
+    assert means[0] == means[1]
+    assert means[0]["irr_t02"] == long["irr_t02"]
+
+
 def _manifest(tmp_path, n_docs: int = 3) -> dict:
     docs = []
     for i in range(1, n_docs + 1):

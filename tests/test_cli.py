@@ -1070,6 +1070,34 @@ def test_a_build_with_too_few_accepted_records_keeps_what_it_paid_for(tmp_path):
     assert [r["record_id"] for r in rejected] == ["rec2"]
 
 
+@pytest.mark.parametrize("stale", ["generated/old.txt", "drafts/old.json"],
+                         ids=["bench", "build"])
+def test_a_directory_at_a_stale_path_is_left_in_place(tmp_path, stale):
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    bench = stale.startswith("generated/")
+    if bench:
+        manifest_file, config_file, _ = _bench_fixture(tmp_path, pipeline_playbook())
+        command = ["bench", str(manifest_file), "--config", str(config_file)]
+        assert RUNNER.invoke(main, [*command, "--out", str(out)]).exit_code == 0
+        (out / "report.json").write_text("{}", "utf-8")
+    else:
+        playbook = tmp_path / "playbook.json"
+        MockPlaybook([rule(MATCH_INVENTOR, "An answer."), rule(MATCH_QUALITY, PASS_QUALITY),
+                      rule(MATCH_COLLECT, "<Section-1> part one </Section-1>")]).save(playbook)
+        command = ["build-dataset", str(_four_records(tmp_path)), "--mock-playbook", str(playbook)]
+    (out / stale).mkdir(parents=True)
+    result = RUNNER.invoke(main, [*command, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert (out / stale).is_dir()
+    if bench:
+        record = load_json(out / "report.json")
+        assert record["counts"] == {"scored": 3, "failed": 0} and len(record["rows"]) == 3
+    else:
+        fresh = RUNNER.invoke(main, [*command, "--out", str(clean)])
+        assert fresh.output.replace(str(clean), "OUT") == result.output.replace(str(out), "OUT")
+        assert tree_contents(out) == tree_contents(clean)
+
+
 def test_report_command_renders_table(tmp_path):
     gen = tmp_path / "gen"
     ref = tmp_path / "ref"

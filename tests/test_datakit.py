@@ -408,9 +408,11 @@ def test_export_full_patent_order(tmp_path):
 
 def test_export_unknown_kind(tmp_path):
     build = _built_corpus(1)
-    manifest = make_splits(build.accepted_ids, sizes=(1, 0, 0), seed=0)
-    with pytest.raises(Exception, match="unknown export kind"):
-        export_sft("D2X", manifest, build, tmp_path)
+    for sizes in ((1, 0, 0), (0, 0, 0)):
+        manifest = make_splits(build.accepted_ids, sizes=sizes, seed=0)
+        with pytest.raises(Exception, match="unknown export kind"):
+            export_sft("D2X", manifest, build, tmp_path)
+        assert not (tmp_path / "D2X").exists()
 
 
 def test_quality_and_tree_artifact_formats(tmp_path):
